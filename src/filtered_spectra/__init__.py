@@ -16,10 +16,9 @@ from .combinat import (WignerPartition, enumerate_wigner_partitions,
 from .moments import NiceFunction, phi_psi_recursion, theoretical_moments
 from .colorsolve import (ColorSolution, SpectralGrid, solve_color_fixed_point,
                          stieltjes_path, density_profile, rank_one_w)
-from .algebra import (BivariatePolynomial, UnivariateRationalFunction,
-                      resultant, auxiliary_resultant, discriminant,
-                      real_roots, verify_curve, rank_one_eliminate,
-                      random_walk_recursion_check)
+from .algebra import (BivariatePolynomial, resultant, auxiliary_resultant,
+                      discriminant, real_roots, verify_curve,
+                      rank_one_eliminate, random_walk_recursion_check)
 from .matrixlab import (SampleConfig, ESD, EsdSummary, CovarianceReport,
                         sample_filtered_wigner, covariance_check,
                         sample_colored_gaussian, eigenvalues_symmetric,
@@ -35,7 +34,7 @@ __all__ = [
     "NiceFunction", "phi_psi_recursion", "theoretical_moments",
     "ColorSolution", "SpectralGrid", "solve_color_fixed_point",
     "stieltjes_path", "density_profile", "rank_one_w",
-    "BivariatePolynomial", "UnivariateRationalFunction", "resultant",
+    "BivariatePolynomial", "resultant",
     "auxiliary_resultant", "discriminant", "real_roots", "verify_curve",
     "rank_one_eliminate", "random_walk_recursion_check",
     "SampleConfig", "ESD", "EsdSummary", "CovarianceReport",

@@ -1,8 +1,12 @@
 """Exact polynomial algebra for algebraic Stieltjes transforms.
 
-Everything here runs over exact rationals: univariate polynomials are
-lists of Fractions indexed by degree, bivariate polynomials are sparse
-(degx, degy) -> Fraction tables.  The module provides
+Everything here runs over exact rationals, in two representations:
+univariate polynomials are lists of Fractions indexed by degree, and
+bivariate polynomials are BivariatePolynomial (sparse (degx, degy) ->
+Fraction tables).  BivariatePolynomial.as_poly_in("y") gives the y-rows,
+a list of Fraction lists in x: that is the working form for Q[x][y],
+where the gcds, pseudo-remainders and exact divisions run.  The module
+provides
 
 * Sylvester resultants (Bareiss fraction-free determinants, generic over
   the coefficient ring, so the same engine eliminates a variable from
@@ -11,10 +15,11 @@ lists of Fractions indexed by degree, bivariate polynomials are sparse
 * real-root isolation by Sturm sequences + bisection;
 * numerical certification of a candidate curve F(lambda, S(lambda)) = 0
   against the fixed-point solver;
-* the rank-one elimination pipeline: from a rational (or polynomial
-  relation) transform S_f of the profile distribution to the algebraic
-  curve satisfied by the limit Stieltjes transform, via the master
-  identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w);
+* the rank-one elimination pipeline: from a polynomial relation
+  R(m, S_f(m)) = 0 for the transform of the profile distribution to the
+  algebraic curve satisfied by the limit Stieltjes transform, via the
+  master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w), with
+  Yun's squarefree split in Q[lambda][S];
 * a self-check of the banded-walk fixed-point recursions against
   truncated path sums and contour quadrature.
 
@@ -42,7 +47,6 @@ from .kernel import Kernel
 
 __all__ = [
     "BivariatePolynomial",
-    "UnivariateRationalFunction",
     "RootInterval",
     "resultant",
     "auxiliary_resultant",
@@ -134,13 +138,6 @@ def _pgcd(p, q):
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-def _plcm(p, q):
-    g = _pgcd(p, q)
-    if not g:
-        return []
-    return _pdivexact(_pmul(p, q), g)
 
 
 def _pderiv(p):
@@ -657,185 +654,64 @@ def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rational functions and squarefree machinery over Q(x)
+# squarefree decomposition in Q[x][y]
 # ---------------------------------------------------------------------------
 
-class UnivariateRationalFunction:
-    """Quotient of exact univariate polynomials, gcd-reduced, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(1,)):
-        num = _pnorm([rat(c) for c in num])
-        den = _pnorm([rat(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _pgcd(num, den)
-            if _pdeg(g) > 0:
-                num = _pdivexact(num, g)
-                den = _pdivexact(den, g)
-        else:
-            den = [Fraction(1)]
-        lead = den[-1]
-        if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
-
-    @classmethod
-    def from_const(cls, c):
-        return cls([rat(c)])
-
-    @property
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        return UnivariateRationalFunction(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
-
-    def __sub__(self, other):
-        return UnivariateRationalFunction(
-            _psub(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
-
-    def __neg__(self):
-        return UnivariateRationalFunction(_pscale(self.num, -1), self.den)
-
-    def __mul__(self, other):
-        return UnivariateRationalFunction(
-            _pmul(self.num, other.num), _pmul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return UnivariateRationalFunction(
-            _pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __eq__(self, other):
-        return isinstance(other, UnivariateRationalFunction) and \
-            self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def evaluate(self, x):
-        return _peval(list(self.num), x) / _peval(list(self.den), x)
-
-    def __repr__(self):
-        return f"UnivariateRationalFunction({list(self.num)}, {list(self.den)})"
+def _prem(a, b):
+    """Pseudo-remainder of a by b, both as y-rows over Q[x] (b nonzero)."""
+    while len(a) >= len(b):
+        lead, d = a[-1], len(a) - len(b)
+        a = [_pmul(r, b[-1]) for r in a]
+        for i, r in enumerate(b):
+            a[i + d] = _psub(a[i + d], _pmul(lead, r))
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
-_RF_ZERO = UnivariateRationalFunction([])
-_RF_ONE = UnivariateRationalFunction([1])
+def _primitive(rows):
+    g = _pcontent(rows)
+    return [_pdivexact(r, g) for r in rows]
 
 
-def _fp_norm(f):
-    f = list(f)
-    while f and f[-1].is_zero:
-        f.pop()
-    return f
+def _bp_gcd(p, q):
+    """Primitive gcd in Q[x][y], up to a rational factor.
+
+    Brown's primitive pseudo-remainder sequence on the y-rows: by Gauss's
+    lemma every step stays in Q[x][y] and no quotient field is needed.
+    """
+    a, b = _primitive(p.as_poly_in("y")), _primitive(q.as_poly_in("y"))
+    while len(b) > 1:
+        a, b = b, _primitive(_prem(a, b))
+    return BivariatePolynomial.from_poly_in("y", b or a)
 
 
-def _fp_sub(f, g):
-    n = max(len(f), len(g))
-    return _fp_norm([
-        (f[i] if i < len(f) else _RF_ZERO) - (g[i] if i < len(g) else _RF_ZERO)
-        for i in range(n)])
-
-
-def _fp_mul(f, g):
-    if not f or not g:
-        return []
-    out = [_RF_ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return _fp_norm(out)
-
-
-def _fp_divmod(f, g):
-    g = _fp_norm(g)
-    if not g:
-        raise ZeroDivisionError
-    r = list(f)
-    quo = [_RF_ZERO] * max(len(f) - len(g) + 1, 0)
-    while _fp_norm(r) and len(_fp_norm(r)) >= len(g):
-        r = _fp_norm(r)
-        c = r[-1] / g[-1]
-        d = len(r) - len(g)
-        quo[d] = c
-        for i, b in enumerate(g):
-            r[i + d] = r[i + d] - c * b
-    return _fp_norm(quo), _fp_norm(r)
-
-
-def _fp_monic(f):
-    f = _fp_norm(f)
-    if not f:
-        return f
-    lead = f[-1]
-    return [c / lead for c in f]
-
-
-def _fp_gcd(f, g):
-    a, b = _fp_norm(f), _fp_norm(g)
-    while b:
-        a, b = b, _fp_divmod(a, b)[1]
-    return _fp_monic(a)
-
-
-def _fp_deriv(f):
-    return _fp_norm([
-        UnivariateRationalFunction([i]) * c
-        for i, c in enumerate(f)][1:])
+def _bp_dy(p):
+    return BivariatePolynomial(
+        {(dx, dy - 1): v * dy for (dx, dy), v in p.coeffs.items() if dy})
 
 
 def _squarefree_factors(f):
-    """Yun decomposition over Q(x): list of (monic factor, multiplicity)."""
-    f = _fp_monic(f)
-    if len(f) <= 1:
-        return []
-    df = _fp_deriv(f)
-    g = _fp_gcd(f, df)
-    if len(g) <= 1:
-        return [(f, 1)]
-    b = _fp_divmod(f, g)[0]
-    c = _fp_divmod(df, g)[0]
-    d = _fp_sub(c, _fp_deriv(b))
+    """Yun's decomposition of f in Q[x][y], deg_y f >= 1.
+
+    Returns [(factor, multiplicity)] with primitive factors of positive
+    y-degree.  Every division is exact in Q[x][y] because the gcds are
+    primitive.
+    """
+    df = _bp_dy(f)
+    g = _bp_gcd(f, df)
+    b = _bp_divexact(f, g)
+    d = _bp_divexact(df, g) - _bp_dy(b)
     out = []
     i = 1
-    while len(b) > 1:
-        a = _fp_gcd(b, d)
-        if len(a) > 1:
+    while b.degree("y") > 0:
+        a = _bp_gcd(b, d)
+        if a.degree("y") > 0:
             out.append((a, i))
-        b = _fp_divmod(b, a)[0]
-        c = _fp_divmod(d, a)[0]
-        d = _fp_sub(c, _fp_deriv(b))
+        b = _bp_divexact(b, a)
+        d = _bp_divexact(d, a) - _bp_dy(b)
         i += 1
     return out
-
-
-def _bp_to_fp(bp: BivariatePolynomial):
-    """Q[x,y] -> Q(x)[y] coefficient list."""
-    return _fp_norm([
-        UnivariateRationalFunction(row) for row in bp.as_poly_in("y")])
-
-
-def _fp_to_bp(f) -> BivariatePolynomial:
-    """Clear denominators: Q(x)[y] -> primitive Q[x,y]."""
-    common = [Fraction(1)]
-    for c in f:
-        common = _plcm(common, list(c.den))
-    rows = []
-    for c in f:
-        rows.append(_pmul(list(c.num), _pdivexact(common, list(c.den))))
-    return BivariatePolynomial.from_poly_in("y", rows).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -846,36 +722,31 @@ def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
                        residual_tol: float = 1e-8) -> BivariatePolynomial:
     """Algebraic curve F(lambda, S) = 0 for a rank-one kernel s = f (x) f.
 
-    sf describes the Stieltjes transform S_f of the profile distribution
-    mu_f: either a UnivariateRationalFunction of m, or — when S_f carries
-    a surd — a BivariatePolynomial relation R(m, v) = 0 satisfied by
-    v = S_f(m) (variables (x, y) = (m, v)).
+    sf is a BivariatePolynomial relation R(m, v) = 0 satisfied by the
+    Stieltjes transform v = S_f(m) of the profile distribution mu_f
+    (variables (x, y) = (m, v)); a rational S_f = num/den is the relation
+    v*den(m) - num(m).
 
     The master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w)
     turns R into a polynomial G(lambda, S, w) via m = lambda/w and
     v = S*w; eliminating w against E = 1 + w^2 - lambda*S by resultant
-    and splitting the result into squarefree factors over Q(lambda)[S]
-    yields candidate curves.  Factors that are monomials, content, or
-    fail the numerical certificate are discarded; surviving factors
-    (their product, if several) are returned normalized.  kern is the
-    kernel to certify against; a collapse or an empty survivor set
+    and splitting the result into squarefree factors in Q[lambda][S]
+    yields candidate curves.  Monomials and content are stripped first;
+    factors that fail the numerical certificate are discarded; surviving
+    factors (their product, if several) are returned normalized.  kern is
+    the kernel to certify against; a collapse or an empty survivor set
     raises with the offending factorization in the message.
     """
-    if isinstance(sf, UnivariateRationalFunction):
-        rel = BivariatePolynomial.from_poly_in("y", [
-            _pscale(list(sf.num), -1), list(sf.den)])  # v*den(m) - num(m)
-    elif isinstance(sf, BivariatePolynomial):
-        rel = sf
-    else:
-        raise TypeError("sf must be a rational function or a (m, v) relation")
-    if rel.degree("y") < 1:
+    if not isinstance(sf, BivariatePolynomial):
+        raise TypeError("sf must be a BivariatePolynomial relation R(m, v)")
+    if sf.degree("y") < 1:
         raise ValueError("the relation does not involve S_f")
 
     # m = lambda/w, cleared by w^deg_m; then v = S*w.
     # m^a v^b  ->  lambda^a * S^b * w^(D - a + b)
-    D = rel.degree("x")
+    D = sf.degree("x")
     by_w = {}
-    for (a, b), c in rel.coeffs.items():
+    for (a, b), c in sf.coeffs.items():
         dw = D - a + b
         acc = by_w.setdefault(dw, {})
         key = (a, b)
@@ -919,17 +790,8 @@ def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
             break
         stripped = quotient.normalized()
 
-    factors = _squarefree_factors(_bp_to_fp(stripped))
-    candidates = []
-    for fac, mult in factors:
-        bp = _fp_to_bp(fac)
-        if not bp.is_zero and bp.degree("y") >= 1:
-            candidates.append((bp, mult))
-    if not candidates:
-        raise RuntimeError(
-            "elimination collapsed: no factor involves S; factorization: "
-            + "; ".join(f"({f.pretty('lambda', 'S')})^{m}"
-                        for f, m in [(_fp_to_bp(f), m) for f, m in factors]))
+    candidates = [(fac.normalized(), mult)
+                  for fac, mult in _squarefree_factors(stripped)]
 
     if sample_lambdas is None:
         radius = max(10.0, 2.5 * kern.amplitude())

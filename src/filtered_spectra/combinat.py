@@ -45,7 +45,6 @@ from .kernel import Kernel, grid_weights, kernel_grid_matrix
 __all__ = [
     "WignerPartition",
     "enumerate_wigner_partitions",
-    "canonical_permutations",
     "tree_integral",
     "moments_by_enumeration",
 ]
@@ -78,13 +77,6 @@ class WignerPartition:
             for i in members:
                 out[i] = p
         return tuple(out)
-
-    def degrees(self) -> list:
-        deg = [0] * len(self.parts)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
 
 
 def _dyck_paths(half: int):
@@ -180,17 +172,6 @@ def _check_partition(w: WignerPartition):
         assert len(steps) == 2
         a, b = sorted(steps)
         assert w.sigma[a] == b
-
-
-def canonical_permutations(w: WignerPartition) -> tuple:
-    """(tau, sigma) recomputed from the parts, with the involution asserted."""
-    tau, sigma = _perms_from_parts(w.k, w.parts)
-    for i in range(1, w.k + 1):
-        if sigma[i] == i:
-            raise AssertionError(f"sigma fixes {i}: not a Wigner partition")
-        if sigma[sigma[i]] != i:
-            raise AssertionError("sigma does not square to the identity")
-    return tau, sigma
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ are immutable after construction; share them freely across workers.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from bisect import bisect_right
@@ -42,7 +41,6 @@ __all__ = [
     "KernelReport",
     "validate_kernel",
     "kernel_from_filter",
-    "evaluate_kernel",
     "read_color_document",
     "unit_partition",
     "constant_kernel",
@@ -93,10 +91,6 @@ class IntervalPartition:
         fx = [float(b) for b in self.breakpoints]
         a = bisect_right(fx, float(x)) - 1
         return min(max(a, 0), self.n - 1)
-
-    def midpoints(self):
-        return [float(a + b) / 2 for a, b in
-                zip(self.breakpoints, self.breakpoints[1:])]
 
 
 def unit_partition() -> IntervalPartition:
@@ -281,26 +275,6 @@ def kernel_from_filter(h: Filter) -> Kernel:
     kern = Kernel(unit_partition(), K, out)
     assert kern.l1_norm() == h.l2_norm_sq()
     return kern
-
-
-def evaluate_kernel(kern: Kernel, c, cp) -> float:
-    """Evaluate s at color points c = (x, theta), c' = (y, theta').
-
-    Angles are radians on the circle.  The finite Fourier sum is
-    evaluated exactly at the cell containing (x, y); the imaginary
-    residue must be below 1e-12 and is discarded.
-    """
-    x, t1 = c
-    y, t2 = cp
-    a = kern.partition.locate(x)
-    b = kern.partition.locate(y)
-    val = 0j
-    for (i, j, aa, bb), v in kern.coeffs.items():
-        if aa == a and bb == b:
-            val += complex(v) * cmath.exp(1j * (i * t1 + j * t2))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise ValueError(f"kernel value at {c},{cp} is not real: {val}")
-    return val.real
 
 
 # ---------------------------------------------------------------------------

@@ -148,32 +148,19 @@ class NiceFunction:
         return worst
 
 
-def _as_float_kernel(kern: Kernel) -> Kernel:
-    coeffs = {k: complex(v) for k, v in kern.coeffs.items()}
-    out = Kernel.__new__(Kernel)
-    out.partition = kern.partition
-    out.band = kern.band
-    out.coeffs = coeffs
-    out._grid_cache = {}
-    out._sup = None
-    return out
-
-
-def phi_psi_recursion(kern: Kernel, nmax: int, exact: bool = True,
+def phi_psi_recursion(kern: Kernel, nmax: int,
                       degree_cap: int = DEGREE_CAP):
     """Phi_1..Phi_nmax and Psi_1..Psi_nmax as NiceFunctions.
 
-    exact=True runs over complex rationals (kernel tables are stored
-    exactly, so this is always available); exact=False converts the
-    kernel to floats first.  Raises if any Phi degree would exceed
-    degree_cap — the caller asked for more than the representation
-    can hold, and truncating would corrupt every later moment.
+    Runs over complex rationals (kernel tables are stored exactly).
+    Raises if any Phi degree would exceed degree_cap — the caller asked
+    for more than the representation can hold, and truncating would
+    corrupt every later moment.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    work = kern if exact else _as_float_kernel(kern)
-    one = CRat(1) if exact else 1.0 + 0j
-    part = work.partition
+    one = CRat(1)
+    part = kern.partition
 
     phis = [None, NiceFunction.constant(part, one)]
     psis = [None]
@@ -190,7 +177,7 @@ def phi_psi_recursion(kern: Kernel, nmax: int, exact: bool = True,
                 raise ValueError(
                     f"Phi_{n} would have degree {acc.degree} > cap {degree_cap}")
             phis.append(acc)
-        psis.append(phis[n].pair_with_kernel(work))
+        psis.append(phis[n].pair_with_kernel(kern))
     return phis[1:], psis[1:]
 
 
@@ -200,7 +187,7 @@ def theoretical_moments(kern: Kernel, kmax: int, exact: bool = False) -> list:
     exact=True returns Fractions (and insists the imaginary parts cancel
     identically); otherwise floats.
     """
-    phis, _ = phi_psi_recursion(kern, kmax + 1, exact=True)
+    phis, _ = phi_psi_recursion(kern, kmax + 1)
     out = []
     for k in range(1, kmax + 1):
         m = phis[k].mean()  # phis[k] is Phi_{k+1} (list is 1-offset)

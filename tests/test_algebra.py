@@ -1,25 +1,27 @@
 """Resultants, discriminants, Sturm roots, elimination, curve certificates."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtered_spectra.algebra import (BivariatePolynomial,
-                                      UnivariateRationalFunction,
+                                      _squarefree_factors,
                                       auxiliary_resultant, discriminant,
                                       random_walk_recursion_check,
                                       rank_one_eliminate, real_roots,
                                       resultant, verify_curve)
-from filtered_spectra.kernel import compass_filter, constant_kernel, \
-    kernel_from_filter
+from filtered_spectra.kernel import IntervalPartition, Kernel, \
+    compass_filter, constant_kernel, kernel_from_filter
 from conftest import rank_two_kernel, two_point_kernel
 
 BP = BivariatePolynomial
 
 COMPASS_RELATION = BP({(2, 2): 1, (1, 2): -2, (0, 0): -1})  # v^2 m(m-2) = 1
 COMPASS_QUARTIC = BP({(2, 4): 4, (3, 3): -1, (2, 2): -1, (1, 1): 1, (0, 0): 1})
+SEMICIRCLE_RELATION = BP({(1, 1): 1, (0, 1): -1, (0, 0): -1})  # S_f = 1/(m-1)
 
 
 def test_entries_round_trip():
@@ -105,14 +107,14 @@ def test_auxiliary_resultant_worked_example():
 
 
 def test_eliminate_semicircle():
-    sf = UnivariateRationalFunction([1], [-1, 1])     # S_f = 1/(m-1)
-    curve = rank_one_eliminate(sf, constant_kernel())
+    curve = rank_one_eliminate(SEMICIRCLE_RELATION, constant_kernel())
     assert curve == BP({(0, 2): 1, (1, 1): -1, (0, 0): 1})
 
 
 def test_eliminate_two_point():
-    # S_f = (m-1)/(m(m-2)) for the profile (delta_0 + delta_2)/2
-    sf = UnivariateRationalFunction([-1, 1], [0, -2, 1])
+    # S_f = (m-1)/(m(m-2)) for the profile (delta_0 + delta_2)/2,
+    # as the relation v m(m-2) - (m-1) = 0
+    sf = BP({(2, 1): 1, (1, 1): -2, (1, 0): -1, (0, 0): 1})
     curve = rank_one_eliminate(sf, two_point_kernel())
     want = BP({(2, 2): 4, (3, 1): -1, (1, 1): -4, (2, 0): 1, (0, 0): 1})
     assert curve.proportional_to(want)
@@ -133,9 +135,54 @@ def test_eliminate_interface_errors():
 
 def test_eliminate_wrong_kernel_rejected():
     # the semicircle relation cannot certify against the compass kernel
-    sf = UnivariateRationalFunction([1], [-1, 1])
     with pytest.raises(RuntimeError):
-        rank_one_eliminate(sf, kernel_from_filter(compass_filter()))
+        rank_one_eliminate(SEMICIRCLE_RELATION,
+                           kernel_from_filter(compass_filter()))
+
+
+def piecewise_rank_one_kernel(profile) -> Kernel:
+    """s = f(x) f(y), f piecewise constant on equal intervals, band 0."""
+    n = len(profile)
+    part = IntervalPartition(tuple(Fraction(a, n) for a in range(n + 1)))
+    return Kernel(part, 0, {(0, 0, a, b): profile[a] * profile[b]
+                            for a in range(n) for b in range(n)})
+
+
+def profile_relation(profile) -> BivariatePolynomial:
+    """v den(m) - num(m) = 0 for S_f(m) = mean of 1/(m - f_i)."""
+    one = BP.constant(1)
+    lin = [BP({(1, 0): 1, (0, 0): -f}) for f in profile]
+    den = math.prod(lin, start=one)
+    num = sum((math.prod(lin[:i] + lin[i + 1:], start=one)
+               for i in range(len(lin))), BP({}))
+    return BP({(0, 1): 1}) * den - num * Fraction(1, len(lin))
+
+
+def test_eliminate_four_valued_profile():
+    sp = pytest.importorskip("sympy")
+    profile = [Fraction(1, 2), Fraction(3, 4), Fraction(5, 4), Fraction(3, 2)]
+    rel = profile_relation(profile)
+    t0 = time.monotonic()
+    curve = rank_one_eliminate(rel, piecewise_rank_one_kernel(profile))
+    elapsed = time.monotonic() - t0
+    assert curve.degree("y") == 5
+
+    # sympy: the resultant in w of 1 + w^2 - lam*S and R(lam/w, S*w) w^deg_m R,
+    # then its squarefree part over Q(lam), less the factor lam*S - 1 that
+    # the point w = 0, S = 1/lam puts into every such resultant.
+    lam, S, w, m, v = sp.symbols("lam S w m v")
+    R = sum(c * m ** a * v ** b for (a, b), c in rel.coeffs.items())
+    G = sp.expand(R.subs({m: lam / w, v: S * w}) * w ** rel.degree("x"))
+    res = sp.resultant(1 + w ** 2 - lam * S, G, w)
+    field = sp.QQ.frac_field(lam)
+    part, rem = sp.Poly(res, S, domain=field).sqf_part().div(
+        sp.Poly(lam * S - 1, S, domain=field))
+    assert rem.is_zero
+    want = sp.Poly(sp.numer(sp.together(part.as_expr())), S).primitive()[1]
+    got = sum(c * lam ** a * S ** b for (a, b), c in curve.coeffs.items())
+    ratio = sp.cancel(want.as_expr() / got)
+    assert ratio.is_Rational and ratio != 0
+    assert elapsed < 10.0
 
 
 def test_verify_curve_accepts_right_curve():
@@ -190,6 +237,27 @@ def test_resultant_multiplicative(p, q, r):
 @given(y_polys(max_dy=1), y_polys(), y_polys())
 def test_resultant_shared_factor_vanishes(shared, p, q):
     assert resultant(p * shared, q * shared, "y") == []
+
+
+def _to_bp(sp, expr, x, y):
+    """A sympy polynomial in x, y with rational coefficients, as a BP."""
+    poly = sp.Poly(sp.numer(sp.together(expr)), x, y)
+    return BP({k: Fraction(int(c.p), int(c.q)) for k, c in poly.terms()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(y_polys(), y_polys(), y_polys())
+def test_squarefree_factors_match_sympy(a, b, c):
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    f = a * b * b * c * c * c
+    expr = sum(v * x ** i * y ** j for (i, j), v in f.coeffs.items())
+    _, want = sp.Poly(expr, y, domain=sp.QQ.frac_field(x)).sqf_list()
+    want = sorted((k, _to_bp(sp, g.as_expr(), x, y).normalized().to_entries())
+                  for g, k in want)
+    got = sorted((k, g.normalized().to_entries())
+                 for g, k in _squarefree_factors(f))
+    assert got == want
 
 
 def test_walk_recursion_small_cases():
