@@ -9,9 +9,8 @@ the command, a config hash, the seed, library versions, wall time, and
 a sha256 per output file — identical config and seed reproduce
 identical hashes for the deterministic commands.
 
-Flag precedence: command line > config file > defaults; FS_THREADS
-overrides --threads.  Floats are written with 17 significant digits so
-CSV round-trips are lossless.
+Flag precedence: command line > config file > defaults.  Floats are
+written with 17 significant digits so CSV round-trips are lossless.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -133,10 +131,6 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
         if key in ("config", "func") or val is None:
             continue
         cfg[key] = val
-    env_threads = os.environ.get("FS_THREADS")
-    if env_threads:
-        cfg["threads"] = int(env_threads)
-    cfg.setdefault("threads", os.cpu_count() or 1)
     cfg.setdefault("seed", 42)
     cfg.setdefault("out", "fs-out")
     return cfg
@@ -263,7 +257,6 @@ def cmd_simulate(cfg: dict) -> int:
     seed = int(cfg["seed"])
     trials = int(cfg.get("trials", 5))
     kmax = int(cfg.get("kmax", 6))
-    threads = max(1, int(cfg["threads"]))
     run = _Run("simulate", cfg, cfg["out"])
     if model == "filtered":
         h = _get_filter(cfg)
@@ -271,17 +264,13 @@ def cmd_simulate(cfg: dict) -> int:
         scfg = SampleConfig(N=N, seed=seed,
                             entry_law=cfg.get("entry_law", "gaussian"),
                             trials=trials)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mats = list(pool.map(
-                lambda t: sample_filtered_wigner(scfg, h, trial=t),
-                range(trials)))
+        mats = [sample_filtered_wigner(scfg, h, trial=t)
+                for t in range(trials)]
     elif model == "colored":
         kern = _get_kernel(cfg)
         N = int(cfg.get("N", 40))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mats = list(pool.map(
-                lambda t: sample_colored_gaussian(kern, N, seed, trial=t),
-                range(trials)))
+        mats = [sample_colored_gaussian(kern, N, seed, trial=t)
+                for t in range(trials)]
     else:
         raise SystemExit(f"unknown model {model!r}")
     summary = esd_statistics(mats, kmax=kmax, bins=cfg.get("bins"))
@@ -452,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
     common.add_argument("--out", help="output directory (default fs-out)")
     common.add_argument("--kernel", help="kernel JSON (path or inline)")
     common.add_argument("--filter", help="filter JSON (path or inline)")

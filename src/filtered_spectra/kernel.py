@@ -46,6 +46,7 @@ __all__ = [
     "constant_kernel",
     "compass_filter",
     "angular_grid",
+    "phases",
     "kernel_grid_matrix",
     "grid_weights",
     "as_kernel",
@@ -361,6 +362,11 @@ def angular_grid(T: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(T) / T
 
 
+def phases(K: int, T: int) -> np.ndarray:
+    """exp(i d theta_t) for d = -K..K on the T-node angular grid, (2K+1, T)."""
+    return np.exp(1j * np.outer(np.arange(-K, K + 1), angular_grid(T)))
+
+
 def kernel_grid_matrix(kern: Kernel, T: int, check_real: bool = True) -> np.ndarray:
     """s evaluated on the product grid, shape (nI*T, nI*T), row index a*T + t.
 
@@ -372,8 +378,7 @@ def kernel_grid_matrix(kern: Kernel, T: int, check_real: bool = True) -> np.ndar
     if cached is not None:
         return cached
     K, nI = kern.band, kern.partition.n
-    th = angular_grid(T)
-    phase = np.exp(1j * np.outer(np.arange(-K, K + 1), th))  # (2K+1, T)
+    phase = phases(K, T)
     arr = kern.coeff_array()  # (2K+1, 2K+1, nI, nI)
     g = np.einsum("ijab,it,js->atbs", arr, phase, phase, optimize=True)
     g = g.reshape(nI * T, nI * T)

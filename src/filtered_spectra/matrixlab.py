@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .kernel import Filter, Kernel
+from .kernel import Filter, Kernel, phases
 from .rng import gaussian_entries, rademacher_entries
 
 __all__ = [
@@ -187,8 +187,7 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
     part = kern.partition
     ps, qs = np.divmod(np.arange(n2), N)
     cell = np.array([part.locate(Fraction(int(p), N)) for p in ps])
-    theta = 2.0 * np.pi * qs / N
-    phase = np.exp(1j * np.outer(np.arange(-K, K + 1), theta))  # (2K+1, n2)
+    phase = phases(K, N)[:, qs]  # (2K+1, n2)
 
     # s(c_m, c_n) = sum_{i,j} s_ij(cell_m, cell_n) phase_i(m) phase_j(n),
     # assembled per interval pair to keep intermediates small

@@ -22,12 +22,10 @@ never silent truncation) to exceed a configurable degree cap.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .exactnum import CRat
-from .kernel import Kernel
+from .kernel import Kernel, phases
 
 __all__ = ["NiceFunction", "phi_psi_recursion", "theoretical_moments"]
 
@@ -133,10 +131,8 @@ class NiceFunction:
 
     def on_grid(self, T: int) -> np.ndarray:
         """Complex values on the (interval, angle) grid, shape (nI, T)."""
-        th = 2.0 * np.pi * np.arange(T) / T
-        phase = np.exp(1j * np.outer(np.arange(-self.degree, self.degree + 1), th))
         vals = np.array([[complex(v) for v in row] for row in self.values])
-        return vals @ phase
+        return vals @ phases(self.degree, T)
 
     def real_symmetric_defect(self):
         """Max |value(a,-d) - conj(value(a,d))|; zero iff real-valued."""
@@ -190,14 +186,10 @@ def theoretical_moments(kern: Kernel, kmax: int, exact: bool = False) -> list:
     phis, _ = phi_psi_recursion(kern, kmax + 1)
     out = []
     for k in range(1, kmax + 1):
-        m = phis[k].mean()  # phis[k] is Phi_{k+1} (list is 1-offset)
-        if isinstance(m, CRat):
-            if m.im != 0:
-                raise ValueError(f"moment m_{k} has an imaginary part")
-            out.append(m.re if exact else float(m.re))
-        else:
-            mc = complex(m)
-            if abs(mc.imag) > 1e-10 * max(1.0, abs(mc.real)):
-                raise ValueError(f"moment m_{k} has an imaginary part")
-            out.append(Fraction(mc.real) if exact else mc.real)
+        # phis[k] is Phi_{k+1} (list is 1-offset); a Phi whose coefficients
+        # all stayed the int 0 (odd k for even kernels) means to a Fraction
+        m = CRat(0) + phis[k].mean()
+        if m.im != 0:
+            raise ValueError(f"moment m_{k} has an imaginary part")
+        out.append(m.re if exact else float(m.re))
     return out

@@ -189,15 +189,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len(_rows(tmp_path / "override" / "moments.csv")) == 6
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FS_THREADS", "1")
-    out = tmp_path / "env"
-    rc = main(["simulate", "--model", "filtered", "--filter", COMPASS,
-               "--N", "40", "--trials", "2", "--threads", "8",
-               "--out", str(out)])
-    assert rc == 0
-
-
 def test_missing_inputs_exit_with_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["moments", "--out", str(tmp_path / "x")])

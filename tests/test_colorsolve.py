@@ -2,15 +2,17 @@
 
 import cmath
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from filtered_spectra.colorsolve import (density_profile, rank_one_w,
-                                         solve_color_fixed_point,
+from filtered_spectra.colorsolve import (_GridOps, density_profile,
+                                         rank_one_w, solve_color_fixed_point,
                                          stieltjes_path)
-from filtered_spectra.kernel import compass_filter, constant_kernel, \
-    kernel_from_filter
+from filtered_spectra.exactnum import CRat
+from filtered_spectra.kernel import IntervalPartition, Kernel
 from conftest import rank_two_kernel, seeded_two_interval_kernel, \
     two_point_kernel
 
@@ -23,6 +25,25 @@ def _semicircle_S(lam: complex) -> complex:
     if lam.imag != 0:
         return a if a.imag * lam.imag < 0 else b   # Im S opposes Im lambda
     return min(a, b, key=abs)                      # S ~ 1/lambda at infinity
+
+
+def _tilted_kernel() -> Kernel:
+    """s = f (x) f with f(x, t) = a(x) + b(x) Re((1+i) exp(it)) / 2.
+
+    f is positive, neither even nor odd in t, and its mode profiles a, b
+    differ across the two cells, so s_ij(x, y) != s_ji(x, y).  A
+    Jacobian that confuses the modes j + m and j - m, or the indices
+    i and j, is wrong here, unlike on the kernels of conftest.
+    """
+    part = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(1)))
+    a, b = (Fraction(1), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))
+    f = {(0, x): CRat(a[x]) for x in range(2)}
+    for x in range(2):
+        f[(1, x)] = CRat(b[x] / 4, b[x] / 4)
+        f[(-1, x)] = CRat(b[x] / 4, -b[x] / 4)
+    return Kernel(part, 1, {(i, j, x, y): f[(i, x)] * f[(j, y)]
+                            for i in (-1, 0, 1) for j in (-1, 0, 1)
+                            for x in range(2) for y in range(2)})
 
 
 def test_semicircle_value_at_three(semicircle):
@@ -41,18 +62,32 @@ def test_semicircle_closed_form(semicircle):
 
 def test_residuals_on_accepted_solutions(compass_kernel):
     lams = [6.0 + 0.0j, 2.0 + 0.5j, -1.0 + 0.25j, 0.3 + 1.0j]
-    for kern in (compass_kernel, rank_two_kernel(), two_point_kernel()):
+    for kern in (compass_kernel, rank_two_kernel(), two_point_kernel(),
+                 _tilted_kernel()):
         for sol in stieltjes_path(kern, lams):
             assert sol.residual < 1e-12
 
 
 def test_imaginary_sign_and_conjugation(compass_kernel):
-    for kern in (compass_kernel, seeded_two_interval_kernel()):
-        up = solve_color_fixed_point(kern, 1.3 + 0.7j)
-        dn = solve_color_fixed_point(kern, 1.3 - 0.7j)
+    # 2.5 + 0.001i sits near the axis, where Newton from Psi = 0 lands on
+    # a non-Herglotz branch of the two-interval kernel
+    for kern, lam in ((compass_kernel, 1.3 + 0.7j),
+                      (seeded_two_interval_kernel(), 1.3 + 0.7j),
+                      (seeded_two_interval_kernel(), 2.5 + 0.001j)):
+        up = solve_color_fixed_point(kern, lam)
+        dn = solve_color_fixed_point(kern, lam.conjugate())
         assert up.stieltjes.imag < 0
         assert dn.stieltjes == pytest.approx(up.stieltjes.conjugate(),
                                              abs=1e-11)
+
+
+def test_real_lambda_inside_support_is_boundary_value_from_above():
+    # the seeded kernel's support reaches +-3.39, so lambda = 3 is inside it
+    kern = seeded_two_interval_kernel()
+    S = solve_color_fixed_point(kern, 3.0).stieltjes
+    above = stieltjes_path(kern, [3.0 + 1e-7j])[0].stieltjes
+    assert S.imag < 0
+    assert S == pytest.approx(above, abs=1e-6)
 
 
 def test_stieltjes_is_odd_for_symmetric_law(compass_kernel):
@@ -79,12 +114,34 @@ def test_psi_representation(compass_kernel):
     assert grid.imag.max() < 1e-12
 
 
+def test_newton_jacobian_matches_finite_differences():
+    ops = _GridOps(_tilted_kernel())
+    rng = np.random.default_rng(7)
+    shape = (1, ops.nI, 2 * ops.K + 1)
+    c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lam, h = np.array([0.7 + 1.5j]), 1e-5
+    g, _ = ops.residual(lam, c)
+    _, r_plus = ops.residual(lam, c + h * v)
+    _, r_minus = ops.residual(lam, c - h * v)
+    dF = (r_plus - r_minus) / (2 * h) + v           # r = F(c) - c
+    want = ops.jacobian(g)[0] @ v.reshape(-1)
+    assert np.max(np.abs(dF.reshape(-1) - want)) < 1e-8 * np.max(np.abs(want))
+
+
 def test_warm_start_agrees(compass_kernel):
     base = solve_color_fixed_point(compass_kernel, 4.0 + 0.5j)
     warm = solve_color_fixed_point(compass_kernel, 3.9 + 0.5j,
                                    warm_start=base)
     cold = solve_color_fixed_point(compass_kernel, 3.9 + 0.5j)
     assert warm.stieltjes == pytest.approx(cold.stieltjes, abs=1e-11)
+
+
+def test_path_accepts_any_iterable(semicircle):
+    lams = [2j, 1.0 + 1.0j]
+    from_gen = stieltjes_path(semicircle, (lam for lam in lams))
+    assert [s.stieltjes for s in from_gen] == pytest.approx(
+        [_semicircle_S(lam) for lam in lams], abs=1e-10)
 
 
 def test_anchor_must_clear_spectrum(compass_kernel):
@@ -108,6 +165,15 @@ def test_semicircle_support(semicircle):
     lo, hi = grid.support_estimate
     assert lo == pytest.approx(-2.0, abs=1e-2)
     assert hi == pytest.approx(2.0, abs=1e-2)
+
+
+def test_semicircle_centre_close_to_the_axis(semicircle):
+    start = time.perf_counter()
+    grid = density_profile(semicircle, [0.0], eps_pair=(1e-3, 5e-4))
+    elapsed = time.perf_counter() - start
+    assert all(grid.flags)
+    assert abs(grid.density[0] - 1.0 / math.pi) <= 1e-6
+    assert elapsed < 10.0
 
 
 def test_density_outside_support_is_tiny(semicircle):
