@@ -5,9 +5,9 @@
 Commands: moments, density, solve, simulate, eliminate, verify,
 crosscheck, walkcheck.  Kernel/filter inputs are JSON documents (inline
 or a path); every run writes its outputs plus a manifest.json recording
-the command, a config hash, the seed, library versions, wall time, and
-a sha256 per output file — identical config and seed reproduce
-identical hashes for the deterministic commands.
+the command, a config hash, the seed, library versions, wall time, the
+BLAS thread variables, and a sha256 per output file — identical config
+and seed reproduce identical hashes for the deterministic commands.
 
 Flag precedence: command line > config file > defaults.  Floats are
 written with 17 significant digits so CSV round-trips are lossless.
@@ -39,6 +39,8 @@ from .matrixlab import (SampleConfig, sample_filtered_wigner,
                         sample_colored_gaussian, esd_statistics)
 
 FMT = "%.17g"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def _jsonable(obj):
@@ -59,6 +61,7 @@ class RunManifest:
     seed: int | None
     versions: dict
     wall_time_s: float
+    blas_threads: dict      # the thread variables in effect, None if unset
     outputs: list = field(default_factory=list)  # [{"path":..., "sha256":...}]
 
 
@@ -112,6 +115,8 @@ class _Run:
                                     "scipy": scipy.__version__,
                                     "python": sys.version.split()[0]},
                           wall_time_s=time.time() - self.t0,
+                          blas_threads={v: os.environ.get(v)
+                                        for v in BLAS_THREAD_VARS},
                           outputs=outputs)
         with open(os.path.join(self.outdir, "manifest.json"), "w") as fh:
             json.dump(asdict(man), fh, indent=2)
@@ -283,6 +288,7 @@ def cmd_simulate(cfg: dict) -> int:
                    for i in range(len(summary.hist_mass))])
     run.write_json("report.json", {
         "model": model, "N": N, "trials": trials,
+        "matrix_sha256": [hashlib.sha256(m).hexdigest() for m in mats],
         "moment_mean": summary.moment_mean,
         "moment_stderr": summary.moment_stderr})
     run.finish()

@@ -13,11 +13,15 @@ Empirical spectral statistics normalize eigenvalues by sqrt(dimension)
 and report moments m_k = dim^(-k/2-1) * trace(M^k) with per-trial
 standard errors.
 
-Eigenvalues come from LAPACK's symmetric path (Householder
-tridiagonalization followed by implicit-shift QL/QR — scipy's "ev"
-driver), with an explicit symmetry assertion on input and a residual
-check ||M v - lambda v|| <= 1e-8 ||M|| on five eigenpairs spread
-across the spectrum.
+Both samplers draw one Philox counter per unordered index pair, keyed
+by the sorted pair, over the upper triangle only, and mirror it.
+
+Eigenvalues come from LAPACK's divide-and-conquer symmetric driver
+(Householder tridiagonalization, then Cuppen's tridiagonal divide and
+conquer as stabilized by Gu and Eisenstat — scipy's "evd" driver), with
+an explicit symmetry assertion on input and a residual check
+||M v - lambda v|| <= 1e-8 ||M|| on five eigenpairs spread across the
+spectrum.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .kernel import Filter, Kernel, phases
+from .kernel import Filter, IntervalPartition, Kernel, phases
 from .rng import gaussian_entries, rademacher_entries
 
 __all__ = [
@@ -92,8 +96,9 @@ def sample_filtered_wigner(cfg: SampleConfig, h: Filter,
     same sum, so the output is symmetric to the bit.
     """
     N = cfg.N
-    idx = np.arange(1, N + 1)
-    Y = _entry_field(cfg, trial, idx[:, None], idx[None, :])
+    r, c = np.triu_indices(N, 1)
+    Y = np.zeros((N, N))
+    Y[r, c] = Y[c, r] = _entry_field(cfg, trial, r + 1, c + 1)
     taps = sorted(h.taps.items())
     X = np.zeros((N, N))
     for (a, b), weight in taps:
@@ -168,6 +173,14 @@ def covariance_check(h: Filter, cfg: SampleConfig,
                             trials=cfg.trials)
 
 
+def _site_cells(part: IntervalPartition, ps: np.ndarray,
+                N: int) -> np.ndarray:
+    """Interval index of each x = p/N, as IntervalPartition.locate gives it."""
+    edges = np.array([float(b) for b in part.breakpoints])
+    cells = np.searchsorted(edges, ps / N, side="right") - 1
+    return np.clip(cells, 0, part.n - 1)
+
+
 def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
                             trial: int = 0) -> np.ndarray:
     """The N^2-by-N^2 Gaussian model on the discretized color space.
@@ -186,7 +199,7 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
     arr = kern.coeff_array()
     part = kern.partition
     ps, qs = np.divmod(np.arange(n2), N)
-    cell = np.array([part.locate(Fraction(int(p), N)) for p in ps])
+    cell = _site_cells(part, ps, N)
     phase = phases(K, N)[:, qs]  # (2K+1, n2)
 
     # s(c_m, c_n) = sum_{i,j} s_ij(cell_m, cell_n) phase_i(m) phase_j(n),
@@ -208,12 +221,13 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
         smat[smat < 0] = 0.0
     amp = np.sqrt(smat)
 
-    sites = np.arange(n2)
-    g = gaussian_entries(seed, trial, np.minimum(sites[:, None], sites),
-                         np.maximum(sites[:, None], sites), _COLOR_STREAM)
-    M = amp * g
+    r, c = np.triu_indices(n2)
+    M = np.zeros((n2, n2))
+    M[r, c] = amp[r, c] * gaussian_entries(seed, trial, r, c, _COLOR_STREAM)
     M[np.diag_indices(n2)] *= math.sqrt(2.0)
-    return np.triu(M) + np.triu(M, 1).T
+    # mirror by addition, which also turns the -0.0 of a zero amplitude
+    # times a negative draw into +0.0
+    return M + np.triu(M, 1).T
 
 
 def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
@@ -224,7 +238,7 @@ def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     if not np.array_equal(m, m.T):
         raise AssertionError("input matrix is not symmetric")
     try:
-        vals, vecs = scipy.linalg.eigh(m, driver="ev")
+        vals, vecs = scipy.linalg.eigh(m, driver="evd")
     except scipy.linalg.LinAlgError as exc:   # pragma: no cover
         raise RuntimeError(f"symmetric eigensolver did not converge: {exc}")
     n = len(vals)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface, one tmp dir per run."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from filtered_spectra.cli import main
 from filtered_spectra.kernel import compass_filter, kernel_from_filter
+from filtered_spectra.matrixlab import (SampleConfig, sample_colored_gaussian,
+                                        sample_filtered_wigner)
 
 COMPASS = json.dumps({
     "type": "filter",
@@ -163,6 +166,27 @@ def test_simulate_reproducible_hashes(tmp_path):
     assert main(args + ["--seed", "14", "--out", str(tmp_path / "c")]) == 0
     hc = {o["path"]: o["sha256"] for o in _manifest(tmp_path / "c")["outputs"]}
     assert hc["moments.csv"] != ha["moments.csv"]
+
+
+def test_simulate_records_matrix_hashes_and_blas_threads(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for model, N, sample in (
+            ("filtered", 30, lambda t: sample_filtered_wigner(
+                SampleConfig(N=30, seed=13), compass_filter(), trial=t)),
+            ("colored", 5, lambda t: sample_colored_gaussian(
+                kernel_from_filter(compass_filter()), 5, 13, trial=t))):
+        out = tmp_path / model
+        assert main(["simulate", "--model", model, "--filter", COMPASS,
+                     "--N", str(N), "--trials", "2", "--seed", "13",
+                     "--kmax", "2", "--out", str(out)]) == 0
+        assert _report(out)["matrix_sha256"] == [
+            hashlib.sha256(sample(t)).hexdigest() for t in range(2)]
+        assert _manifest(out)["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None}
 
 
 def test_simulate_colored_model(tmp_path):

@@ -1,13 +1,22 @@
 """Counter-based sampling, the two matrix models, and spectral statistics."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from filtered_spectra.kernel import compass_filter, constant_kernel, \
-    kernel_from_filter
-from filtered_spectra.matrixlab import (ESD, SampleConfig, covariance_check,
+import filtered_spectra
+from filtered_spectra import matrixlab
+from filtered_spectra.exactnum import CRat
+from filtered_spectra.kernel import IntervalPartition, Kernel, \
+    compass_filter, constant_kernel, kernel_from_filter
+from filtered_spectra.matrixlab import (ESD, SampleConfig, _site_cells,
+                                        covariance_check,
                                         eigenvalues_symmetric, esd_statistics,
                                         sample_colored_gaussian,
                                         sample_filtered_wigner)
@@ -202,3 +211,125 @@ def test_moment_fluctuations_shrink_with_n(compass):
     v_small = m4_samples(150).var(ddof=1)
     v_large = m4_samples(600).var(ddof=1)
     assert v_small > 2.0 * v_large
+
+
+def _piecewise_kernel(profile) -> Kernel:
+    """Rank-one band-0 kernel s = f(x) f(y), f constant on equal intervals."""
+    n = len(profile)
+    part = IntervalPartition(tuple(Fraction(a, n) for a in range(n + 1)))
+    return Kernel(part, 0, {(0, 0, a, b): CRat(profile[a] * profile[b])
+                            for a in range(n) for b in range(n)})
+
+
+@pytest.mark.parametrize("breakpoints", [
+    (0, Fraction(1, 3), Fraction(2, 3), 1),
+    (0, Fraction(1, 4), Fraction(1, 2), Fraction(5, 6), 1),
+    (0, 1),
+])
+def test_site_cells_match_locate(breakpoints):
+    # sites p/N land exactly on breakpoints at N = 3, 6, 9 (thirds) and
+    # N = 4, 8, 12 (quarters, halves, sixths)
+    part = IntervalPartition(breakpoints)
+    for N in (1, 2, 3, 4, 6, 8, 9, 12, 64):
+        ps = np.arange(N)
+        want = [part.locate(Fraction(p, N)) for p in range(N)]
+        assert _site_cells(part, ps, N).tolist() == want
+
+
+def _pairs(N, count, rng):
+    """Random (i, j) with i <= j, three on the diagonal, and their mirrors."""
+    i = rng.integers(0, N, size=count)
+    j = rng.integers(0, N, size=count)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    lo[:3] = hi[:3]
+    return [(int(a), int(b)) for a, b in zip(lo, hi)] \
+        + [(int(b), int(a)) for a, b in zip(lo, hi)]
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+def test_filtered_entries_are_single_counter_values(law, compass):
+    # X_ij = sum over taps of h(a, b) Y_{i-a, j+b} (1-based, inside the
+    # window), Y_kl drawn from the one counter (min(k,l), max(k,l))
+    N, seed, trial = 13, 41, 1
+    draw = {"gaussian": gaussian_entries,
+            "rademacher": rademacher_entries}[law]
+    X = sample_filtered_wigner(SampleConfig(N=N, seed=seed, entry_law=law),
+                               compass, trial=trial)
+
+    def y(k, l):
+        if k == l:
+            return 0.0
+        return float(draw(seed, trial, min(k, l), max(k, l)))
+
+    for i, j in _pairs(N, 25, np.random.default_rng(5)):
+        want = sum(float(w) * y(i + 1 - a, j + 1 + b)
+                   for (a, b), w in compass.taps.items()
+                   if 1 <= i + 1 - a <= N and 1 <= j + 1 + b <= N)
+        assert X[i, j] == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+def test_colored_entries_are_single_counter_values():
+    profile = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    N, seed, trial = 6, 17, 2
+    M = sample_colored_gaussian(_piecewise_kernel(profile), N, seed,
+                                trial=trial)
+    f = [float(profile[p * 3 // N]) for p in range(N)]    # site m = p*N + q
+    for m, k in _pairs(N * N, 25, np.random.default_rng(6)):
+        amp = math.sqrt(f[m // N] * f[k // N])
+        g = float(gaussian_entries(seed, trial, min(m, k), max(m, k), 1))
+        want = amp * g * (math.sqrt(2.0) if m == k else 1.0)
+        assert M[m, k] == pytest.approx(want, rel=1e-15)
+
+
+def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
+    real_eigh = matrixlab.scipy.linalg.eigh
+    drivers = []
+
+    def perturbed(m, **kwargs):
+        drivers.append(kwargs.get("driver"))
+        vals, vecs = real_eigh(m, **kwargs)
+        vecs = vecs.copy()
+        vecs[0, 20] += 1e-3
+        return vals, vecs
+
+    monkeypatch.setattr(matrixlab.scipy.linalg, "eigh", perturbed)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((40, 40))
+    with pytest.raises(RuntimeError, match="eigenpair 20 residual"):
+        eigenvalues_symmetric(A + A.T)
+    assert drivers == ["evd"]
+
+
+_SAMPLE_SCRIPT = """
+import hashlib, json
+from filtered_spectra.kernel import compass_filter, kernel_from_filter
+from filtered_spectra.matrixlab import (SampleConfig, eigenvalues_symmetric,
+                                        sample_colored_gaussian,
+                                        sample_filtered_wigner)
+h = compass_filter()
+mats = [sample_filtered_wigner(SampleConfig(N=600, seed=3), h),
+        sample_colored_gaussian(kernel_from_filter(h), 16, 3)]
+print(json.dumps([{"sha256": hashlib.sha256(m).hexdigest(),
+                   "eigenvalues": eigenvalues_symmetric(m).tolist()}
+                  for m in mats]))
+"""
+
+
+def test_samples_do_not_depend_on_blas_threads():
+    # matrices must be bit-identical; LAPACK eigenvalues may move in the
+    # last bits with the thread count, so they get a backward-error
+    # tolerance of 1e-12 * ||M||_2 (measured: about 2e-13 at N = 600)
+    src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _SAMPLE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    for one, two in zip(*runs):
+        assert one["sha256"] == two["sha256"]
+        a, b = np.array(one["eigenvalues"]), np.array(two["eigenvalues"])
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
