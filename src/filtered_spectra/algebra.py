@@ -1,12 +1,12 @@
 """Exact polynomial algebra for algebraic Stieltjes transforms.
 
-Everything here runs over exact rationals, in two representations:
-univariate polynomials are lists of Fractions indexed by degree, and
-bivariate polynomials are BivariatePolynomial (sparse (degx, degy) ->
-Fraction tables).  BivariatePolynomial.as_poly_in("y") gives the y-rows,
-a list of Fraction lists in x: that is the working form for Q[x][y],
-where the gcds, pseudo-remainders and exact divisions run.  The module
-provides
+Everything here runs over exact rationals, in one dense representation.
+A univariate polynomial is an ascending list of Fractions, [] for zero.
+A BivariatePolynomial is an element of Q[x][y] stored as its y-rows:
+rows[b] is the univariate polynomial in x that multiplies y^b.  No row
+and no list of rows ends in a zero, so equal polynomials have equal rows.
+Gcds, pseudo-remainders and exact divisions run on the rows directly;
+eliminating x instead of y transposes them once.  The module provides
 
 * Sylvester resultants (Bareiss fraction-free determinants, generic over
   the coefficient ring, so the same engine eliminates a variable from
@@ -37,8 +37,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -63,8 +65,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _pnorm(p):
+    """Drop trailing zeros (zero coefficients, or empty rows)."""
     p = list(p)
-    while p and p[-1] == 0:
+    while p and not p[-1]:
         p.pop()
     return p
 
@@ -74,17 +77,11 @@ def _pdeg(p):
 
 
 def _padd(p, q):
-    n = max(len(p), len(q))
-    return _pnorm([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)])
+    return _pnorm([a + b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def _psub(p, q):
-    n = max(len(p), len(q))
-    return _pnorm([
-        (p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-        for i in range(n)])
+    return _pnorm([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def _pmul(p, q):
@@ -110,16 +107,16 @@ def _pdivmod(p, q):
     q = _pnorm(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while _pnorm(r) and len(_pnorm(r)) >= len(q):
-        r = _pnorm(r)
+    r = _pnorm(p)
+    quo = [Fraction(0)] * max(len(r) - len(q) + 1, 0)
+    while len(r) >= len(q):
         c = r[-1] / q[-1]
         d = len(r) - len(q)
         quo[d] = c
         for i, b in enumerate(q):
             r[i + d] -= c * b
-    return _pnorm(quo), _pnorm(r)
+        r = _pnorm(r)
+    return _pnorm(quo), r
 
 
 def _pdivexact(p, q):
@@ -161,194 +158,164 @@ def _pcontent(polys):
     return g
 
 
+def _primitive(rows):
+    """rows divided by their content (the monic gcd of all of them)."""
+    g = _pcontent(rows)
+    return rows if len(g) < 2 else [_pdivexact(r, g) for r in rows]
+
+
 # ---------------------------------------------------------------------------
-# bivariate polynomials
+# bivariate polynomials: dense y-rows over Q[x]
 # ---------------------------------------------------------------------------
+
+def _rows_of_terms(terms):
+    """Canonical y-rows of [degx, degy, value] terms; repeats add up."""
+    rows = []
+    for term in terms:
+        dx, dy, v = term
+        for d in (dx, dy):
+            if not isinstance(d, numbers.Integral) or d < 0:
+                raise ValueError(f"degree {d!r} in the term {list(term)!r} "
+                                 "is not an integer >= 0")
+        rows += [[] for _ in range(dy + 1 - len(rows))]
+        row = rows[dy]
+        row += [Fraction(0)] * (dx + 1 - len(row))
+        row[dx] += rat(v)
+    return _pnorm([_pnorm(row) for row in rows])
+
+
+def _transpose(rows):
+    """The rows of the same polynomial in the other variable."""
+    width = max(map(len, rows), default=0)
+    return [_pnorm([r[a] if a < len(r) else Fraction(0) for r in rows])
+            for a in range(width)]
+
+
+def _rows_in(F, var):
+    """F as a polynomial in var: its y-rows, or for 'x' their transpose."""
+    if var not in ("x", "y"):
+        raise ValueError("var must be 'x' or 'y'")
+    return F.rows if var == "y" else _transpose(F.rows)
+
 
 class BivariatePolynomial:
-    """Sparse exact polynomial in two variables.
+    """Exact polynomial in Q[x][y], stored as its canonical dense y-rows.
 
-    coeffs maps (degx, degy) -> Fraction, zeros dropped.  The variables
-    are positional; curves use (x, y) = (lambda, S), profile relations
-    use (x, y) = (m, v).
+    rows[b] is the ascending Fraction list in x of the coefficient of
+    y^b, without trailing zeros, and the list of rows has no trailing
+    empty row.  BivariatePolynomial({(degx, degy): value}) builds one
+    from its terms.  The variables are positional; curves use
+    (x, y) = (lambda, S), profile relations use (x, y) = (m, v).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("rows",)
 
     def __init__(self, coeffs):
-        clean = {}
-        for (dx, dy), v in coeffs.items():
-            v = rat(v)
-            if v != 0:
-                clean[(int(dx), int(dy))] = v
-        self.coeffs = clean
+        self.rows = _rows_of_terms(
+            [dx, dy, v] for (dx, dy), v in coeffs.items())
+
+    @classmethod
+    def _of_rows(cls, rows):
+        """Wrap y-rows whose rows are each already without trailing zeros."""
+        out = cls.__new__(cls)
+        out.rows = _pnorm(rows)
+        return out
 
     @classmethod
     def from_entries(cls, entries):
         """[[degx, degy, value], ...] with rational-string values allowed."""
-        acc = {}
-        for dx, dy, v in entries:
-            key = (int(dx), int(dy))
-            acc[key] = acc.get(key, Fraction(0)) + rat(v)
-        return cls(acc)
+        return cls._of_rows(_rows_of_terms(entries))
 
     @classmethod
     def constant(cls, v):
-        return cls({(0, 0): rat(v)})
+        return cls({(0, 0): v})
+
+    def terms(self):
+        """The nonzero terms as a {(degx, degy): Fraction} table."""
+        return {(dx, dy): v for dy, row in enumerate(self.rows)
+                for dx, v in enumerate(row) if v}
 
     def to_entries(self):
-        return [[dx, dy, str(v)] for (dx, dy), v in sorted(self.coeffs.items())]
+        return [[dx, dy, str(v)] for (dx, dy), v in sorted(self.terms().items())]
 
     # -- structure -------------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.rows
 
     def degree(self, var):
-        if not self.coeffs:
-            return -1
-        pick = 0 if var == "x" else 1
-        return max(k[pick] for k in self.coeffs)
-
-    def as_poly_in(self, var):
-        """List over var-degree of univariate coefficient lists in the other."""
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        d = self.degree(var)
-        if d < 0:
-            return []
-        other_deg = [0] * (d + 1)
-        for (dx, dy) in self.coeffs:
-            a, b = (dx, dy) if var == "x" else (dy, dx)
-            other_deg[a] = max(other_deg[a], b)
-        out = [[Fraction(0)] * (other_deg[a] + 1) for a in range(d + 1)]
-        for (dx, dy), v in self.coeffs.items():
-            a, b = (dx, dy) if var == "x" else (dy, dx)
-            out[a][b] = v
-        return [_pnorm(row) for row in out]
-
-    @classmethod
-    def from_poly_in(cls, var, rows):
-        acc = {}
-        for a, row in enumerate(rows):
-            for b, v in enumerate(row):
-                if v != 0:
-                    key = (a, b) if var == "x" else (b, a)
-                    acc[key] = v
-        return cls(acc)
-
-    def leading_coeff_in(self, var):
-        """Univariate coefficient list (in the other variable) of the top power."""
-        rows = self.as_poly_in(var)
-        return rows[-1] if rows else []
+        return len(_rows_in(self, var)) - 1
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return BivariatePolynomial(acc)
+        return BivariatePolynomial._of_rows([
+            _padd(a, b)
+            for a, b in zip_longest(self.rows, other.rows, fillvalue=[])])
 
     def __sub__(self, other):
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) - v
-        return BivariatePolynomial(acc)
+        return BivariatePolynomial._of_rows([
+            _psub(a, b)
+            for a, b in zip_longest(self.rows, other.rows, fillvalue=[])])
 
     def __neg__(self):
-        return BivariatePolynomial({k: -v for k, v in self.coeffs.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return BivariatePolynomial(
-                {k: v * other for k, v in self.coeffs.items()})
-        acc = {}
-        for (ax, ay), u in self.coeffs.items():
-            for (bx, by), v in other.coeffs.items():
-                key = (ax + bx, ay + by)
-                acc[key] = acc.get(key, Fraction(0)) + u * v
-        return BivariatePolynomial(acc)
+            return BivariatePolynomial._of_rows(
+                [_pscale(r, other) for r in self.rows])
+        out = [[]] * max(len(self.rows) + len(other.rows) - 1, 0)
+        for i, a in enumerate(self.rows):
+            for j, b in enumerate(other.rows):
+                out[i + j] = _padd(out[i + j], _pmul(a, b))
+        return BivariatePolynomial._of_rows(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and \
-            self.coeffs == other.coeffs
+            self.rows == other.rows
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(tuple(map(tuple, self.rows)))
 
     def evaluate(self, x, y):
         """Horner in y, then x; works for complex and exact arguments."""
-        rows = self.as_poly_in("y")
         acc = 0j if isinstance(x, complex) or isinstance(y, complex) else Fraction(0)
-        for row in reversed(rows):
+        for row in reversed(self.rows):
             acc = acc * y + _peval(row, x)
         return acc
 
     # -- normalization ---------------------------------------------------
 
-    def strip_monomials(self):
-        """Divide out the largest x^a y^b monomial factor; return (poly, a, b)."""
-        if not self.coeffs:
-            return self, 0, 0
-        a = min(k[0] for k in self.coeffs)
-        b = min(k[1] for k in self.coeffs)
-        if a == 0 and b == 0:
-            return self, 0, 0
-        return BivariatePolynomial(
-            {(dx - a, dy - b): v for (dx, dy), v in self.coeffs.items()}), a, b
-
-    def strip_content(self):
-        """Divide out the gcd over Q[x] of the y-coefficients, then over Q[y]."""
-        out = self
-        for var in ("y", "x"):
-            rows = out.as_poly_in(var)
-            if not rows:
-                return out
-            g = _pcontent(rows)
-            if _pdeg(g) > 0:
-                rows = [_pdivexact(r, g) for r in rows]
-                out = BivariatePolynomial.from_poly_in(var, rows)
-        return out
-
     def normalized(self):
-        """Monomials and content stripped, integer coefficients, content 1,
+        """The content over Q[x], then over Q[y], divided out (monomial
+        factors x^a y^b with it), integer coefficients with gcd 1 and a
         positive coefficient on the lex-largest (degy, degx) monomial."""
-        out, _, _ = self.strip_monomials()
-        out = out.strip_content()
-        if not out.coeffs:
-            return out
-        den = 1
-        for v in out.coeffs.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        num = 0
-        for v in out.coeffs.values():
-            num = math.gcd(num, abs(v.numerator * (den // v.denominator)))
-        scale = Fraction(den, num)
-        lead = max(out.coeffs, key=lambda k: (k[1], k[0]))
-        if out.coeffs[lead] < 0:
+        if self.is_zero:
+            return self
+        rows = _transpose(_primitive(_transpose(_primitive(self.rows))))
+        coeffs = [v for row in rows for v in row]
+        den = math.lcm(*(v.denominator for v in coeffs))
+        scale = Fraction(den, math.gcd(
+            *(v.numerator * (den // v.denominator) for v in coeffs)))
+        if rows[-1][-1] < 0:
             scale = -scale
-        return BivariatePolynomial(
-            {k: v * scale for k, v in out.coeffs.items()})
+        return BivariatePolynomial._of_rows([_pscale(r, scale) for r in rows])
 
     def proportional_to(self, other) -> bool:
         """True when self = c * other for some nonzero rational c."""
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        key = next(iter(self.coeffs))
-        c = self.coeffs[key] / other.coeffs[key]
-        return all(v == c * other.coeffs[k] for k, v in self.coeffs.items())
+        return self == other * (self.rows[-1][-1] / other.rows[-1][-1])
 
     def pretty(self, xname="x", yname="y"):
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
         bits = []
-        for (dx, dy), v in sorted(self.coeffs.items(),
+        for (dx, dy), v in sorted(self.terms().items(),
                                   key=lambda kv: (-kv[0][1], -kv[0][0])):
             mono = "".join(
                 f"{n}^{d}" if d > 1 else (n if d == 1 else "")
@@ -380,29 +347,24 @@ _UNI_RING = _Ring(
     is_zero=lambda p: not p)
 
 _BP_ZERO = BivariatePolynomial({})
-_BP_ONE = BivariatePolynomial({(0, 0): Fraction(1)})
+_BP_ONE = BivariatePolynomial.constant(1)
 
 
 def _bp_divexact(p, q):
     """Exact division in Q[x][y] (raises if not exact)."""
-    qrows = q.as_poly_in("y")
-    if not qrows:
+    if q.is_zero:
         raise ZeroDivisionError("bivariate division by zero")
-    rrows = p.as_poly_in("y")
-    out = []
-    while rrows and len(rrows) >= len(qrows):
-        c = _pdivexact(rrows[-1], qrows[-1])
-        d = len(rrows) - len(qrows)
-        while len(out) < d + 1:
-            out.append([])
+    r, b = list(p.rows), q.rows
+    out = [[]] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, d = _pdivexact(r[-1], b[-1]), len(r) - len(b)
         out[d] = c
-        for i, b in enumerate(qrows):
-            rrows[i + d] = _psub(rrows[i + d], _pmul(c, b))
-        while rrows and not rrows[-1]:
-            rrows.pop()
-    if rrows:
+        for i, s in enumerate(b):
+            r[i + d] = _psub(r[i + d], _pmul(c, s))
+        r = _pnorm(r)
+    if r:
         raise ArithmeticError("bivariate division was not exact")
-    return BivariatePolynomial.from_poly_in("y", out)
+    return BivariatePolynomial._of_rows(out)
 
 
 _BP_RING = _Ring(
@@ -454,16 +416,6 @@ def _sylvester_resultant(p, q, ring):
     m, n = len(p) - 1, len(q) - 1
     if m == 0 and n == 0:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    if m == 0:
-        out = ring.one
-        for _ in range(n):
-            out = ring.mul(out, p[0])
-        return out
-    if n == 0:
-        out = ring.one
-        for _ in range(m):
-            out = ring.mul(out, q[0])
-        return out
     size = m + n
     rows = []
     pd = list(reversed(p))  # descending
@@ -482,9 +434,8 @@ def resultant(P: BivariatePolynomial, Q: BivariatePolynomial, eliminate: str):
     surviving variable.  Errors if both inputs are constant in the
     eliminated variable or either is zero.
     """
-    rows_p = P.as_poly_in(eliminate)
-    rows_q = Q.as_poly_in(eliminate)
-    return _pnorm(_sylvester_resultant(rows_p, rows_q, _UNI_RING))
+    return _pnorm(_sylvester_resultant(
+        _rows_in(P, eliminate), _rows_in(Q, eliminate), _UNI_RING))
 
 
 def auxiliary_resultant(p, q) -> BivariatePolynomial:
@@ -507,19 +458,15 @@ def discriminant(F: BivariatePolynomial, var: str = "y"):
     disc = (-1)^(n(n-1)/2) res(F, dF/dvar) / lc, an exact univariate
     coefficient list in the other variable; n = deg_var F >= 1 required.
     """
-    n = F.degree(var)
+    rows = _rows_in(F, var)
+    n = len(rows) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1 in the variable")
-    rows = F.as_poly_in(var)
-    deriv = [_pscale(rows[i], i) for i in range(1, len(rows))]
-    res = _sylvester_resultant(rows, deriv, _UNI_RING)
-    lead = rows[-1]
-    out = _pdivexact(res, lead)
+    deriv = [_pscale(r, i) for i, r in enumerate(rows)][1:]
+    out = _pdivexact(_sylvester_resultant(rows, deriv, _UNI_RING), rows[-1])
     if (n * (n - 1) // 2) % 2:
         out = _pscale(out, -1)
-    return _pnorm(out)
-
-
+    return out
 # ---------------------------------------------------------------------------
 # real roots: Sturm isolation + bisection
 # ---------------------------------------------------------------------------
@@ -625,6 +572,8 @@ def real_roots(p) -> list:
     return roots
 
 
+
+
 # ---------------------------------------------------------------------------
 # numerical curve certification
 # ---------------------------------------------------------------------------
@@ -643,7 +592,7 @@ def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
     lams = [complex(z) for z in sample_lambdas]
     if not lams:
         raise ValueError("no sample points")
-    lead = F.leading_coeff_in("y")
+    lead = F.rows[-1] if F.rows else []
     sols = stieltjes_path(kern, lams)
     worst = 0.0
     for lam, sol in zip(lams, sols):
@@ -664,14 +613,8 @@ def _prem(a, b):
         a = [_pmul(r, b[-1]) for r in a]
         for i, r in enumerate(b):
             a[i + d] = _psub(a[i + d], _pmul(lead, r))
-        while a and not a[-1]:
-            a.pop()
+        a = _pnorm(a)
     return a
-
-
-def _primitive(rows):
-    g = _pcontent(rows)
-    return [_pdivexact(r, g) for r in rows]
 
 
 def _bp_gcd(p, q):
@@ -680,15 +623,15 @@ def _bp_gcd(p, q):
     Brown's primitive pseudo-remainder sequence on the y-rows: by Gauss's
     lemma every step stays in Q[x][y] and no quotient field is needed.
     """
-    a, b = _primitive(p.as_poly_in("y")), _primitive(q.as_poly_in("y"))
+    a, b = _primitive(p.rows), _primitive(q.rows)
     while len(b) > 1:
         a, b = b, _primitive(_prem(a, b))
-    return BivariatePolynomial.from_poly_in("y", b or a)
+    return BivariatePolynomial._of_rows(b or a)
 
 
 def _bp_dy(p):
-    return BivariatePolynomial(
-        {(dx, dy - 1): v * dy for (dx, dy), v in p.coeffs.items() if dy})
+    return BivariatePolynomial._of_rows(
+        [_pscale(r, b) for b, r in enumerate(p.rows)][1:])
 
 
 def _squarefree_factors(f):
@@ -742,29 +685,21 @@ def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
     if sf.degree("y") < 1:
         raise ValueError("the relation does not involve S_f")
 
-    # m = lambda/w, cleared by w^deg_m; then v = S*w.
-    # m^a v^b  ->  lambda^a * S^b * w^(D - a + b)
+    # m = lambda/w, cleared by w^deg_m; then v = S*w:
+    # m^a v^b  ->  lambda^a * S^b * w^(D - a + b).  The lowest power of w
+    # only feeds the spurious w = 0 branch, so it is divided out.
     D = sf.degree("x")
     by_w = {}
-    for (a, b), c in sf.coeffs.items():
-        dw = D - a + b
-        acc = by_w.setdefault(dw, {})
-        key = (a, b)
-        acc[key] = acc.get(key, Fraction(0)) + c
-    g_coeffs = [
-        BivariatePolynomial(by_w.get(dw, {})) for dw in range(max(by_w) + 1)]
-    while g_coeffs and g_coeffs[-1].is_zero:
-        g_coeffs.pop()
-    while g_coeffs and g_coeffs[0].is_zero:
-        g_coeffs.pop(0)  # w-monomial factor: only feeds the spurious w=0 branch
-    if not g_coeffs:
-        raise RuntimeError("the relation vanished identically after substitution")
+    for (a, b), c in sf.terms().items():
+        by_w.setdefault(D - a + b, {})[(a, b)] = c
+    g_coeffs = [BivariatePolynomial(by_w.get(dw, {}))
+                for dw in range(min(by_w), max(by_w) + 1)]
 
     if len(g_coeffs) == 1:
         eliminated = g_coeffs[0]
     else:
         master = [
-            BivariatePolynomial({(0, 0): Fraction(1), (1, 1): Fraction(-1)}),
+            BivariatePolynomial({(0, 0): 1, (1, 1): -1}),
             _BP_ZERO,
             _BP_ONE,
         ]  # 1 - lambda*S + w^2

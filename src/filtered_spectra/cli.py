@@ -190,7 +190,7 @@ def cmd_moments(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     kmax = int(cfg.get("kmax", 8))
     run = _Run("moments", cfg, cfg["out"])
-    ms = [float(v) for v in theoretical_moments(kern, kmax, exact=True)]
+    ms = [float(v) for v in theoretical_moments(kern, kmax)]
     rows = [[k + 1, ms[k]] for k in range(kmax)]
     header = ["k", "moment"]
     status = 0

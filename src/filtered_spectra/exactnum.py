@@ -91,10 +91,6 @@ class CRat:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

@@ -134,15 +134,6 @@ class NiceFunction:
         vals = np.array([[complex(v) for v in row] for row in self.values])
         return vals @ phases(self.degree, T)
 
-    def real_symmetric_defect(self):
-        """Max |value(a,-d) - conj(value(a,d))|; zero iff real-valued."""
-        worst = 0.0
-        for a in range(self.partition.n):
-            for d in range(0, self.degree + 1):
-                diff = complex(self.coeff(a, -d)) - complex(self.coeff(a, d)).conjugate()
-                worst = max(worst, abs(diff))
-        return worst
-
 
 def phi_psi_recursion(kern: Kernel, nmax: int,
                       degree_cap: int = DEGREE_CAP):
@@ -177,11 +168,10 @@ def phi_psi_recursion(kern: Kernel, nmax: int,
     return phis[1:], psis[1:]
 
 
-def theoretical_moments(kern: Kernel, kmax: int, exact: bool = False) -> list:
-    """m_k = <P, Phi_{k+1}> for k = 1..kmax.
+def theoretical_moments(kern: Kernel, kmax: int) -> list:
+    """m_k = <P, Phi_{k+1}> for k = 1..kmax, as exact Fractions.
 
-    exact=True returns Fractions (and insists the imaginary parts cancel
-    identically); otherwise floats.
+    Raises ValueError unless every imaginary part cancels identically.
     """
     phis, _ = phi_psi_recursion(kern, kmax + 1)
     out = []
@@ -191,5 +181,5 @@ def theoretical_moments(kern: Kernel, kmax: int, exact: bool = False) -> list:
         m = CRat(0) + phis[k].mean()
         if m.im != 0:
             raise ValueError(f"moment m_{k} has an imaginary part")
-        out.append(m.re if exact else float(m.re))
+        out.append(m.re)
     return out

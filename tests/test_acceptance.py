@@ -86,7 +86,7 @@ def test_criterion_2_dual_route_moments(capsys, semicircle, compass_kernel):
     t0 = time.monotonic()
     exact_ok = True
     for kern in (semicircle, compass_kernel):
-        th = theoretical_moments(kern, 12, exact=True)
+        th = theoretical_moments(kern, 12)
         en = moments_by_enumeration(kern, 12, exact=True)
         exact_ok &= list(th) == list(en)
     rand = seeded_two_interval_kernel()
@@ -103,7 +103,7 @@ def test_criterion_2_dual_route_moments(capsys, semicircle, compass_kernel):
 
 
 def test_criterion_3_semicircle_recovery(capsys, semicircle):
-    ms = theoretical_moments(semicircle, 10, exact=True)
+    ms = theoretical_moments(semicircle, 10)
     moments_ok = list(ms) == [0, 1, 0, 2, 0, 5, 0, 14, 0, 42]
 
     sol = solve_color_fixed_point(semicircle, 3.0)
@@ -173,7 +173,7 @@ def test_criterion_4_worked_example(capsys, compass_kernel):
 def test_criterion_5_monte_carlo_consistency(capsys, compass, compass_kernel):
     t0 = time.monotonic()
     # oracle first: the k=6 target comes out of the recursion, exactly
-    oracle = theoretical_moments(compass_kernel, 6, exact=True)
+    oracle = theoretical_moments(compass_kernel, 6)
     assert oracle[5] == Fraction(47, 4)
     targets = {2: 1.0, 4: 3.0, 6: float(oracle[5])}
 

@@ -1,11 +1,12 @@
 """Resultants, discriminants, Sturm roots, elimination, curve certificates."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from filtered_spectra.algebra import (BivariatePolynomial,
                                       _squarefree_factors,
@@ -33,6 +34,15 @@ def test_entries_round_trip():
         "4*L^2S^4 - L^3S^3 - L^2S^2 + LS + 1"
     assert q.degree("x") == 3 and q.degree("y") == 4
     assert q.evaluate(Fraction(1), Fraction(1)) == 4
+
+
+@pytest.mark.parametrize("entry", [[-1, 0, "1"], [0, -2, "1"], [1.5, 1, "1"],
+                                   ["2", 0, "1"]])
+def test_entries_reject_malformed_degrees(entry):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        BP.from_entries([[0, 2, "1"], entry])
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        BP({(0, 2): 1, tuple(entry[:2]): entry[2]})
 
 
 def test_resultant_linear_pair():
@@ -171,7 +181,7 @@ def test_eliminate_four_valued_profile():
     # then its squarefree part over Q(lam), less the factor lam*S - 1 that
     # the point w = 0, S = 1/lam puts into every such resultant.
     lam, S, w, m, v = sp.symbols("lam S w m v")
-    R = sum(c * m ** a * v ** b for (a, b), c in rel.coeffs.items())
+    R = _sympy_expr(rel, m, v)
     G = sp.expand(R.subs({m: lam / w, v: S * w}) * w ** rel.degree("x"))
     res = sp.resultant(1 + w ** 2 - lam * S, G, w)
     field = sp.QQ.frac_field(lam)
@@ -179,7 +189,7 @@ def test_eliminate_four_valued_profile():
         sp.Poly(lam * S - 1, S, domain=field))
     assert rem.is_zero
     want = sp.Poly(sp.numer(sp.together(part.as_expr())), S).primitive()[1]
-    got = sum(c * lam ** a * S ** b for (a, b), c in curve.coeffs.items())
+    got = _sympy_expr(curve, lam, S)
     ratio = sp.cancel(want.as_expr() / got)
     assert ratio.is_Rational and ratio != 0
     assert elapsed < 10.0
@@ -239,6 +249,10 @@ def test_resultant_shared_factor_vanishes(shared, p, q):
     assert resultant(p * shared, q * shared, "y") == []
 
 
+def _sympy_expr(f, x, y):
+    return sum((v * x ** i * y ** j for (i, j), v in f.terms().items()), 0)
+
+
 def _to_bp(sp, expr, x, y):
     """A sympy polynomial in x, y with rational coefficients, as a BP."""
     poly = sp.Poly(sp.numer(sp.together(expr)), x, y)
@@ -251,13 +265,98 @@ def test_squarefree_factors_match_sympy(a, b, c):
     sp = pytest.importorskip("sympy")
     x, y = sp.symbols("x y")
     f = a * b * b * c * c * c
-    expr = sum(v * x ** i * y ** j for (i, j), v in f.coeffs.items())
+    expr = _sympy_expr(f, x, y)
     _, want = sp.Poly(expr, y, domain=sp.QQ.frac_field(x)).sqf_list()
     want = sorted((k, _to_bp(sp, g.as_expr(), x, y).normalized().to_entries())
                   for g, k in want)
     got = sorted((k, g.normalized().to_entries())
                  for g, k in _squarefree_factors(f))
     assert got == want
+
+
+fractions = st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
+                         max_denominator=3)
+
+
+@st.composite
+def bivariates(draw, max_deg=3):
+    degree = st.integers(0, max_deg)
+    terms = draw(st.lists(st.tuples(degree, degree, fractions),
+                          min_size=1, max_size=6))
+    return BP.from_entries(terms)
+
+
+def _sympy_coeffs(sp, expr, var):
+    """Ascending Fraction coefficients of a sympy polynomial in var."""
+    coeffs = sp.Poly(expr, var).all_coeffs()[::-1]
+    out = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(bivariates(), bivariates(), st.sampled_from("xy"))
+def test_resultant_matches_sympy(p, q, var):
+    sp = pytest.importorskip("sympy")
+    assume(not p.is_zero and not q.is_zero)
+    assume(max(p.degree(var), q.degree(var)) >= 1)
+    x, y = sp.symbols("x y")
+    elim, other = (x, y) if var == "x" else (y, x)
+    P, Q = _sympy_expr(p, x, y), _sympy_expr(q, x, y)
+    m, n = p.degree(var), q.degree(var)
+    # sympy's resultant(P, Q) with deg P < deg Q is the Sylvester
+    # determinant of (Q, P): res(y - 2, y^3 + 1) comes out as -9, not 9
+    want = sp.resultant(P, Q, elim) if m >= n else \
+        (-1) ** (m * n) * sp.resultant(Q, P, elim)
+    assert resultant(p, q, var) == _sympy_coeffs(sp, want, other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bivariates(), st.sampled_from("xy"))
+def test_discriminant_matches_sympy(f, var):
+    sp = pytest.importorskip("sympy")
+    assume(f.degree(var) >= 1)
+    x, y = sp.symbols("x y")
+    elim, other = (x, y) if var == "x" else (y, x)
+    want = sp.discriminant(_sympy_expr(f, x, y), elim)
+    assert discriminant(f, var) == _sympy_coeffs(sp, want, other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(fractions, min_size=1, max_size=4),
+                min_size=1, max_size=3), st.booleans())
+def test_real_roots_match_sympy(factors, repeat):
+    """Monic factors, the first one squared when repeat is drawn."""
+    sp = pytest.importorskip("sympy")
+    p = [Fraction(1)]
+    for f in factors + factors[:repeat]:
+        p = _convolve(p, f + [Fraction(1)])
+    x = sp.symbols("x")
+    poly = sp.Poly([sp.Rational(c.numerator, c.denominator)
+                    for c in reversed(p)], x).sqf_part()
+    intervals = real_roots(p)
+    assert len(intervals) == poly.count_roots()
+    for iv in intervals:
+        lo = sp.Rational(iv.lo.numerator, iv.lo.denominator)
+        hi = sp.Rational(iv.hi.numerator, iv.hi.denominator)
+        assert poly.count_roots(lo, hi) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(y_polys(), st.integers(1, 2), st.integers(0, 3), fractions)
+def test_cancelled_top_terms_are_canonical(p, dx, dy, c):
+    assume(c != 0)
+    top = BP({(p.degree("x") + dx, dy): c})
+    q = (p + top) - top
+    assert q == p and hash(q) == hash(p)
+    assert q.degree("x") == p.degree("x") and q.degree("y") == p.degree("y")
+    entries = p.to_entries()
+    assert BP.from_entries(entries) == p
+    cancelled = BP.from_entries(
+        entries + [[p.degree("x") + dx, dy, c], [p.degree("x") + dx, dy, -c]])
+    assert cancelled == p and hash(cancelled) == hash(p)
+    assert cancelled.degree("x") == p.degree("x")
 
 
 def test_walk_recursion_small_cases():

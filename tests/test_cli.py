@@ -113,6 +113,18 @@ def test_verify_rejects_wrong_curve(tmp_path):
     assert _report(out)["pass"] is False
 
 
+@pytest.mark.parametrize("bad", [[-1, 0, "1"], [1.5, 1, "1"]])
+@pytest.mark.parametrize("command, flag", [("verify", "--curve"),
+                                           ("eliminate", "--relation")])
+def test_malformed_degrees_exit_with_usage_error(tmp_path, capsys, command,
+                                                 flag, bad):
+    doc = json.dumps({"coeffs": [bad, [0, 2, "1"]]})
+    rc = main([command, flag, doc, "--filter", COMPASS,
+               "--out", str(tmp_path / "bad")])
+    assert rc == 2
+    assert repr(bad) in capsys.readouterr().err
+
+
 def test_crosscheck_passes(tmp_path):
     out = tmp_path / "cc"
     rc = main(["crosscheck", "--filter", COMPASS, "--out", str(out)])

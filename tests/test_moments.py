@@ -16,20 +16,19 @@ from conftest import rank_two_kernel, seeded_two_interval_kernel, \
 
 
 def test_semicircle_moments_exact():
-    ms = theoretical_moments(constant_kernel(), 12, exact=True)
+    ms = theoretical_moments(constant_kernel(), 12)
     assert ms == [0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
     assert all(isinstance(m, Fraction) for m in ms)
 
 
 def test_compass_moments_exact():
-    ms = theoretical_moments(kernel_from_filter(compass_filter()), 8,
-                             exact=True)
+    ms = theoretical_moments(kernel_from_filter(compass_filter()), 8)
     assert ms == [0, 1, 0, 3, 0, Fraction(47, 4), 0, Fraction(209, 4)]
 
 
 def test_two_point_moments_exact():
     # profile (delta_0 + delta_2)/2: m_2k = 2^k Catalan(k) / 2
-    ms = theoretical_moments(two_point_kernel(), 8, exact=True)
+    ms = theoretical_moments(two_point_kernel(), 8)
     assert ms == [0, 1, 0, 4, 0, 20, 0, 112]
 
 
@@ -51,7 +50,7 @@ def test_recursion_matches_enumeration_seeded():
 
 def test_even_moments_positive_odd_zero():
     for kern in (rank_two_kernel(), two_point_kernel()):
-        ms = theoretical_moments(kern, 10, exact=True)
+        ms = theoretical_moments(kern, 10)
         assert all(ms[k] == 0 for k in range(0, 10, 2))   # m_1, m_3, ...
         assert all(ms[k] > 0 for k in range(1, 10, 2))
 
@@ -79,7 +78,6 @@ def test_nice_function_algebra():
     f = NiceFunction(part, 1, [[Fraction(1), 0, Fraction(1)]])
     assert f.mean() == 0
     assert (f * f).mean() == 2
-    assert f.real_symmetric_defect() == 0
     grid = f.on_grid(8)
     assert grid.shape == (1, 8)
     assert grid[0, 0] == pytest.approx(2.0)
@@ -130,7 +128,7 @@ def small_filters(draw):
 @given(small_filters())
 def test_moment_hankel_matrices_psd(h):
     kern = kernel_from_filter(h)
-    ms = [Fraction(1)] + theoretical_moments(kern, 6, exact=True)
+    ms = [Fraction(1)] + theoretical_moments(kern, 6)
     H = np.array([[float(ms[i + j]) for j in range(4)] for i in range(4)])
     eigs = np.linalg.eigvalsh(H)
     assert eigs.min() >= -1e-8
@@ -140,5 +138,5 @@ def test_moment_hankel_matrices_psd(h):
 @given(small_filters())
 def test_recursion_matches_enumeration_random_filters(h):
     kern = kernel_from_filter(h)
-    assert theoretical_moments(kern, 6, exact=True) == \
+    assert theoretical_moments(kern, 6) == \
         moments_by_enumeration(kern, 6, exact=True)
