@@ -15,7 +15,8 @@ from .combinat import (WignerPartition, enumerate_wigner_partitions,
                        tree_integral, moments_by_enumeration)
 from .moments import NiceFunction, phi_psi_recursion, theoretical_moments
 from .colorsolve import (ColorSolution, SpectralGrid, solve_color_fixed_point,
-                         stieltjes_path, density_profile, rank_one_w)
+                         stieltjes_path, density_profile, solver_moments,
+                         rank_one_w)
 from .algebra import (BivariatePolynomial, resultant, auxiliary_resultant,
                       discriminant, real_roots, verify_curve,
                       rank_one_eliminate, random_walk_recursion_check)
@@ -33,7 +34,7 @@ __all__ = [
     "moments_by_enumeration",
     "NiceFunction", "phi_psi_recursion", "theoretical_moments",
     "ColorSolution", "SpectralGrid", "solve_color_fixed_point",
-    "stieltjes_path", "density_profile", "rank_one_w",
+    "stieltjes_path", "density_profile", "solver_moments", "rank_one_w",
     "BivariatePolynomial", "resultant",
     "auxiliary_resultant", "discriminant", "real_roots", "verify_curve",
     "rank_one_eliminate", "random_walk_recursion_check",

@@ -59,6 +59,8 @@ __all__ = [
     "random_walk_recursion_check",
 ]
 
+MAX_DEGREE = 64  # in term lists: 8x the largest curves yet, bidegree (7, 8)
+
 
 # ---------------------------------------------------------------------------
 # univariate polynomials: lists of Fractions, index = degree, [] = 0
@@ -174,9 +176,9 @@ def _rows_of_terms(terms):
     for term in terms:
         dx, dy, v = term
         for d in (dx, dy):
-            if not isinstance(d, numbers.Integral) or d < 0:
+            if not isinstance(d, numbers.Integral) or not 0 <= d <= MAX_DEGREE:
                 raise ValueError(f"degree {d!r} in the term {list(term)!r} "
-                                 "is not an integer >= 0")
+                                 f"is not an integer in 0..{MAX_DEGREE}")
         rows += [[] for _ in range(dy + 1 - len(rows))]
         row = rows[dy]
         row += [Fraction(0)] * (dx + 1 - len(row))
@@ -223,7 +225,7 @@ class BivariatePolynomial:
 
     @classmethod
     def from_entries(cls, entries):
-        """[[degx, degy, value], ...] with rational-string values allowed."""
+        """[[degx, degy, value], ...], degrees <= MAX_DEGREE, p/q values ok."""
         return cls._of_rows(_rows_of_terms(entries))
 
     @classmethod

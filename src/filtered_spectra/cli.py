@@ -9,6 +9,9 @@ the command, a config hash, the seed, library versions, wall time, the
 BLAS thread variables, and a sha256 per output file — identical config
 and seed reproduce identical hashes for the deterministic commands.
 
+crosscheck holds the exact moments to the solver's contour moments
+(within their bound tol_k) and to Monte Carlo (within 3 standard errors).
+
 Flag precedence: command line > config file > defaults.  Floats are
 written with 17 significant digits so CSV round-trips are lossless.
 """
@@ -32,7 +35,8 @@ from . import __version__
 from .kernel import read_color_document, as_kernel, validate_kernel, Filter
 from .moments import theoretical_moments
 from .combinat import moments_by_enumeration
-from .colorsolve import solve_color_fixed_point, density_profile
+from .colorsolve import (solve_color_fixed_point, density_profile,
+                         solver_moments, CONTOUR_RADIUS, CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, rank_one_eliminate, verify_curve,
                       random_walk_recursion_check)
 from .matrixlab import (SampleConfig, sample_filtered_wigner,
@@ -364,21 +368,6 @@ def cmd_walkcheck(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def _density_moments(kern, kmax: int, cfg: dict):
-    """Moments integrated against the solver density on an even grid."""
-    A = kern.amplitude()
-    half = A + 0.25
-    n = int(cfg.get("grid_n", 481))
-    xs = np.linspace(-half, half, n)
-    grid = density_profile(kern, xs,
-                           eps_pair=(float(cfg.get("eps1", 1e-2)),
-                                     float(cfg.get("eps2", 5e-3))))
-    dens = np.array(grid.density)
-    ok = all(grid.flags)
-    return [float(np.trapezoid(dens * xs ** (k + 1), xs))
-            for k in range(kmax)], ok
-
-
 def cmd_crosscheck(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     kmax = int(cfg.get("kmax", 6))
@@ -395,7 +384,7 @@ def cmd_crosscheck(cfg: dict) -> int:
         return 1
 
     exact = [float(v) for v in theoretical_moments(kern, kmax)]
-    solver, solver_ok = _density_moments(kern, kmax, cfg)
+    solver, solver_tol = solver_moments(kern, kmax)
 
     if "filter" in cfg:
         h = _get_filter(cfg)
@@ -409,16 +398,15 @@ def cmd_crosscheck(cfg: dict) -> int:
                 for t in range(trials)]
     summary = esd_statistics(mats, kmax=kmax)
 
-    rows, all_ok = [], solver_ok
+    rows, all_ok = [], True
     for k in range(kmax):
-        tol_solver = 1e-3 * max(1.0, abs(exact[k]))
-        d_solver = abs(solver[k] - exact[k])
         se = summary.moment_stderr[k]
         d_sim = abs(summary.moment_mean[k] - exact[k])
-        ok_solver = d_solver <= tol_solver
+        ok_solver = abs(solver[k] - exact[k]) <= solver_tol[k]
         ok_sim = d_sim <= 3.0 * se + 1e-12
         all_ok &= ok_solver and ok_sim
         rows.append({"k": k + 1, "exact": exact[k], "solver": solver[k],
+                     "solver_tol": solver_tol[k],
                      "simulation": summary.moment_mean[k], "sim_stderr": se,
                      "solver_ok": ok_solver, "sim_ok": ok_sim})
     run.write_csv("crosscheck.csv",
@@ -427,8 +415,10 @@ def cmd_crosscheck(cfg: dict) -> int:
                   [[r["k"], r["exact"], r["solver"], r["simulation"],
                     r["sim_stderr"], int(r["solver_ok"]), int(r["sim_ok"])]
                    for r in rows])
-    run.write_json("report.json", {"kernel_valid": True, "rows": rows,
-                                   "pass": bool(all_ok)})
+    run.write_json("report.json", {
+        "kernel_valid": True, "rows": rows, "pass": bool(all_ok),
+        "contour": {"radius": CONTOUR_RADIUS * kern.amplitude(),
+                    "points": CONTOUR_POINTS}})
     run.finish()
     for r in rows:
         flag = "" if r["solver_ok"] and r["sim_ok"] else "   <-- MISMATCH"
@@ -505,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("walkcheck", parents=[common],

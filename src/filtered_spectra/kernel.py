@@ -182,7 +182,6 @@ class Kernel:
         if self.band < 0:
             raise ValueError("band must be >= 0")
         self._grid_cache = {}
-        self._sup = None
 
     # -- exact accessors -----------------------------------------------
 
@@ -224,29 +223,16 @@ class Kernel:
         return arr.transpose(0, 2, 1, 3).reshape((2 * K + 1) * nI, (2 * K + 1) * nI)
 
     def sup_norm(self) -> float:
-        """Grid estimate of ||s||_inf, refined until stable to 1e-9.
+        """Upper bound of ||s||_inf: the max over cell pairs of sum |s_ij|.
 
-        The grid is exact per spatial cell (s is constant there); the
-        angular grid starts at 4K+1 points per circle and doubles until
-        the observed maximum stops moving.
+        |xi^i eta^j| = 1, so no angle makes |s| exceed that sum; a kernel
+        whose modes all peak at one angle (every house kernel) attains it.
         """
-        if self._sup is not None:
-            return self._sup
-        T = max(4 * self.band + 1, 8)
-        prev = None
-        for _ in range(8):
-            m = float(np.max(kernel_grid_matrix(self, T)))
-            if prev is not None and abs(m - prev) < 1e-9:
-                prev = m
-                break
-            prev = m
-            T *= 2
-        self._sup = prev
-        return prev
+        return float(np.abs(self.coeff_array()).sum(axis=(0, 1)).max())
 
     def amplitude(self) -> float:
-        """A = 2 * ||s||_inf^(1/2), the scale constant all the bounds use."""
-        return 2.0 * math.sqrt(max(self.sup_norm(), 0.0))
+        """A = 2 * sup_norm^(1/2): the spectrum lies in [-A, A]."""
+        return 2.0 * math.sqrt(self.sup_norm())
 
 
 def constant_kernel() -> Kernel:
@@ -346,11 +332,9 @@ def validate_kernel(kern: Kernel) -> KernelReport:
     if not checks["nondegenerate"]:
         messages.append("||s||_1 = 0 (degenerate kernel)")
 
-    ok = all(checks.values())
-    sup = kern.sup_norm() if ok else float(np.max(np.abs(grid)))
     return KernelReport(
-        ok=ok, checks=checks, messages=messages,
-        sup_norm=sup, amplitude=2.0 * math.sqrt(max(sup, 0.0)), l1_norm=l1)
+        ok=all(checks.values()), checks=checks, messages=messages,
+        sup_norm=kern.sup_norm(), amplitude=kern.amplitude(), l1_norm=l1)
 
 
 # ---------------------------------------------------------------------------

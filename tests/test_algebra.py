@@ -37,7 +37,7 @@ def test_entries_round_trip():
 
 
 @pytest.mark.parametrize("entry", [[-1, 0, "1"], [0, -2, "1"], [1.5, 1, "1"],
-                                   ["2", 0, "1"]])
+                                   ["2", 0, "1"], [0, 1000000, "1"]])
 def test_entries_reject_malformed_degrees(entry):
     with pytest.raises(ValueError, match=re.escape(repr(entry))):
         BP.from_entries([[0, 2, "1"], entry])

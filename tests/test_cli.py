@@ -8,6 +8,7 @@ import math
 import pytest
 
 from filtered_spectra.cli import main
+from filtered_spectra.colorsolve import solver_moments
 from filtered_spectra.kernel import compass_filter, kernel_from_filter
 from filtered_spectra.matrixlab import (SampleConfig, sample_colored_gaussian,
                                         sample_filtered_wigner)
@@ -113,7 +114,8 @@ def test_verify_rejects_wrong_curve(tmp_path):
     assert _report(out)["pass"] is False
 
 
-@pytest.mark.parametrize("bad", [[-1, 0, "1"], [1.5, 1, "1"]])
+@pytest.mark.parametrize("bad", [[-1, 0, "1"], [1.5, 1, "1"],
+                                 [0, 1000000, "1"]])
 @pytest.mark.parametrize("command, flag", [("verify", "--curve"),
                                            ("eliminate", "--relation")])
 def test_malformed_degrees_exit_with_usage_error(tmp_path, capsys, command,
@@ -133,6 +135,29 @@ def test_crosscheck_passes(tmp_path):
     assert len(rows) == 6
     assert all(r["solver_ok"] == "1" and r["sim_ok"] == "1" for r in rows)
     assert _report(out)["pass"] is True
+
+
+@pytest.mark.parametrize("shift, flagged", [(0.5, False), (2.0, True)])
+def test_crosscheck_holds_solver_to_its_bound(tmp_path, monkeypatch, shift,
+                                              flagged):
+    # m_2 from the solver moved by shift * tol_2 is flagged only past tol_2;
+    # report.json records the contour and every row's tol_k
+    def shifted(kern, kmax):
+        moments, bounds = solver_moments(kern, kmax)
+        moments[1] += shift * bounds[1]
+        return moments, bounds
+
+    monkeypatch.setattr("filtered_spectra.cli.solver_moments", shifted)
+    out = tmp_path / "cc"
+    rc = main(["crosscheck", "--filter", COMPASS, "--kmax", "4",
+               "--out", str(out)])
+    assert rc == (1 if flagged else 0)
+    assert [r["solver_ok"] for r in _rows(out / "crosscheck.csv")] == \
+        ["1", "0" if flagged else "1", "1", "1"]
+    rep = _report(out)
+    assert rep["contour"] == {"radius": 6.0, "points": 64}   # 1.5 A, A = 4
+    _, bounds = solver_moments(kernel_from_filter(compass_filter()), 4)
+    assert [r["solver_tol"] for r in rep["rows"]] == bounds
 
 
 def test_crosscheck_flags_corrupted_kernel(tmp_path):

@@ -10,9 +10,11 @@ import pytest
 
 from filtered_spectra.colorsolve import (_GridOps, density_profile,
                                          rank_one_w, solve_color_fixed_point,
-                                         stieltjes_path)
+                                         solver_moments, stieltjes_path)
 from filtered_spectra.exactnum import CRat
-from filtered_spectra.kernel import IntervalPartition, Kernel
+from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
+                                     constant_kernel, kernel_from_filter)
+from filtered_spectra.moments import theoretical_moments
 from conftest import rank_two_kernel, seeded_two_interval_kernel, \
     two_point_kernel
 
@@ -103,6 +105,27 @@ def test_large_lambda_expansion(compass_kernel):
     sol = solve_color_fixed_point(compass_kernel, lam)
     want = 1 / lam + 1 / lam ** 3
     assert abs(sol.stieltjes - want) < 2e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kernel_from_filter(compass_filter()), constant_kernel,
+    rank_two_kernel, seeded_two_interval_kernel, two_point_kernel],
+    ids=["compass", "semicircle", "rank-two", "seeded", "two-point"])
+def test_solver_moments_within_stated_bound(make):
+    # tol_k = c eps R^k (roundoff, c = 3 * 256) + 2 A^k (A/R)^M (aliasing,
+    # |m_n| <= A^n) on the circle R = 1.5A with M = 64 points
+    kern = make()
+    A, kmax = kern.amplitude(), 12
+    moments, bounds = solver_moments(kern, kmax)
+    ks = np.arange(1, kmax + 1)
+    tol = (768 * np.finfo(float).eps * (1.5 * A) ** ks
+           + 2 * A ** ks * (2 / 3) ** 64)
+    assert bounds == pytest.approx(tol, rel=1e-12)
+    exact = [float(m) for m in theoretical_moments(kern, kmax)]
+    for k in range(kmax):
+        assert abs(moments[k] - exact[k]) <= tol[k], k + 1
+    with pytest.raises(ValueError, match="1..63"):
+        solver_moments(kern, 64)
 
 
 def test_psi_representation(compass_kernel):

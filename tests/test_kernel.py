@@ -110,6 +110,16 @@ def test_validate_rejects_exchange_violation():
     assert not report.checks["exchange_symmetry"]
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_sup_norm_bounds_the_kernel_on_a_fine_grid(seed):
+    # sup_norm is an upper bound by construction; these kernels peak where
+    # every mode is +-1, so the bound is also attained
+    k = seeded_two_interval_kernel(seed)
+    fine = float(np.max(kernel_grid_matrix(k, 256)))
+    assert k.sup_norm() >= fine
+    assert k.sup_norm() == pytest.approx(fine, rel=1e-12)
+
+
 def test_grid_matrix_matches_coefficients():
     k = kernel_from_filter(compass_filter())
     T = 16
