@@ -35,7 +35,6 @@ direct enumeration already at walks of length two.)
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -594,14 +593,15 @@ def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
     lams = [complex(z) for z in sample_lambdas]
     if not lams:
         raise ValueError("no sample points")
+    S = [sol.stieltjes for sol in stieltjes_path(kern, lams)]
+    return _curve_residual(F, lams, S)
+
+
+def _curve_residual(F, lams, S):
+    """max |F(lam, S)| / max(1, |lc_y F(lam)|) over the solved points."""
     lead = F.rows[-1] if F.rows else []
-    sols = stieltjes_path(kern, lams)
-    worst = 0.0
-    for lam, sol in zip(lams, sols):
-        num = abs(F.evaluate(lam, sol.stieltjes))
-        den = max(1.0, abs(_peval(lead, lam)))
-        worst = max(worst, num / den)
-    return worst
+    return max(abs(F.evaluate(lam, s)) / max(1.0, abs(_peval(lead, lam)))
+               for lam, s in zip(lams, S))
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +663,8 @@ def _squarefree_factors(f):
 # rank-one elimination
 # ---------------------------------------------------------------------------
 
-def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
-                       residual_tol: float = 1e-8) -> BivariatePolynomial:
+def rank_one_eliminate(sf, kern: Kernel, residual_tol: float = 1e-8,
+                       certificate: dict = None) -> BivariatePolynomial:
     """Algebraic curve F(lambda, S) = 0 for a rank-one kernel s = f (x) f.
 
     sf is a BivariatePolynomial relation R(m, v) = 0 satisfied by the
@@ -681,6 +681,11 @@ def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
     factors (their product, if several) are returned normalized.  kern is
     the kernel to certify against; a collapse or an empty survivor set
     raises with the offending factorization in the message.
+
+    S is solved once, at 12 points on |lambda| = max(10, 2.5A), and every
+    factor is scored there; a dict passed as certificate receives the
+    returned curve's residual and the circle ("residual", "samples",
+    "radius").
     """
     if not isinstance(sf, BivariatePolynomial):
         raise TypeError("sf must be a BivariatePolynomial relation R(m, v)")
@@ -730,15 +735,15 @@ def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
     candidates = [(fac.normalized(), mult)
                   for fac, mult in _squarefree_factors(stripped)]
 
-    if sample_lambdas is None:
-        radius = max(10.0, 2.5 * kern.amplitude())
-        sample_lambdas = [
-            radius * cmath.exp(1j * math.pi * (2 * k + 1) / 12)
-            for k in range(12)]
+    from .colorsolve import circle_points, stieltjes_path
+
+    radius = max(10.0, 2.5 * kern.amplitude())
+    lams = [complex(z) for z in circle_points(radius, 12)]
+    S = [sol.stieltjes for sol in stieltjes_path(kern, lams)]
     survivors = []
     rejected = []
     for bp, mult in candidates:
-        res = verify_curve(bp, kern, sample_lambdas)
+        res = _curve_residual(bp, lams, S)
         if res < residual_tol:
             survivors.append(bp)
         else:
@@ -751,7 +756,11 @@ def rank_one_eliminate(sf, kern: Kernel, sample_lambdas=None,
     out = survivors[0]
     for extra in survivors[1:]:
         out = out * extra
-    return out.normalized()
+    out = out.normalized()
+    if certificate is not None:
+        certificate.update(residual=_curve_residual(out, lams, S),
+                           samples=len(lams), radius=radius)
+    return out
 
 
 # ---------------------------------------------------------------------------

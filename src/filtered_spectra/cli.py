@@ -22,7 +22,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -36,7 +35,8 @@ from .kernel import read_color_document, as_kernel, validate_kernel, Filter
 from .moments import theoretical_moments
 from .combinat import moments_by_enumeration
 from .colorsolve import (solve_color_fixed_point, density_profile,
-                         solver_moments, CONTOUR_RADIUS, CONTOUR_POINTS)
+                         solver_moments, circle_points, CONTOUR_RADIUS,
+                         CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, rank_one_eliminate, verify_curve,
                       random_walk_recursion_check)
 from .matrixlab import (SampleConfig, sample_filtered_wigner,
@@ -308,13 +308,14 @@ def cmd_eliminate(cfg: dict) -> int:
     rel = _curve_from_doc(_document(cfg["relation"]))
     kern = _get_kernel(cfg)
     run = _Run("eliminate", cfg, cfg["out"])
-    curve = rank_one_eliminate(rel, kern)
+    cert = {}
+    curve = rank_one_eliminate(rel, kern, certificate=cert)
+    resid = cert["residual"]
     run.write_json("curve.json", {"coeffs": curve.to_entries()})
-    samples = [complex(10.0 * math.cos(a), 10.0 * math.sin(a))
-               for a in (math.pi * (2 * k + 1) / 24 for k in range(12))]
-    resid = verify_curve(curve, kern, samples)
     run.write_json("report.json", {"curve": curve.pretty("X", "Y"),
-                                   "verify_residual": resid})
+                                   "verify_residual": resid,
+                                   "samples": cert["samples"],
+                                   "radius": cert["radius"]})
     run.finish()
     print(f"curve: {curve.pretty('X', 'Y')}  (verify residual {resid:.2e})")
     return 0
@@ -329,9 +330,7 @@ def cmd_verify(cfg: dict) -> int:
     radius = float(cfg.get("radius", max(10.0, 2.5 * kern.amplitude())))
     tol = float(cfg.get("tol", 1e-8))
     run = _Run("verify", cfg, cfg["out"])
-    lams = [complex(radius * math.cos(a), radius * math.sin(a))
-            for a in (math.pi * (2 * k + 1) / (2 * count) for k in range(count))]
-    resid = verify_curve(curve, kern, lams)
+    resid = verify_curve(curve, kern, circle_points(radius, count))
     ok = resid < tol
     run.write_json("report.json", {"residual": resid, "tolerance": tol,
                                    "samples": count, "radius": radius,

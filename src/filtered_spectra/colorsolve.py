@@ -17,6 +17,7 @@ dense Jacobian, solving (I - J) delta = F(c) - c, a system of size
 nI*(2K+1) (5 for the compass kernel).  F and J come from g = 1/(lam -
 Psi) on T = 128 angular nodes per circle; g is analytic, so the node
 count controls an exponentially small aliasing error, not a truncation.
+At band 0, Psi and g do not depend on the angle, and one node is exact.
 
 Newton converges only from a nearby start, so continuation is the only
 way to a cold solution: Newton from Psi = 0 at the anchor 4A*i, where
@@ -27,9 +28,11 @@ gets the boundary value from above.  Each waypoint warm-starts the next
 and converges in at most 4 Newton steps on every grid the tests and the
 benchmark use.  A point fails at the division guard |lam - Psi| < 1e-14
 or after NEWTON_STEPS steps (Newton that slow is diverging).  Lower
-half-plane targets are solved at the conjugate point and conjugated
-back (S(conj lam) = conj S(lam)).  Everything is vectorized across
-lambda points, and converged points drop out.
+half-plane targets fold onto their conjugates and each distinct point
+is solved once, so S(conj lam) = conj S(lam) exactly.  Everything is
+vectorized across lambda points, and converged points drop out.
+density_profile descends once per x, to the upper of its two heights,
+and reaches the lower one by one more Newton solve.
 
 solver_moments reads the moments off S on a circle around the spectrum
 by the trapezoid rule (Trefethen-Weideman, SIAM Review 2014).
@@ -53,10 +56,11 @@ __all__ = [
     "stieltjes_path",
     "density_profile",
     "solver_moments",
+    "circle_points",
     "rank_one_w",
 ]
 
-T = 128              # angular nodes per circle
+T = 128              # angular nodes per circle at band K > 0
 TOL = 1e-13          # convergence: max |F(Psi) - Psi| on the grid
 NEWTON_STEPS = 30    # cap per waypoint; continuation needs at most 4
 GUARD = 1e-14        # division guard on |lam - Psi|
@@ -106,25 +110,26 @@ class _GridOps:
 
     def __init__(self, kern: Kernel):
         self.K = K = kern.band
+        self.T = T if K else 1                  # g is constant at band 0
         self.nI = kern.partition.n
         self.dim = self.nI * (2 * K + 1)
         self.wts = np.array([float(l) for l in kern.partition.lengths])
         # s_ij(a, b) * length_b, indexed [i+K, j+K, a, b]
         self.pair = kern.coeff_array() * self.wts
-        self.phase = phases(K, T)               # (2K+1, T)
-        self.phase2 = phases(2 * K, T)          # (4K+1, T), the modes of g^2
+        self.phase = phases(K, self.T)          # (2K+1, T)
+        self.phase2 = phases(2 * K, self.T)     # (4K+1, T), the modes of g^2
         d = np.arange(2 * K + 1)
         self.hankel = d[:, None] + d[None, :]   # mode j + m, offset by 2K
 
     def residual(self, lams, c):
         """g on the grid and r = F(c) - c, for (n,) lams."""
         g = 1.0 / (lams[:, None, None] - c @ self.phase)
-        r = np.einsum("ijab,nbj->nai", self.pair, g @ self.phase.T / T) - c
+        r = np.einsum("ijab,nbj->nai", self.pair, g @ self.phase.T / self.T) - c
         return g, r
 
     def jacobian(self, g):
         """J = dF/dc, (n, dim, dim), at the tables whose grid values gave g."""
-        g2hat = (g * g) @ self.phase2.T / T
+        g2hat = (g * g) @ self.phase2.T / self.T
         jac = np.einsum("ijab,nbjm->naibm", self.pair, g2hat[:, :, self.hankel])
         return jac.reshape(-1, self.dim, self.dim)
 
@@ -170,8 +175,8 @@ def _newton_batch(ops: _GridOps, lams, c0):
 def _continue_batch(kern: Kernel, targets, anchor=None):
     """Continuation from the anchor to every target; vectorized.
 
-    Returns (S, tables, residuals, ok) aligned with targets; lower
-    half-plane targets are handled by conjugation symmetry.
+    Returns (S, tables, residuals, ok) aligned with targets; a target
+    and its conjugate, or a repeated target, share one solve.
     """
     A = kern.amplitude()
     if anchor is None:
@@ -183,11 +188,12 @@ def _continue_batch(kern: Kernel, targets, anchor=None):
     targets = np.asarray([complex(t) for t in targets], dtype=complex)
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite complex numbers")
-    n = len(targets)
     ops = _GridOps(kern)
     shape = (ops.nI, 2 * ops.K + 1)
     flip = targets.imag < 0
-    work = np.where(flip, np.conj(targets), targets)
+    work, back = np.unique(np.where(flip, np.conj(targets), targets),
+                           return_inverse=True)
+    n = len(work)
 
     c_a, _, res_a, ok_a = _newton_batch(ops, [anchor],
                                         np.zeros((1,) + shape, complex))
@@ -215,6 +221,7 @@ def _continue_batch(kern: Kernel, targets, anchor=None):
         c, S, res, step_ok = _newton_batch(ops, lam, c)
         ok &= step_ok
 
+    S, c, res, ok = S[back], c[back], res[back], ok[back]
     S = np.where(flip, np.conj(S), S)
     c = np.where(flip[:, None, None], np.conj(c[:, :, ::-1]), c)
     return S, c, res, ok
@@ -285,21 +292,22 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
 
     density(x) = Richardson extrapolation of -Im S(x + i*eps) / pi over
     the two heights in eps_pair; support_estimate is the smallest
-    interval containing every grid point with density >= 1e-4.  Solver
+    interval containing every grid point with density >= 1e-4.  Each x
+    is continued once, to x + i*eps1, and one batched Newton solve,
+    warm-started from those tables, takes it to x + i*eps2.  Solver
     failures flag their point (density NaN) instead of aborting the grid.
     """
     e1, e2 = float(eps_pair[0]), float(eps_pair[1])
     if not (0 < e2 < e1):
         raise ValueError("eps_pair must satisfy 0 < eps2 < eps1")
     xs = [float(x) for x in xs]
-    n = len(xs)
-    targets = [x + 1j * e1 for x in xs] + [x + 1j * e2 for x in xs]
-    S, _, _, ok = _continue_batch(kern, targets)
-    d1 = -S[:n].imag / math.pi
-    d2 = -S[n:].imag / math.pi
+    S1, c1, _, ok1 = _continue_batch(kern, [x + 1j * e1 for x in xs])
+    _, S2, _, ok2 = _newton_batch(_GridOps(kern), np.add(xs, 1j * e2), c1)
+    d1 = -S1.imag / math.pi
+    d2 = -S2.imag / math.pi
     r = e1 / e2
     dens = (r * d2 - d1) / (r - 1.0)
-    flags = ok[:n] & ok[n:]
+    flags = ok1 & ok2
     dens = np.where(flags, dens, np.nan)
 
     lit = [x for x, d, f in zip(xs, dens, flags) if f and d >= DENSITY_FLOOR]
@@ -307,6 +315,15 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     return SpectralGrid(xs=xs, epsilon=e2, density=[float(d) for d in dens],
                         support_estimate=support,
                         flags=[bool(f) for f in flags], eps_pair=(e1, e2))
+
+
+def circle_points(radius: float, count: int) -> np.ndarray:
+    """radius * exp(i pi (2k+1) / count), k = 0..count-1, with point
+    count-1-k the exact conjugate of point k (one solve per pair)."""
+    z = radius * np.exp(1j * math.pi * (2 * np.arange(count) + 1) / count)
+    half = count // 2
+    z[count - half:] = np.conj(z[:half][::-1])
+    return z
 
 
 def solver_moments(kern: Kernel, kmax: int):
@@ -326,7 +343,7 @@ def solver_moments(kern: Kernel, kmax: int):
         raise ValueError(f"kmax = {kmax} is not in 1..{M - 1}")
     A = kern.amplitude()
     R = CONTOUR_RADIUS * A
-    lams = R * np.exp(1j * math.pi * (2 * np.arange(M) + 1) / M)
+    lams = circle_points(R, M)
     S = np.array([sol.stieltjes for sol in stieltjes_path(kern, lams)])
     ks = np.arange(1, kmax + 1)
     ms = (lams ** (ks[:, None] + 1) * S).mean(axis=1).real
@@ -389,7 +406,7 @@ def rank_one_w(kern: Kernel, lam) -> complex:
     if float(np.max(np.abs(f_grid.imag))) > 1e-9 * max(
             1.0, float(np.max(np.abs(f_grid.real)))):
         raise AssertionError("rank-one factor came out non-real on the grid")
-    psi_grid = sol.psi.on_grid(T)
+    psi_grid = sol.psi.on_grid(ops.T)
     vals = f_grid.real / (lam - psi_grid)
     w = complex(vals.mean(axis=1) @ ops.wts)
     lhs = lam * sol.stieltjes

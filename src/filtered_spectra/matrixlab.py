@@ -68,6 +68,13 @@ class SampleConfig:
             raise ValueError(f"unknown entry law {self.entry_law!r}")
 
 
+def _draw(cfg: SampleConfig, trial: int, lo, hi, stream=_Y_STREAM):
+    """The entry law's variates, keyed by the sorted index pairs (lo, hi)."""
+    draw = rademacher_entries if cfg.entry_law == "rademacher" \
+        else gaussian_entries
+    return draw(cfg.seed, trial, lo, hi, stream)
+
+
 def _entry_field(cfg: SampleConfig, trial: int, rows, cols,
                  stream=_Y_STREAM) -> np.ndarray:
     """Symmetric mean-0 variance-1 field at integer sites, zero diagonal.
@@ -79,10 +86,7 @@ def _entry_field(cfg: SampleConfig, trial: int, rows, cols,
     cols = np.asarray(cols, dtype=np.int64)
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
-    draw = rademacher_entries if cfg.entry_law == "rademacher" \
-        else gaussian_entries
-    vals = draw(cfg.seed, trial, lo, hi, stream)
-    return np.where(rows == cols, 0.0, vals)
+    return np.where(rows == cols, 0.0, _draw(cfg, trial, lo, hi, stream))
 
 
 def sample_filtered_wigner(cfg: SampleConfig, h: Filter,
@@ -98,7 +102,7 @@ def sample_filtered_wigner(cfg: SampleConfig, h: Filter,
     N = cfg.N
     r, c = np.triu_indices(N, 1)
     Y = np.zeros((N, N))
-    Y[r, c] = Y[c, r] = _entry_field(cfg, trial, r + 1, c + 1)
+    Y[r, c] = Y[c, r] = _draw(cfg, trial, r + 1, c + 1)   # r < c: sorted
     taps = sorted(h.taps.items())
     X = np.zeros((N, N))
     for (a, b), weight in taps:

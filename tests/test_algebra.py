@@ -14,6 +14,7 @@ from filtered_spectra.algebra import (BivariatePolynomial,
                                       random_walk_recursion_check,
                                       rank_one_eliminate, real_roots,
                                       resultant, verify_curve)
+from filtered_spectra import colorsolve
 from filtered_spectra.kernel import IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
 from conftest import rank_two_kernel, two_point_kernel
@@ -134,6 +135,26 @@ def test_eliminate_compass_quartic():
     curve = rank_one_eliminate(COMPASS_RELATION,
                                kernel_from_filter(compass_filter()))
     assert curve.proportional_to(COMPASS_QUARTIC)
+
+
+def test_eliminate_solves_once_and_returns_its_certificate(monkeypatch):
+    kern = kernel_from_filter(compass_filter())
+    sizes = []
+    path = colorsolve.stieltjes_path
+
+    def spy(kern, lams):
+        sizes.append(len(lams))
+        return path(kern, lams)
+
+    monkeypatch.setattr(colorsolve, "stieltjes_path", spy)
+    cert = {}
+    curve = rank_one_eliminate(COMPASS_RELATION, kern, certificate=cert)
+    assert sizes == [12]
+    assert cert["samples"] == 12 and cert["radius"] == 10.0
+    assert cert["residual"] < 1e-10
+    monkeypatch.undo()
+    samples = colorsolve.circle_points(10.0, 12)
+    assert cert["residual"] == verify_curve(curve, kern, samples)
 
 
 def test_eliminate_interface_errors():

@@ -97,6 +97,8 @@ def test_eliminate_then_verify(tmp_path):
     curve_path = elim / "curve.json"
     assert curve_path.exists()
     assert _report(elim)["verify_residual"] < 1e-10
+    assert _report(elim)["samples"] == 12
+    assert _report(elim)["radius"] == 10.0
 
     ver = tmp_path / "v"
     rc = main(["verify", "--curve", str(curve_path), "--filter", COMPASS,

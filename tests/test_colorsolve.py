@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from filtered_spectra.colorsolve import (_GridOps, density_profile,
+from filtered_spectra import colorsolve
+from filtered_spectra.colorsolve import (_GridOps, _continue_batch,
+                                         circle_points, density_profile,
                                          rank_one_w, solve_color_fixed_point,
                                          solver_moments, stieltjes_path)
 from filtered_spectra.exactnum import CRat
@@ -170,6 +172,98 @@ def test_path_accepts_any_iterable(semicircle):
 def test_anchor_must_clear_spectrum(compass_kernel):
     with pytest.raises(ValueError, match="anchor"):
         stieltjes_path(compass_kernel, [5.0 + 1.0j], anchor=1.0j)
+
+
+BAND_ZERO_CUTS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
+BAND_ZERO_TABLE = ((Fraction(2), Fraction(1, 2), Fraction(1, 4)),
+                   (Fraction(1, 2), Fraction(1), Fraction(3, 2)),
+                   (Fraction(1, 4), Fraction(3, 2), Fraction(1, 3)))
+
+
+def _band_zero_kernel() -> Kernel:
+    """Band 0, three unequal cells, s_ab not a product f_a f_b."""
+    return Kernel(IntervalPartition(BAND_ZERO_CUTS), 0,
+                  {(0, 0, a, b): BAND_ZERO_TABLE[a][b]
+                   for a in range(3) for b in range(3)})
+
+
+def test_grid_nodes_follow_the_band(semicircle, compass_kernel):
+    # g = 1/(lam - Psi) does not depend on the angle at band 0
+    for kern in (semicircle, _band_zero_kernel()):
+        assert _GridOps(kern).T == 1
+        assert _GridOps(kern).phase.shape == (1, 1)
+    for kern in (compass_kernel, _tilted_kernel(), rank_two_kernel()):
+        ops = _GridOps(kern)
+        assert ops.T == 128
+        assert ops.phase.shape == (2 * kern.band + 1, 128)
+
+
+def test_semicircle_closed_form_near_the_axis(semicircle):
+    lams = np.linspace(-2.5, 2.5, 50) + 5e-3j
+    for lam, sol in zip(lams, stieltjes_path(semicircle, lams)):
+        root = cmath.sqrt(lam * lam - 4.0)
+        want = (lam - root) / 2.0
+        if want.imag > 0:                      # the branch with Im S < 0
+            want = (lam + root) / 2.0
+        assert abs(sol.stieltjes - want) <= 1e-13, lam
+
+
+def test_band_zero_psi_solves_the_color_equations():
+    # Psi_a = sum_b s_ab len_b / (lam - Psi_b) and S = sum_b len_b /
+    # (lam - Psi_b), checked on the solver's own output
+    kern = _band_zero_kernel()
+    s = np.array(BAND_ZERO_TABLE, dtype=float)
+    ell = np.diff(np.array(BAND_ZERO_CUTS, dtype=float))
+    lams = [3.0 + 1.0j, 0.4 + 5e-3j, -1.1 + 1e-3j, -4.0 + 0.0j]
+    for lam, sol in zip(lams, stieltjes_path(kern, lams)):
+        psi = np.array([complex(row[0]) for row in sol.psi.values])
+        g = 1.0 / (lam - psi)
+        assert np.max(np.abs(psi - s @ (ell * g))) <= 1e-12
+        assert abs(sol.stieltjes - ell @ g) <= 1e-12
+
+
+def test_conjugate_pairs_are_solved_once(compass_kernel, monkeypatch):
+    sizes = []
+    newton = colorsolve._newton_batch
+
+    def spy(ops, lams, c0):
+        sizes.append(len(lams))
+        return newton(ops, lams, c0)
+
+    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    lams = circle_points(4.0, 6)
+    assert np.array_equal(lams[3:], np.conj(lams[2::-1]))
+    S, c, _, ok = _continue_batch(compass_kernel, list(lams) + [lams[1]])
+    assert ok.all()
+    assert max(sizes) == 3                     # 3 pairs, one repeat
+    assert np.array_equal(S[3:6], np.conj(S[2::-1]))
+    assert S[6] == S[1]
+    assert np.array_equal(c[5], np.conj(c[0, :, ::-1]))
+
+
+def test_density_descends_once_per_point(compass_kernel, monkeypatch):
+    # the benchmark's compass grid (a node at x = 0): eps1 by continuation,
+    # then one Newton solve of at most 4 steps to eps2
+    xs = np.linspace(-2.7, 2.7, 181)
+    e1, e2 = 1e-2, 5e-3
+    calls = []
+    newton = colorsolve._newton_batch
+
+    def spy(ops, lams, c0):
+        out = newton(ops, lams, c0)
+        calls.append((np.array(lams), out[1]))
+        return out
+
+    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    monkeypatch.setattr(colorsolve, "NEWTON_STEPS", 4)
+    grid = density_profile(compass_kernel, xs, eps_pair=(e1, e2))
+    assert all(grid.flags)
+    assert all(np.all(lams.imag >= e1) for lams, _ in calls[:-1])
+    lams, S2 = calls[-1]
+    assert np.array_equal(lams, xs + 1j * e2)
+    monkeypatch.undo()
+    ref = [sol.stieltjes for sol in stieltjes_path(compass_kernel, lams)]
+    assert np.max(np.abs(S2 - ref)) <= 1e-12
 
 
 def test_semicircle_density_values(semicircle):
