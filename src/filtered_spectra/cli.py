@@ -199,8 +199,8 @@ def cmd_moments(cfg: dict) -> int:
     header = ["k", "moment"]
     status = 0
     worst = 0.0
+    cap = min(kmax, 12)          # the oracle's enumeration stops here
     if cfg.get("oracle"):
-        cap = min(kmax, 12)
         oracle = [float(v) for v in moments_by_enumeration(kern, cap)]
         for k in range(kmax):
             rows[k].append(oracle[k] if k < cap else "")
@@ -211,6 +211,8 @@ def cmd_moments(cfg: dict) -> int:
     run.write_csv("moments.csv", header, rows)
     run.write_json("report.json", {"mode": "exact", "kmax": kmax,
                                    "moments": ms,
+                                   "oracle_kmax": cap
+                                   if cfg.get("oracle") else None,
                                    "oracle_max_abs_diff": worst
                                    if cfg.get("oracle") else None,
                                    "pass": status == 0})

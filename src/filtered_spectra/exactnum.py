@@ -44,7 +44,7 @@ class CRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CRat(self.re + other.re, self.im + other.im)
+        return _crat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -52,22 +52,22 @@ class CRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CRat(self.re - other.re, self.im - other.im)
+        return _crat(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CRat(other.re - self.re, other.im - self.im)
+        return _crat(other.re - self.re, other.im - self.im)
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        return _crat(-self.re, -self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CRat(
+        return _crat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -98,6 +98,14 @@ class CRat:
         if self.im == 0:
             return f"CRat({self.re})"
         return f"CRat({self.re}, {self.im})"
+
+
+def _crat(re: Fraction, im: Fraction) -> CRat:
+    """A CRat from parts that are already Fractions, without coercing them."""
+    z = object.__new__(CRat)
+    z.re = re
+    z.im = im
+    return z
 
 
 def _coerce(x):

@@ -18,9 +18,19 @@ here: we only ever touch the nice representatives.)
 The pairing with s keeps Psi_n's Fourier degree at the kernel band K;
 Phi degrees grow additively, and the recursion refuses (with an error,
 never silent truncation) to exceed a configurable degree cap.
+
+Scaling.  Let L be the lcm of the denominators of every len_b * s_ij(a, b),
+real and imaginary parts.  Phi_n vanishes for even n, and for odd n
+Phi'_n = L^((n-1)/2) Phi_n and Psi'_n = L^((n+1)/2) Psi_n have Gaussian
+integer coefficients and satisfy the same recursion with the integer
+table L * len_b * s_ij.  So the recursion runs on rows of Python ints,
+and theoretical_moments divides by L^(k/2) once per moment.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,8 +46,8 @@ class NiceFunction:
     """Piecewise-constant-in-x trigonometric polynomial on color space.
 
     values[a][d + degree] is the coefficient of xi^d on interval a.
-    Scalars may be exact (CRat / Fraction / int) or complex floats; a
-    single instance keeps one scalar kind throughout.
+    Scalars are exact (CRat) from the recursion or complex floats from
+    the solver; a single instance keeps one scalar kind throughout.
     """
 
     __slots__ = ("partition", "degree", "values")
@@ -49,42 +59,6 @@ class NiceFunction:
         assert len(values) == partition.n
         assert all(len(row) == 2 * self.degree + 1 for row in values)
 
-    @classmethod
-    def constant(cls, partition, value=1):
-        return cls(partition, 0, [[value] for _ in range(partition.n)])
-
-    # -- algebra ---------------------------------------------------------
-
-    def __add__(self, other):
-        assert self.partition is other.partition or \
-            self.partition.breakpoints == other.partition.breakpoints
-        d = max(self.degree, other.degree)
-        rows = []
-        for a in range(self.partition.n):
-            row = [0] * (2 * d + 1)
-            for src in (self, other):
-                off = d - src.degree
-                for t, v in enumerate(src.values[a]):
-                    row[off + t] = row[off + t] + v
-            rows.append(row)
-        return NiceFunction(self.partition, d, rows)
-
-    def __mul__(self, other):
-        """Pointwise product: per-interval convolution of Fourier coefficients."""
-        d = self.degree + other.degree
-        rows = []
-        for a in range(self.partition.n):
-            row = [0] * (2 * d + 1)
-            for t, u in enumerate(self.values[a]):
-                if u == 0:
-                    continue
-                for t2, v in enumerate(other.values[a]):
-                    if v == 0:
-                        continue
-                    row[t + t2] = row[t + t2] + u * v
-            rows.append(row)
-        return NiceFunction(self.partition, d, rows).trim()
-
     def trim(self):
         """Drop exactly-zero leading/trailing coefficient pairs."""
         d = self.degree
@@ -95,77 +69,163 @@ class NiceFunction:
             self.degree = d
         return self
 
-    # -- analysis ---------------------------------------------------------
-
-    def coeff(self, a: int, d: int):
-        if abs(d) > self.degree:
-            return 0
-        return self.values[a][d + self.degree]
-
-    def mean(self):
-        """<P, f> — the integral against the uniform measure."""
-        w = self.partition.lengths
-        return sum(w[a] * self.coeff(a, 0) for a in range(self.partition.n))
-
-    def pair_with_kernel(self, kern: Kernel):
-        """c |-> integral of s(c, c') f(c') P(dc'), exactly.
-
-        Circle integration picks out matching Fourier indices; spatial
-        integration is a weighted sum over intervals.  The result has
-        degree at most the kernel band regardless of deg(f).
-        """
-        K = kern.band
-        w = kern.partition.lengths
-        rows = []
-        for a in range(kern.partition.n):
-            row = [0] * (2 * K + 1)
-            for (i, j, aa, b), sv in kern.coeffs.items():
-                if aa != a:
-                    continue
-                fv = self.coeff(b, -j)
-                if fv == 0:
-                    continue
-                row[i + K] = row[i + K] + w[b] * (sv * fv)
-            rows.append(row)
-        return NiceFunction(kern.partition, K, rows).trim()
-
     def on_grid(self, T: int) -> np.ndarray:
         """Complex values on the (interval, angle) grid, shape (nI, T)."""
         vals = np.array([[complex(v) for v in row] for row in self.values])
         return vals @ phases(self.degree, T)
 
 
+# ---------------------------------------------------------------------------
+# the scaled recursion over Gaussian integers
+# ---------------------------------------------------------------------------
+#
+# A scaled function is (degree, re_rows, im_rows): rows of Python ints,
+# one row of 2 * degree + 1 coefficients per interval.  Rows are never
+# changed after they are made, so functions may share them.
+
+def _scaled_table(kern: Kernel) -> tuple:
+    """L and the pairing table L * len_b * s_ij(a, b) over Gaussian integers.
+
+    L is the lcm of the denominators of every len_b * s_ij(a, b), real
+    and imaginary parts; terms[a] lists (i, j, b, re, im) for interval a.
+    """
+    w = kern.partition.lengths
+    scaled = [(key, w[key[3]] * v.re, w[key[3]] * v.im)
+              for key, v in kern.coeffs.items()]
+    L = math.lcm(*(x.denominator for _, re, im in scaled for x in (re, im)))
+    terms = [[] for _ in range(kern.partition.n)]
+    for (i, j, a, b), re, im in scaled:
+        terms[a].append((i, j, b, re.numerator * (L // re.denominator),
+                         im.numerator * (L // im.denominator)))
+    return L, terms
+
+
+def _trim(d: int, re_rows: list, im_rows: list) -> tuple:
+    """Drop the coefficient pairs that are zero on every row, as trim() does."""
+    rows = re_rows + im_rows
+    cut = 0
+    while cut < d and not any(r[cut] or r[-1 - cut] for r in rows):
+        cut += 1
+    if cut:
+        re_rows = [r[cut:-cut] for r in re_rows]
+        im_rows = [r[cut:-cut] for r in im_rows]
+    return d - cut, re_rows, im_rows
+
+
+def _conv_add(out: list, u: list, v: list, sign: int):
+    """out += sign * (u convolved with v); u is the short factor."""
+    if not any(v):
+        return
+    n = len(v)
+    for t, x in enumerate(u):
+        if x:
+            x *= sign
+            out[t:t + n] = [o + x * y for o, y in zip(out[t:t + n], v)]
+
+
+def _mul(f: tuple, g: tuple) -> tuple:
+    """Pointwise product: per-interval convolution, then trimmed."""
+    (df, fre, fim), (dg, gre, gim) = f, g
+    width = 2 * (df + dg) + 1
+    re_rows, im_rows = [], []
+    for ur, ui, vr, vi in zip(fre, fim, gre, gim):
+        re, im = [0] * width, [0] * width
+        _conv_add(re, ur, vr, 1)
+        _conv_add(re, ui, vi, -1)
+        _conv_add(im, ur, vi, 1)
+        _conv_add(im, ui, vr, 1)
+        re_rows.append(re)
+        im_rows.append(im)
+    return _trim(df + dg, re_rows, im_rows)
+
+
+def _pair(terms: list, K: int, f: tuple) -> tuple:
+    """c |-> sum over (i, j, b) of the table entry times f_b's coefficient -j.
+
+    Circle integration picks out matching Fourier indices, so the result
+    has degree at most the kernel band whatever deg(f).
+    """
+    d, fre, fim = f
+    re_rows, im_rows = [], []
+    for row_terms in terms:
+        re, im = [0] * (2 * K + 1), [0] * (2 * K + 1)
+        for i, j, b, sr, si in row_terms:
+            if abs(j) <= d:
+                vr, vi = fre[b][d - j], fim[b][d - j]
+                re[i + K] += sr * vr - si * vi
+                im[i + K] += sr * vi + si * vr
+        re_rows.append(re)
+        im_rows.append(im)
+    return _trim(K, re_rows, im_rows)
+
+
+def _sum(fs: list, d: int) -> tuple:
+    """The sum at degree d, the largest of the terms' degrees (not trimmed)."""
+    sums = []
+    for part in (1, 2):
+        rows = [[0] * (2 * d + 1) for _ in fs[0][part]]
+        for f in fs:
+            lo, hi = d - f[0], d + f[0] + 1
+            for row, frow in zip(rows, f[part]):
+                row[lo:hi] = [x + y for x, y in zip(row[lo:hi], frow)]
+        sums.append(rows)
+    return d, sums[0], sums[1]
+
+
+def _scaled_recursion(kern: Kernel, nmax: int, degree_cap: int) -> tuple:
+    """L, then Phi'_n = L^((n-1)/2) Phi_n and Psi'_n = L^((n+1)/2) Psi_n.
+
+    Phi_n vanishes for even n: Phi_2 is an empty sum, and every term
+    Psi_j Phi_m of a later even one has j or m even.  So only odd n are
+    computed, and the exponents are whole.  Scaled, Phi'_n is the sum of
+    Psi'_j Phi'_m over odd j + m = n - 1, and Psi'_n pairs Phi'_n with the
+    table L * len_b * s_ij: no division anywhere.
+    """
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    L, terms = _scaled_table(kern)
+    nI = kern.partition.n
+    zero = (0, [[0]] * nI, [[0]] * nI)
+    phis, psis = [None, (0, [[1]] * nI, [[0]] * nI)], [None]
+    for n in range(1, nmax + 1):
+        if n % 2 == 0:
+            phis.append(zero)
+            psis.append(zero)
+            continue
+        if n > 1:
+            prods = [_mul(psis[j], phis[n - 1 - j]) for j in range(1, n - 1, 2)]
+            d = max(p[0] for p in prods)
+            if d > degree_cap:
+                raise ValueError(
+                    f"Phi_{n} would have degree {d} > cap {degree_cap}")
+            phis.append(_sum(prods, d))
+        psis.append(_pair(terms, kern.band, phis[n]))
+    return L, phis[1:], psis[1:]
+
+
+def _unscaled(partition, f: tuple, scale: int) -> NiceFunction:
+    d, re_rows, im_rows = f
+    return NiceFunction(partition, d, [
+        [CRat(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(rr, ir)]
+        for rr, ir in zip(re_rows, im_rows)])
+
+
 def phi_psi_recursion(kern: Kernel, nmax: int,
                       degree_cap: int = DEGREE_CAP):
     """Phi_1..Phi_nmax and Psi_1..Psi_nmax as NiceFunctions.
 
-    Runs over complex rationals (kernel tables are stored exactly).
-    Raises if any Phi degree would exceed degree_cap — the caller asked
-    for more than the representation can hold, and truncating would
-    corrupt every later moment.
+    Runs over Gaussian integers scaled by powers of L (kernel tables are
+    stored exactly) and divides once at the end.  Raises if any Phi
+    degree would exceed degree_cap — the caller asked for more than the
+    representation can hold, and truncating would corrupt every later
+    moment.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    one = CRat(1)
+    L, phis, psis = _scaled_recursion(kern, nmax, degree_cap)
     part = kern.partition
-
-    phis = [None, NiceFunction.constant(part, one)]
-    psis = [None]
-    for n in range(1, nmax + 1):
-        if n >= 2:
-            acc = None
-            for j in range(1, n - 1):
-                m = n - 1 - j
-                term = psis[j] * phis[m]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = NiceFunction(part, 0, [[0 * one] for _ in range(part.n)])
-            if acc.degree > degree_cap:
-                raise ValueError(
-                    f"Phi_{n} would have degree {acc.degree} > cap {degree_cap}")
-            phis.append(acc)
-        psis.append(phis[n].pair_with_kernel(kern))
-    return phis[1:], psis[1:]
+    return ([_unscaled(part, f, L ** ((n - 1) // 2))
+             for n, f in enumerate(phis, start=1)],
+            [_unscaled(part, f, L ** ((n + 1) // 2))
+             for n, f in enumerate(psis, start=1)])
 
 
 def theoretical_moments(kern: Kernel, kmax: int) -> list:
@@ -173,13 +233,15 @@ def theoretical_moments(kern: Kernel, kmax: int) -> list:
 
     Raises ValueError unless every imaginary part cancels identically.
     """
-    phis, _ = phi_psi_recursion(kern, kmax + 1)
+    L, phis, _ = _scaled_recursion(kern, kmax + 1, DEGREE_CAP)
+    w = kern.partition.lengths
     out = []
     for k in range(1, kmax + 1):
-        # phis[k] is Phi_{k+1} (list is 1-offset); a Phi whose coefficients
-        # all stayed the int 0 (odd k for even kernels) means to a Fraction
-        m = CRat(0) + phis[k].mean()
-        if m.im != 0:
+        # phis[k] is Phi'_{k+1} = L^(k/2) Phi_{k+1}, and zero for odd k
+        d, re_rows, im_rows = phis[k]
+        re, im = (sum((w_a * row[d] for w_a, row in zip(w, rows)), Fraction(0))
+                  for rows in (re_rows, im_rows))
+        if im != 0:
             raise ValueError(f"moment m_{k} has an imaginary part")
-        out.append(m.re)
+        out.append(re / L ** (k // 2))
     return out

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from filtered_spectra.exactnum import CRat
-from filtered_spectra.kernel import (IntervalPartition, Kernel,
+from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      compass_filter, constant_kernel,
-                                     kernel_from_filter)
+                                     kernel_from_filter, unit_partition)
 
 
 @pytest.fixture(scope="session")
@@ -94,3 +95,41 @@ def seeded_two_interval_kernel(seed: int = 20260819) -> Kernel:
             key = (0, 0, ia, ib)
             coeffs[key] = coeffs[key] + CRat(b[ia] * b[ib])
     return Kernel(part, 1, coeffs)
+
+
+def tilted_circle_kernel() -> Kernel:
+    """s = f (x) f on one interval, f(t) = 1 + Re((1+i) exp(it)) / 4.
+
+    f is positive and neither even nor odd in t, so s_10 = (1+i)/8 is
+    not real: the exact routes carry imaginary parts that must cancel.
+    """
+    f = {0: CRat(1), 1: CRat(Fraction(1, 8), Fraction(1, 8)),
+         -1: CRat(Fraction(1, 8), Fraction(-1, 8))}
+    return Kernel(unit_partition(), 1, {(i, j, 0, 0): f[i] * f[j]
+                                        for i in f for j in f})
+
+
+def coprime_kernel() -> Kernel:
+    """s = 1/3 + (2/7) cos(t1 - t2): coefficient denominators 3 and 7."""
+    return Kernel(unit_partition(), 1, {
+        (0, 0, 0, 0): CRat(Fraction(1, 3)),
+        (1, -1, 0, 0): CRat(Fraction(1, 7)),
+        (-1, 1, 0, 0): CRat(Fraction(1, 7))})
+
+
+@st.composite
+def small_filters(draw):
+    """A random filter with taps in [-1, 1]^2 and values of denominator <= 3."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1),
+                  st.fractions(min_value=Fraction(-1), max_value=Fraction(1),
+                               max_denominator=3)),
+        min_size=1, max_size=3))
+    taps = {}
+    for i, j, v in pairs:
+        taps[(i, j)] = v
+        taps[(-j, -i)] = v
+    if all(v == 0 for v in taps.values()):
+        taps[(1, 1)] = Fraction(1, 2)
+        taps[(-1, -1)] = Fraction(1, 2)
+    return Filter(taps)

@@ -46,10 +46,23 @@ def test_moments_with_oracle(tmp_path):
     assert [r["moment"] for r in rows] == \
         ["0", "1", "0", "3", "0", "11.75", "0", "52.25"]
     assert all(r["moment"] == r["enumeration"] for r in rows)
+    assert _report(out)["oracle_kmax"] == 8
     man = _manifest(out)
     assert man["command"] == "moments"
     assert {o["path"] for o in man["outputs"]} == \
         {"moments.csv", "report.json"}
+    # the oracle enumerates up to k = 12 and says so
+    out = tmp_path / "m14"
+    rc = main(["moments", "--filter", COMPASS, "--kmax", "14", "--oracle",
+               "--out", str(out)])
+    assert rc == 0
+    assert _report(out)["oracle_kmax"] == 12
+    rows = _rows(out / "moments.csv")
+    assert all(r["moment"] == r["enumeration"] for r in rows[:12])
+    assert [r["enumeration"] for r in rows[12:]] == ["", ""]
+    rc = main(["moments", "--filter", COMPASS, "--kmax", "4",
+               "--out", str(tmp_path / "plain")])
+    assert rc == 0 and _report(tmp_path / "plain")["oracle_kmax"] is None
 
 
 def test_solve_reports_golden_value(tmp_path):

@@ -2,13 +2,17 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
+from hypothesis import given, settings
 
 from filtered_spectra.combinat import (enumerate_wigner_partitions,
                                        moments_by_enumeration, tree_integral)
 from filtered_spectra.kernel import compass_filter, constant_kernel, \
     kernel_from_filter
-from conftest import rank_two_kernel
+from conftest import coprime_kernel, rank_two_kernel, small_filters, \
+    tilted_circle_kernel, two_point_kernel
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -78,3 +82,44 @@ def test_enumeration_moments_compass():
 def test_kmax_guard():
     with pytest.raises(ValueError, match="desk-scale"):
         moments_by_enumeration(constant_kernel(), 40)
+
+
+def _per_partition_moments(kern, kmax, mode, exact=False):
+    """Each tree integral on its own (no shared messages), then summed."""
+    out = []
+    for k in range(1, kmax + 1):
+        vals = [tree_integral(kern, w, mode=mode, exact=exact)
+                for w in enumerate_wigner_partitions(k)]
+        out.append(sum(vals, Fraction(0)) if exact else math.fsum(vals))
+    return out
+
+
+@pytest.mark.parametrize("kern", [
+    constant_kernel(), kernel_from_filter(compass_filter()),
+    tilted_circle_kernel(), coprime_kernel()],
+    ids=["constant", "compass", "tilted", "coprime"])
+def test_shared_messages_equal_per_partition_sum(kern):
+    shared = moments_by_enumeration(kern, 10, exact=True)
+    assert shared == _per_partition_moments(kern, 10, "fourier-lattice",
+                                            exact=True)
+    assert all(isinstance(m, Fraction) for m in shared)
+    # the float path sums the same per-partition values, so it is bit-equal
+    assert moments_by_enumeration(kern, 10) == \
+        _per_partition_moments(kern, 10, "fourier-lattice")
+
+
+def test_two_point_kernel_uses_quadrature():
+    # two intervals: the lattice route (and so exact mode) does not apply
+    kern = two_point_kernel()
+    assert moments_by_enumeration(kern, 10) == \
+        _per_partition_moments(kern, 10, "quadrature")
+    with pytest.raises(ValueError, match="fourier-lattice"):
+        moments_by_enumeration(kern, 4, exact=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_filters())
+def test_shared_messages_equal_per_partition_sum_random_filters(h):
+    kern = kernel_from_filter(h)
+    assert moments_by_enumeration(kern, 10, exact=True) == \
+        _per_partition_moments(kern, 10, "fourier-lattice", exact=True)

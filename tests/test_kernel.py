@@ -1,4 +1,4 @@
-"""Filter/kernel construction, symmetry checks, grids, and JSON I/O."""
+"""Exact scalars, filter/kernel construction, symmetry checks, grids, JSON I/O."""
 
 from fractions import Fraction
 
@@ -15,6 +15,23 @@ from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      validate_kernel)
 from conftest import rank_two_kernel, seeded_two_interval_kernel, \
     two_point_kernel
+
+
+def test_crat_arithmetic():
+    a, b = CRat(1, 2), CRat("1/3")
+    half = Fraction(1, 2)
+    assert a + b == CRat(Fraction(4, 3), 2) and a - b == CRat(Fraction(2, 3), 2)
+    assert 1 - a == CRat(0, -2) and a - 1 == CRat(0, 2) and -a == CRat(-1, -2)
+    assert a * b == CRat(Fraction(1, 3), Fraction(2, 3))
+    assert a * a == CRat(-3, 4) and 2 * a == a + a
+    for z in (a + b, a - b, 1 - a, -a, a * b, 3 * a):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert CRat(0.5, "-1/4") == CRat(half, Fraction(-1, 4))   # exact coercion
+    for bad in (True, None, 1j, a):
+        with pytest.raises(TypeError):
+            CRat(bad)
+    with pytest.raises(TypeError):
+        CRat(1, False)
 
 
 def test_interval_partition_validation():

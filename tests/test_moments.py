@@ -1,18 +1,27 @@
-"""Moment recursion against the enumeration oracle; NiceFunction algebra."""
+"""Moment recursion against the enumeration oracle and pinned values."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+from filtered_spectra import moments
 from filtered_spectra.combinat import moments_by_enumeration
-from filtered_spectra.kernel import (Filter, compass_filter, constant_kernel,
+from filtered_spectra.exactnum import CRat
+from filtered_spectra.kernel import (Kernel, compass_filter, constant_kernel,
                                      kernel_from_filter, unit_partition)
 from filtered_spectra.moments import (NiceFunction, phi_psi_recursion,
                                       theoretical_moments)
-from conftest import rank_two_kernel, seeded_two_interval_kernel, \
+from conftest import coprime_kernel, rank_two_kernel, \
+    seeded_two_interval_kernel, small_filters, tilted_circle_kernel, \
     two_point_kernel
+
+
+def _mean(f: NiceFunction):
+    """<P, f>: the constant coefficients weighted by interval length."""
+    return sum(w * row[f.degree]
+               for w, row in zip(f.partition.lengths, f.values))
 
 
 def test_semicircle_moments_exact():
@@ -58,27 +67,34 @@ def test_even_moments_positive_odd_zero():
 def test_phi_psi_shapes_and_bounds():
     kern = kernel_from_filter(compass_filter())
     phis, psis = phi_psi_recursion(kern, 6)
-    assert phis[0].mean() == 1                # Phi_1 = 1
-    assert psis[0].mean() == kern.l1_norm()   # <P, Psi_1> = integral of s
+    assert _mean(phis[0]) == 1                # Phi_1 = 1
+    assert _mean(psis[0]) == kern.l1_norm()   # <P, Psi_1> = integral of s
     A = kern.amplitude()
     for n, phi in enumerate(phis, start=1):
-        val = phi.mean()
-        assert 0 <= float(val.re if hasattr(val, "re") else val) <= A ** (n - 1)
+        assert 0 <= float(_mean(phi).re) <= A ** (n - 1)
     for psi in psis:
         assert psi.degree <= kern.band
 
 
 def test_nice_function_algebra():
-    part = unit_partition()
-    one = NiceFunction.constant(part, Fraction(1))
-    two = NiceFunction.constant(part, Fraction(2))
-    assert (one + two).mean() == 3
-    assert (one * two).mean() == 2
-    # xi + conj(xi) = 2 cos(theta): mean 0, square has mean 2
-    f = NiceFunction(part, 1, [[Fraction(1), 0, Fraction(1)]])
-    assert f.mean() == 0
-    assert (f * f).mean() == 2
-    grid = f.on_grid(8)
+    """Products, sums and pairings as the recursion forms them, on the compass.
+
+    s = (xi^2 + 2 + conj xi^2)(eta^2 + 2 + conj eta^2) / 4.
+    """
+    phis, psis = phi_psi_recursion(kernel_from_filter(compass_filter()), 5)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert [f.degree for f in phis] == [0, 0, 2, 0, 4]
+    assert phis[0].values == [[1]] and phis[1].values == [[0]]
+    assert psis[0].values == [[half, 0, 1, 0, half]]         # s_{i,0}
+    assert phis[2].values == psis[0].values                  # Psi_1 Phi_1
+    assert psis[2].values == [[3 * quarter, 0, 3 * half, 0, 3 * quarter]]
+    # Phi_5 = Psi_1^2 + Psi_3, whose mean is m_4 = 3
+    assert phis[4].values == [[quarter, 0, 7 * quarter, 0, 3, 0,
+                               7 * quarter, 0, quarter]]
+    assert all(isinstance(v, CRat) for f in phis + psis for v in f.values[0])
+    # xi + conj(xi) = 2 cos(theta) on the grid
+    grid = NiceFunction(unit_partition(), 1,
+                        [[Fraction(1), 0, Fraction(1)]]).on_grid(8)
     assert grid.shape == (1, 8)
     assert grid[0, 0] == pytest.approx(2.0)
     assert np.max(np.abs(grid.imag)) < 1e-12
@@ -94,34 +110,54 @@ def test_nice_function_trim():
 
 
 def test_pair_with_kernel_semicircle():
-    k1 = constant_kernel()
-    one = NiceFunction.constant(k1.partition, Fraction(1))
-    paired = one.pair_with_kernel(k1)
-    assert paired.degree == 0
-    assert paired.mean() == 1
+    """s = 1 pairs every Phi_n to its mean: Psi_n = Phi_n = Catalan."""
+    phis, psis = phi_psi_recursion(constant_kernel(), 7)
+    assert [f.degree for f in phis + psis] == [0] * 14
+    assert [_mean(f) for f in phis] == [1, 0, 1, 0, 2, 0, 5]
+    assert [_mean(f) for f in psis] == [1, 0, 1, 0, 2, 0, 5]
 
 
 def test_degree_cap_refuses():
     kern = kernel_from_filter(compass_filter())
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(ValueError,
+                       match=r"^Phi_11 would have degree 10 > cap 8$"):
         phi_psi_recursion(kern, 12, degree_cap=8)
+    phis, _ = phi_psi_recursion(kern, 11, degree_cap=10)    # at the cap
+    assert phis[-1].degree == 10
 
 
-@st.composite
-def small_filters(draw):
-    pairs = draw(st.lists(
-        st.tuples(st.integers(-1, 1), st.integers(-1, 1),
-                  st.fractions(min_value=Fraction(-1), max_value=Fraction(1),
-                               max_denominator=3)),
-        min_size=1, max_size=3))
-    taps = {}
-    for i, j, v in pairs:
-        taps[(i, j)] = v
-        taps[(-j, -i)] = v
-    if all(v == 0 for v in taps.values()):
-        taps[(1, 1)] = Fraction(1, 2)
-        taps[(-1, -1)] = Fraction(1, 2)
-    return Filter(taps)
+def test_nonreal_moment_refused():
+    # s = 1 + i is not a real kernel: m_2 = s_00
+    kern = Kernel(unit_partition(), 0, {(0, 0, 0, 0): CRat(1, 1)})
+    with pytest.raises(ValueError, match="m_2 has an imaginary part"):
+        theoretical_moments(kern, 4)
+
+
+def test_recursion_matches_enumeration_nonreal_coefficients():
+    kern = tilted_circle_kernel()
+    assert any(v.im != 0 for v in kern.coeffs.values())
+    fast = theoretical_moments(kern, 10)
+    assert fast == moments_by_enumeration(kern, 10, exact=True)
+    assert all(isinstance(m, Fraction) for m in fast)
+
+
+def test_recursion_matches_enumeration_coprime_denominators():
+    kern = coprime_kernel()
+    assert moments._scaled_table(kern)[0] == 21              # L = lcm(3, 7)
+    fast = theoretical_moments(kern, 10)
+    assert fast == moments_by_enumeration(kern, 10, exact=True)
+    assert fast[1] == Fraction(1, 3)                          # m_2 = s_00
+
+
+def test_unequal_intervals_pinned():
+    # seeded_two_interval_kernel(2) cuts [0, 1] at 1/4
+    kern = seeded_two_interval_kernel(2)
+    assert kern.partition.breakpoints[1] == Fraction(1, 4)
+    assert theoretical_moments(kern, 10) == [
+        0, Fraction(265, 1024), 0, Fraction(36827, 262144),
+        0, Fraction(418595051, 4294967296),
+        0, Fraction(674051491825, 8796093022208),
+        0, Fraction(18736661697015885, 288230376151711744)]
 
 
 @settings(max_examples=40, deadline=None)
