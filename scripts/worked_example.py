@@ -23,7 +23,7 @@ print("kernel band:", kern.band, " amplitude:", kern.amplitude())
 
 print("\nexact moments m_1..m_8 (recursion | enumeration):")
 rec = theoretical_moments(kern, 8)
-enum = moments_by_enumeration(kern, 8, exact=True)
+enum = moments_by_enumeration(kern, 8)
 for k, (a, b) in enumerate(zip(rec, enum), start=1):
     print(f"  m_{k} = {a}   | {b}")
 

@@ -145,21 +145,33 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _document(value):
-    """A JSON document given inline, as a dict, or as a path."""
+def _document(flag: str, value) -> dict:
+    """A JSON object given inline, as a dict, or as a path.
+
+    A value that does not read as a JSON object raises ValueError naming
+    the flag and the value, so main exits 2 instead of a traceback.
+    """
     if isinstance(value, dict):
         return value
     text = str(value)
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+        else:
+            with open(text) as fh:
+                doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--{flag} {text!r} is not inline JSON or a "
+                         f"readable JSON file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"--{flag} {text!r} is not a JSON object")
+    return doc
 
 
 def _get_filter(cfg: dict) -> Filter:
     if "filter" not in cfg:
         raise SystemExit("this command needs --filter (or a config entry)")
-    obj = read_color_document(cfg["filter"])
+    obj = read_color_document(_document("filter", cfg["filter"]))
     if not isinstance(obj, Filter):
         raise SystemExit("--filter must name a filter document")
     return obj
@@ -167,7 +179,8 @@ def _get_filter(cfg: dict) -> Filter:
 
 def _get_kernel(cfg: dict):
     if "kernel" in cfg:
-        return as_kernel(read_color_document(cfg["kernel"]))
+        doc = _document("kernel", cfg["kernel"])
+        return as_kernel(read_color_document(doc))
     if "filter" in cfg:
         return as_kernel(_get_filter(cfg))
     raise SystemExit("this command needs --kernel or --filter")
@@ -179,7 +192,7 @@ def _parse_complex(text: str) -> complex:
 
 
 def _curve_from_doc(doc) -> BivariatePolynomial:
-    if not isinstance(doc, dict) or "coeffs" not in doc:
+    if "coeffs" not in doc:
         raise SystemExit(
             'curve/relation documents need a "coeffs" list: '
             '{"coeffs": [[i, j, "value"], ...]}')
@@ -194,19 +207,20 @@ def cmd_moments(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     kmax = int(cfg.get("kmax", 8))
     run = _Run("moments", cfg, cfg["out"])
-    ms = [float(v) for v in theoretical_moments(kern, kmax)]
+    exact = theoretical_moments(kern, kmax)
+    ms = [float(v) for v in exact]
     rows = [[k + 1, ms[k]] for k in range(kmax)]
     header = ["k", "moment"]
     status = 0
     worst = 0.0
     cap = min(kmax, 12)          # the oracle's enumeration stops here
     if cfg.get("oracle"):
-        oracle = [float(v) for v in moments_by_enumeration(kern, cap)]
+        oracle = moments_by_enumeration(kern, cap)
         for k in range(kmax):
-            rows[k].append(oracle[k] if k < cap else "")
-        worst = max(abs(ms[k] - oracle[k]) for k in range(cap))
+            rows[k].append(float(oracle[k]) if k < cap else "")
+        worst = max(abs(ms[k] - float(oracle[k])) for k in range(cap))
         header.append("enumeration")
-        if worst > 1e-9:
+        if oracle != exact[:cap]:   # both routes are exact Fractions
             status = 2
     run.write_csv("moments.csv", header, rows)
     run.write_json("report.json", {"mode": "exact", "kmax": kmax,
@@ -307,7 +321,7 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_eliminate(cfg: dict) -> int:
     if "relation" not in cfg:
         raise SystemExit("eliminate needs --relation (JSON curve document)")
-    rel = _curve_from_doc(_document(cfg["relation"]))
+    rel = _curve_from_doc(_document("relation", cfg["relation"]))
     kern = _get_kernel(cfg)
     run = _Run("eliminate", cfg, cfg["out"])
     cert = {}
@@ -326,7 +340,7 @@ def cmd_eliminate(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     if "curve" not in cfg:
         raise SystemExit("verify needs --curve (JSON curve document)")
-    curve = _curve_from_doc(_document(cfg["curve"]))
+    curve = _curve_from_doc(_document("curve", cfg["curve"]))
     kern = _get_kernel(cfg)
     count = int(cfg.get("samples", 20))
     radius = float(cfg.get("radius", max(10.0, 2.5 * kern.amplitude())))

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Kernel, phases
-from .moments import NiceFunction
 
 __all__ = [
     "ColorSolution",
@@ -72,10 +71,14 @@ ROUNDOFF = 768        # c in solver_moments' rounding bound c*eps*R^k
 
 @dataclass
 class ColorSolution:
-    """One converged solve: lam, the color field, S(lam), and the residual."""
+    """One converged solve: lam, the color field, S(lam), and the residual.
+
+    psi is the (nI, 2K+1) coefficient table of Psi(., lam): psi[a, d + K]
+    is the coefficient of exp(i d theta) on interval a.
+    """
 
     lam: complex
-    psi: NiceFunction
+    psi: np.ndarray
     stieltjes: complex
     residual: float
 
@@ -132,11 +135,6 @@ class _GridOps:
         g2hat = (g * g) @ self.phase2.T / self.T
         jac = np.einsum("ijab,nbjm->naibm", self.pair, g2hat[:, :, self.hankel])
         return jac.reshape(-1, self.dim, self.dim)
-
-    def table(self, psi: NiceFunction) -> np.ndarray:
-        """A NiceFunction of degree <= K as an (nI, 2K+1) table."""
-        pad = self.K - psi.degree
-        return np.pad(np.array(psi.values, dtype=complex), ((0, 0), (pad, pad)))
 
 
 def _newton_batch(ops: _GridOps, lams, c0):
@@ -227,12 +225,11 @@ def _continue_batch(kern: Kernel, targets, anchor=None):
     return S, c, res, ok
 
 
-def _solution(kern, lam, c, S, residual) -> ColorSolution:
+def _solution(lam, c, S, residual) -> ColorSolution:
     lam, S = complex(lam), complex(S)
     _assert_herglotz(lam, S)
-    values = [[complex(v) for v in row] for row in c]
-    nf = NiceFunction(kern.partition, kern.band, values).trim()
-    return ColorSolution(lam=lam, psi=nf, stieltjes=S, residual=float(residual))
+    return ColorSolution(lam=lam, psi=c.copy(), stieltjes=S,
+                         residual=float(residual))
 
 
 def _assert_herglotz(lam, S, slack=1e-9):
@@ -263,12 +260,12 @@ def solve_color_fixed_point(kern: Kernel, lam,
     if warm_start is None:
         return stieltjes_path(kern, [lam])[0]
     ops = _GridOps(kern)
-    c, S, res, ok = _newton_batch(ops, [lam], ops.table(warm_start.psi)[None])
+    c, S, res, ok = _newton_batch(ops, [lam], warm_start.psi[None])
     if not ok[0]:
         raise RuntimeError(
             f"color fixed point did not converge at lambda = {lam}: "
             f"last residual {res[0]:.3e}")
-    return _solution(kern, lam, c[0], S[0], res[0])
+    return _solution(lam, c[0], S[0], res[0])
 
 
 def stieltjes_path(kern: Kernel, targets, anchor=None) -> list:
@@ -283,7 +280,7 @@ def stieltjes_path(kern: Kernel, targets, anchor=None) -> list:
     if not ok.all():
         bad = [t for t, o in zip(targets, ok) if not o]
         raise RuntimeError(f"continuation failed at lambda = {bad}")
-    return [_solution(kern, t, c, s, r)
+    return [_solution(t, c, s, r)
             for t, c, s, r in zip(targets, cs, S, res)]
 
 
@@ -406,7 +403,7 @@ def rank_one_w(kern: Kernel, lam) -> complex:
     if float(np.max(np.abs(f_grid.imag))) > 1e-9 * max(
             1.0, float(np.max(np.abs(f_grid.real)))):
         raise AssertionError("rank-one factor came out non-real on the grid")
-    psi_grid = sol.psi.on_grid(ops.T)
+    psi_grid = sol.psi @ ops.phase
     vals = f_grid.real / (lam - psi_grid)
     w = complex(vals.mean(axis=1) @ ops.wts)
     lhs = lam * sol.stieltjes

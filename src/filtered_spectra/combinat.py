@@ -20,38 +20,34 @@ involution pairing the two traversals of each tree edge: steps i and
 sigma(i) cross the same edge in opposite directions.
 
 The expectation E M_pi = E prod_{edges} s(kappa_A, kappa_B) over
-i.i.d. uniform colors is a "tree integral".  Two independent
-evaluators are provided:
+i.i.d. uniform colors is a "tree integral".  It has one evaluator, exact
+for every kernel: a color is an interval a and an angle, and integrating
+the angles leaves the finite sum, over integer step labels with zero sum
+on every part, of prod_{i < sigma(i)} s_{f(i), f(sigma(i))}(a, b), each
+vertex's interval a weighted by its length len_a.  Leaf elimination
+contracts that sum over the tree by convolution messages indexed by the
+interval of the vertex they reach, so every value is a Fraction.
 
-* quadrature — leaf elimination over G_pi on a product grid sized to
-  the total trigonometric degree, so the integral is exact up to
-  roundoff (cost k * (grid size)^2 instead of (grid size)^(k/2+1));
-* fourier-lattice — for pure-Fourier kernels only, the exact rational
-  finite sum over integer step labels with zero sum on every part,
-  contracted over the tree by convolution messages.
-
-Cost.  Partitions are still enumerated one at a time, and the quadrature
-evaluator still eliminates each tree on its own.  The lattice messages
-depend only on the shape of the rooted plane subtree below an edge, so
-moments_by_enumeration shares them across every partition and every k
-of one call.  A vertex's label distribution is that of its shape minus
-the last child, convolved with the last child's message, so the work is
-one convolution per distinct plane forest of at most k/2 edges: the sum
-over n <= k/2 of Catalan(n), 197 up to k = 12, instead of k/2 edge
-messages for each of the 196 partitions.  What is left per partition is
-building its shape and one lookup.
+Cost.  Partitions are still enumerated one at a time.  A message depends
+only on the shape of the rooted subtree below an edge, and s(c, c') =
+s(c', c), so the order of a vertex's children does not matter: shapes
+are canonical, with each vertex's child shapes sorted, and mirror-image
+forests share one memo entry.  moments_by_enumeration shares the
+messages across every partition and every k of one call.  A vertex's
+label distribution is that of its shape minus the last child, convolved
+with the last child's message, so the work is one convolution per
+distinct canonical forest of at most k/2 edges: 85 up to k = 12, instead
+of k/2 edge messages for each of the 196 partitions.  What is left per
+partition is building its shape and one lookup.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import CRat
-from .kernel import Kernel, grid_weights, kernel_grid_matrix
+from .kernel import Kernel
 
 __all__ = [
     "WignerPartition",
@@ -189,167 +185,126 @@ def _check_partition(w: WignerPartition):
 # tree integrals
 # ---------------------------------------------------------------------------
 
-def tree_integral(kern: Kernel, w: WignerPartition, mode: str = "quadrature",
-                  exact: bool = False):
-    """E M_pi = E prod over tree edges of s(color_A, color_B).
+def tree_integral(kern: Kernel, w: WignerPartition) -> Fraction:
+    """E M_pi = E prod over tree edges of s(color_A, color_B), exactly.
 
-    mode "quadrature": leaf elimination on an angular grid of size
-    >= 2*K*k + 1 per circle (exact for the total trigonometric degree)
-    with exact interval weights; returns a float.
-
-    mode "fourier-lattice": pure-Fourier kernels only; the exact finite
-    sum over integer step labels f with sum zero on every part of
-    prod_{i < sigma(i)} s_{f(i), f(sigma(i))}.  Returns a float, or the
-    exact Fraction when exact=True.
+    The finite sum over integer step labels f with sum zero on every
+    part of prod_{i < sigma(i)} s_{f(i), f(sigma(i))}, integrated over
+    the intervals of the parts.
     """
-    if mode == "fourier-lattice":
-        val = _LatticeMessages(kern).integral(w)
-        return val if exact else float(val)
-    if mode == "quadrature":
-        if exact:
-            raise ValueError("exact values require mode='fourier-lattice'")
-        return _tree_integral_quadrature(kern, w)
-    raise ValueError(f"unknown tree integral mode {mode!r}")
-
-
-def _tree_integral_quadrature(kern: Kernel, w: WignerPartition) -> float:
-    T = max(2 * kern.band * w.k + 1, 1)
-    S = kernel_grid_matrix(kern, T)
-    wts = grid_weights(kern, T)
-    nv = len(w.parts)
-
-    adj = {v: set() for v in range(nv)}
-    for a, b in w.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    # integrate leaves out one at a time; each elimination is one matvec
-    funcs = {v: None for v in range(nv)}  # None = constant 1
-    alive = set(range(nv))
-    while len(alive) > 1:
-        leaf = next(v for v in alive if len(adj[v]) == 1 and v != 0)
-        (parent,) = adj[leaf]
-        g = funcs[leaf]
-        msg = S @ wts if g is None else S @ (wts * g)
-        funcs[parent] = msg if funcs[parent] is None else funcs[parent] * msg
-        adj[parent].discard(leaf)
-        adj[leaf].clear()
-        alive.discard(leaf)
-
-    root = alive.pop()
-    g = funcs[root]
-    return float(np.sum(wts)) if g is None else float(wts @ g)
+    return _LatticeMessages(kern).integral(w)
 
 
 def _plane_shape(w: WignerPartition) -> tuple:
-    """G_pi as a rooted plane tree: each vertex is the tuple of its children.
+    """G_pi as a canonical rooted tree: each vertex is the sorted tuple of
+    its children's shapes.
 
-    Vertices are numbered in depth-first order and each vertex's edges
-    are listed in tour order, so children follow their parents.
+    Vertices are numbered in depth-first order, so children follow their
+    parents and are shaped first.
     """
     kids = [[] for _ in w.parts]
     for a, b in w.edges:
         kids[a].append(b)
     shapes = [()] * len(kids)
     for v in reversed(range(len(kids))):
-        shapes[v] = tuple(shapes[c] for c in kids[v])
+        shapes[v] = tuple(sorted(shapes[c] for c in kids[v]))
     return shapes[0]
 
 
 class _LatticeMessages:
-    """Exact fourier-lattice messages for one kernel, memoized by shape.
+    """Exact lattice messages for one kernel, memoized by shape.
 
-    A shape is a rooted plane tree written as the tuple of its children's
-    shapes, so the same tuple is also the forest hanging below its root.
-    dist(forest) is the distribution of the sum of the labels on the
-    forest's root edges; up(shape) is the message a subtree of that
-    shape sends over the parent-side label of the edge above it.  Every
-    tree integral is dist(shape)[0], and each distinct forest prefix is
-    convolved once, however many partitions share it.
+    A shape is a rooted tree written as the sorted tuple of its
+    children's shapes, so the same tuple is also the forest hanging below
+    its root.  dist(forest)[a] is the distribution of the sum of the
+    labels on the forest's root edges, the root lying in interval a;
+    up(shape)[a] is the message a subtree of that shape sends over the
+    parent-side label of the edge above it, the parent lying in interval
+    a.  Every tree integral is the sum over a of len_a dist(shape)[a][0],
+    and each distinct forest prefix is convolved, and each shape
+    integrated, once, however many partitions share it.
     """
 
     def __init__(self, kern: Kernel):
-        if not kern.is_pure_fourier:
-            raise ValueError("fourier-lattice mode needs a single-interval kernel")
-        K = kern.band
-        # rows[jp + K]: the nonzero s_{jp, jc} as (jc, value) pairs
-        self.rows = [[(jc, kern.coeffs[(jp, jc, 0, 0)])
-                      for jc in range(-K, K + 1) if (jp, jc, 0, 0) in kern.coeffs]
-                     for jp in range(-K, K + 1)]
+        K, nI = kern.band, kern.partition.n
+        self.lengths = kern.partition.lengths
+        # rows[a][jp + K]: the nonzero len_b s_{jp, jc}(a, b) as (jc, b, value)
+        self.rows = [[[] for _ in range(2 * K + 1)] for _ in range(nI)]
+        for (jp, jc, a, b), v in sorted(kern.coeffs.items()):
+            self.rows[a][jp + K].append((jc, b, v * self.lengths[b]))
         self.K = K
-        self.dists = {(): {0: CRat(1)}}
+        self.dists = {(): [{0: CRat(1)}] * nI}
         self.ups = {}
+        self.integrals = {}
 
-    def dist(self, forest: tuple) -> dict:
-        """Label-sum distribution over the forest's root edges (a convolution)."""
+    def dist(self, forest: tuple) -> list:
+        """Per root interval, the label-sum distribution over the forest's
+        root edges (a convolution)."""
         out = self.dists.get(forest)
         if out is None:
-            prefix, msg = self.dist(forest[:-1]), self.up(forest[-1])
-            out = {}
-            for tot, acc in prefix.items():
-                for j, m in msg.items():
-                    key = tot + j
-                    cur = out.get(key)
-                    out[key] = acc * m if cur is None else cur + acc * m
+            out = []
+            for prefix, msg in zip(self.dist(forest[:-1]), self.up(forest[-1])):
+                conv = {}
+                for tot, acc in prefix.items():
+                    for j, m in msg.items():
+                        key = tot + j
+                        cur = conv.get(key)
+                        conv[key] = acc * m if cur is None else cur + acc * m
+                out.append(conv)
             self.dists[forest] = out
         return out
 
-    def up(self, shape: tuple) -> dict:
-        """Message over the parent-side label of the edge into a `shape` subtree.
+    def up(self, shape: tuple) -> list:
+        """Per parent interval, the message over the parent-side label of
+        the edge into a `shape` subtree.
 
         The up-step into the child precedes its partner, so the edge
-        weight is s_{parent label, child label} in that order.
+        weight is s_{parent label, child label}(parent, child) in that
+        order.
         """
         out = self.ups.get(shape)
         if out is None:
             dist = self.dist(shape)
-            out = {}
-            for jp, row in enumerate(self.rows, start=-self.K):
-                acc = None
-                for jc, coeff in row:
-                    part = dist.get(-jc)
-                    if part is not None:
-                        term = coeff * part
-                        acc = term if acc is None else acc + term
-                if acc:
-                    out[jp] = acc
+            out = []
+            for rows in self.rows:
+                msg = {}
+                for jp, row in enumerate(rows, start=-self.K):
+                    acc = None
+                    for jc, b, coeff in row:
+                        part = dist[b].get(-jc)
+                        if part is not None:
+                            term = coeff * part
+                            acc = term if acc is None else acc + term
+                    if acc:
+                        msg[jp] = acc
+                out.append(msg)
             self.ups[shape] = out
         return out
 
     def integral(self, w: WignerPartition) -> Fraction:
-        total = self.dist(_plane_shape(w)).get(0, CRat(0))
-        if total.im != 0:
-            raise ValueError("tree integral came out non-real")
-        return total.re
+        shape = _plane_shape(w)
+        out = self.integrals.get(shape)
+        if out is None:
+            total = CRat(0)
+            for length, dist in zip(self.lengths, self.dist(shape)):
+                part = dist.get(0)
+                if part is not None:
+                    total = total + part * length
+            if total.im != 0:
+                raise ValueError("tree integral came out non-real")
+            out = self.integrals[shape] = total.re
+        return out
 
 
-def moments_by_enumeration(kern: Kernel, kmax: int, mode: str | None = None,
-                           exact: bool = False) -> list:
+def moments_by_enumeration(kern: Kernel, kmax: int) -> list:
     """m_k = sum over Wigner partitions of E M_pi, for k = 1..kmax.
 
-    Odd moments are exactly zero.  mode defaults to fourier-lattice on
-    pure-Fourier kernels (exact-capable) and quadrature otherwise.
+    Exact Fractions; odd moments are zero (there are no partitions).
     """
     if kmax > KMAX_GUARD:
         raise ValueError(f"kmax > {KMAX_GUARD}: Catalan growth makes this a desk-scale ceiling")
-    if mode is None:
-        mode = "fourier-lattice" if kern.is_pure_fourier else "quadrature"
-    if exact and mode != "fourier-lattice":
-        raise ValueError("exact enumeration requires the fourier-lattice mode")
-
     # one memo per call: every k shares the subtree messages of smaller k
-    lattice = _LatticeMessages(kern) if mode == "fourier-lattice" else None
-    out = []
-    for k in range(1, kmax + 1):
-        if k % 2 == 1:
-            out.append(Fraction(0) if exact else 0.0)
-            continue
-        partitions = enumerate_wigner_partitions(k)
-        if lattice is None:
-            out.append(math.fsum(tree_integral(kern, w, mode=mode)
-                                 for w in partitions))
-            continue
-        vals = [lattice.integral(w) for w in partitions]
-        out.append(sum(vals, Fraction(0)) if exact
-                   else math.fsum(float(v) for v in vals))
-    return out
+    lattice = _LatticeMessages(kern)
+    return [sum((lattice.integral(w) for w in enumerate_wigner_partitions(k)),
+                Fraction(0))
+            for k in range(1, kmax + 1)]

@@ -48,7 +48,6 @@ __all__ = [
     "angular_grid",
     "phases",
     "kernel_grid_matrix",
-    "grid_weights",
     "as_kernel",
 ]
 
@@ -181,16 +180,11 @@ class Kernel:
         self.band = int(self.band)
         if self.band < 0:
             raise ValueError("band must be >= 0")
-        self._grid_cache = {}
 
     # -- exact accessors -----------------------------------------------
 
     def coeff(self, i: int, j: int, a: int, b: int) -> CRat:
         return self.coeffs.get((i, j, a, b), CRat(0))
-
-    @property
-    def is_pure_fourier(self) -> bool:
-        return self.partition.n == 1
 
     def l1_norm(self) -> Fraction:
         """Exact L1 norm of s (s is nonnegative, so this is its integral)."""
@@ -354,13 +348,8 @@ def phases(K: int, T: int) -> np.ndarray:
 def kernel_grid_matrix(kern: Kernel, T: int, check_real: bool = True) -> np.ndarray:
     """s evaluated on the product grid, shape (nI*T, nI*T), row index a*T + t.
 
-    One spatial node per interval suffices (s is constant per cell);
-    quadrature weights are length_a / T per node.
+    One spatial node per interval suffices (s is constant per cell).
     """
-    key = (T, check_real)
-    cached = kern._grid_cache.get(key)
-    if cached is not None:
-        return cached
     K, nI = kern.band, kern.partition.n
     phase = phases(K, T)
     arr = kern.coeff_array()  # (2K+1, 2K+1, nI, nI)
@@ -369,15 +358,7 @@ def kernel_grid_matrix(kern: Kernel, T: int, check_real: bool = True) -> np.ndar
     if check_real:
         if np.max(np.abs(g.imag)) > 1e-10 * max(1.0, np.max(np.abs(g.real))):
             raise ValueError("kernel is not real on the evaluation grid")
-    g = g.real.copy()
-    kern._grid_cache[key] = g
-    return g
-
-
-def grid_weights(kern: Kernel, T: int) -> np.ndarray:
-    """Quadrature weights matching kernel_grid_matrix's flattening."""
-    w = np.repeat([float(l) for l in kern.partition.lengths], T) / T
-    return w
+    return g.real
 
 
 # ---------------------------------------------------------------------------

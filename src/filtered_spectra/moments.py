@@ -32,10 +32,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import CRat
-from .kernel import Kernel, phases
+from .kernel import Kernel
 
 __all__ = ["NiceFunction", "phi_psi_recursion", "theoretical_moments"]
 
@@ -45,9 +43,8 @@ DEGREE_CAP = 256
 class NiceFunction:
     """Piecewise-constant-in-x trigonometric polynomial on color space.
 
-    values[a][d + degree] is the coefficient of xi^d on interval a.
-    Scalars are exact (CRat) from the recursion or complex floats from
-    the solver; a single instance keeps one scalar kind throughout.
+    values[a][d + degree] is the coefficient of xi^d on interval a, an
+    exact CRat.
     """
 
     __slots__ = ("partition", "degree", "values")
@@ -58,21 +55,6 @@ class NiceFunction:
         self.values = values
         assert len(values) == partition.n
         assert all(len(row) == 2 * self.degree + 1 for row in values)
-
-    def trim(self):
-        """Drop exactly-zero leading/trailing coefficient pairs."""
-        d = self.degree
-        while d > 0 and all(
-                row[0] == 0 and row[-1] == 0 for row in self.values):
-            self.values = [row[1:-1] for row in self.values]
-            d -= 1
-            self.degree = d
-        return self
-
-    def on_grid(self, T: int) -> np.ndarray:
-        """Complex values on the (interval, angle) grid, shape (nI, T)."""
-        vals = np.array([[complex(v) for v in row] for row in self.values])
-        return vals @ phases(self.degree, T)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +83,7 @@ def _scaled_table(kern: Kernel) -> tuple:
 
 
 def _trim(d: int, re_rows: list, im_rows: list) -> tuple:
-    """Drop the coefficient pairs that are zero on every row, as trim() does."""
+    """Drop the outer coefficient pairs that are zero on every row."""
     rows = re_rows + im_rows
     cut = 0
     while cut < d and not any(r[cut] or r[-1 - cut] for r in rows):

@@ -4,14 +4,17 @@ import csv
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from filtered_spectra import cli
 from filtered_spectra.cli import main
 from filtered_spectra.colorsolve import solver_moments
 from filtered_spectra.kernel import compass_filter, kernel_from_filter
 from filtered_spectra.matrixlab import (SampleConfig, sample_colored_gaussian,
                                         sample_filtered_wigner)
+from conftest import seeded_two_interval_kernel
 
 COMPASS = json.dumps({
     "type": "filter",
@@ -63,6 +66,50 @@ def test_moments_with_oracle(tmp_path):
     rc = main(["moments", "--filter", COMPASS, "--kmax", "4",
                "--out", str(tmp_path / "plain")])
     assert rc == 0 and _report(tmp_path / "plain")["oracle_kmax"] is None
+
+
+# seeded_two_interval_kernel(2): cut at 1/4, band 1
+TWO_INTERVAL = json.dumps({
+    "type": "kernel", "breakpoints": ["0", "1/4", "1"],
+    "coeffs": [[*key, str(v.re), str(v.im)]
+               for key, v in seeded_two_interval_kernel(2).coeffs.items()]})
+
+
+def test_moments_oracle_on_a_two_interval_kernel(tmp_path, monkeypatch):
+    out = tmp_path / "m"
+    rc = main(["moments", "--kernel", TWO_INTERVAL, "--kmax", "12",
+               "--oracle", "--out", str(out)])
+    assert rc == 0
+    rows = _rows(out / "moments.csv")
+    assert float(rows[1]["moment"]) == 265 / 1024
+    assert all(r["moment"] == r["enumeration"] for r in rows)
+    assert _report(out)["oracle_max_abs_diff"] == 0.0
+    # the routes are compared as Fractions: a difference no float shows fails
+    exact = cli.moments_by_enumeration
+    monkeypatch.setattr(cli, "moments_by_enumeration", lambda kern, k: [
+        m * (1 + Fraction(1, 10 ** 40)) for m in exact(kern, k)])
+    out = tmp_path / "off"
+    rc = main(["moments", "--kernel", TWO_INTERVAL, "--kmax", "4",
+               "--oracle", "--out", str(out)])
+    assert rc == 2
+    assert _report(out)["pass"] is False
+    assert _report(out)["oracle_max_abs_diff"] == 0.0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("density", "--kernel", '{"type": "kernel", bad'),
+    ("moments", "--filter", "no-such-document.json"),
+    ("verify", "--curve", "no-such-document.json"),
+    ("eliminate", "--relation", '{"coeffs": [[0, 0, "1"]'),
+    ("moments", "--kernel", "[1, 2]")])
+def test_bad_documents_exit_with_usage_error(tmp_path, capsys, command, flag,
+                                            value):
+    args = [command, flag, value, "--out", str(tmp_path / "bad")]
+    if flag in ("--curve", "--relation"):
+        args += ["--filter", COMPASS]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert flag in err and repr(value) in err
 
 
 def test_solve_reports_golden_value(tmp_path):

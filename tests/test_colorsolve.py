@@ -15,7 +15,8 @@ from filtered_spectra.colorsolve import (_GridOps, _continue_batch,
                                          solver_moments, stieltjes_path)
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
-                                     constant_kernel, kernel_from_filter)
+                                     constant_kernel, kernel_from_filter,
+                                     phases)
 from filtered_spectra.moments import theoretical_moments
 from conftest import rank_two_kernel, seeded_two_interval_kernel, \
     two_point_kernel
@@ -132,8 +133,8 @@ def test_solver_moments_within_stated_bound(make):
 
 def test_psi_representation(compass_kernel):
     sol = solve_color_fixed_point(compass_kernel, 4.0 + 1.0j)
-    assert sol.psi.degree <= compass_kernel.band
-    grid = sol.psi.on_grid(64)
+    assert sol.psi.shape == (1, 2 * compass_kernel.band + 1)
+    grid = sol.psi @ phases(compass_kernel.band, 64)
     assert grid.shape == (1, 64)
     # Psi inherits the Herglotz sign on the whole color space
     assert grid.imag.max() < 1e-12
@@ -216,7 +217,7 @@ def test_band_zero_psi_solves_the_color_equations():
     ell = np.diff(np.array(BAND_ZERO_CUTS, dtype=float))
     lams = [3.0 + 1.0j, 0.4 + 5e-3j, -1.1 + 1e-3j, -4.0 + 0.0j]
     for lam, sol in zip(lams, stieltjes_path(kern, lams)):
-        psi = np.array([complex(row[0]) for row in sol.psi.values])
+        psi = sol.psi[:, 0]
         g = 1.0 / (lam - psi)
         assert np.max(np.abs(psi - s @ (ell * g))) <= 1e-12
         assert abs(sol.stieltjes - ell @ g) <= 1e-12

@@ -9,10 +9,9 @@ from hypothesis import given, strategies as st
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      angular_grid, as_kernel, compass_filter,
-                                     constant_kernel, grid_weights,
-                                     kernel_from_filter, kernel_grid_matrix,
-                                     read_color_document, unit_partition,
-                                     validate_kernel)
+                                     constant_kernel, kernel_from_filter,
+                                     kernel_grid_matrix, read_color_document,
+                                     unit_partition, validate_kernel)
 from conftest import rank_two_kernel, seeded_two_interval_kernel, \
     two_point_kernel
 
@@ -88,7 +87,7 @@ def test_compass_kernel_coefficients():
 def test_constant_kernel_basics():
     k = constant_kernel()
     assert k.band == 0
-    assert k.is_pure_fourier
+    assert k.partition.n == 1
     assert k.sup_norm() == pytest.approx(1.0)
     assert k.amplitude() == pytest.approx(2.0)
     assert k.l1_norm() == 1
@@ -144,7 +143,7 @@ def test_grid_matrix_matches_coefficients():
     th = angular_grid(T)
     want = 4.0 * np.cos(th[2]) ** 2 * np.cos(th[5]) ** 2
     assert grid[2, 5] == pytest.approx(want, abs=1e-12)
-    wts = grid_weights(k, T)
+    wts = np.full(T, 1.0 / T)
     assert wts.sum() == pytest.approx(1.0)
     # integral of s against the product grid = l1 norm
     assert wts @ grid @ wts == pytest.approx(1.0, abs=1e-12)
