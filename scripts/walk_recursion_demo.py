@@ -5,7 +5,7 @@
 
 import numpy as np
 
-from filtered_spectra.algebra import random_walk_recursion_check
+from filtered_spectra.walks import random_walk_recursion_check
 
 rng = np.random.default_rng(11)
 

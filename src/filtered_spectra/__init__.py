@@ -19,7 +19,8 @@ from .colorsolve import (ColorSolution, SpectralGrid, solve_color_fixed_point,
                          rank_one_w)
 from .algebra import (BivariatePolynomial, resultant, auxiliary_resultant,
                       discriminant, real_roots, verify_curve,
-                      rank_one_eliminate, random_walk_recursion_check)
+                      rank_one_eliminate)
+from .walks import random_walk_recursion_check
 from .matrixlab import (SampleConfig, ESD, EsdSummary, CovarianceReport,
                         sample_filtered_wigner, covariance_check,
                         sample_colored_gaussian, eigenvalues_symmetric,

@@ -19,18 +19,7 @@ eliminating x instead of y transposes them once.  The module provides
   R(m, S_f(m)) = 0 for the transform of the profile distribution to the
   algebraic curve satisfied by the limit Stieltjes transform, via the
   master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w), with
-  Yun's squarefree split in Q[lambda][S];
-* a self-check of the banded-walk fixed-point recursions against
-  truncated path sums and contour quadrature.
-
-Walk-recursion fine print: the fixed-point equations implemented are
-
-    U = (B + A(1+U)C)(1+U),   V = (B + C(1+V)A)(1+V),
-    W = (D + blockdiag(C(1+V)A, 0, A(1+U)C))(1+W),
-
-the "window steps vs. complete excursions" decomposition.  (Dropping the
-trailing (1+U) after B — a form that sometimes appears — fails against
-direct enumeration already at walks of length two.)
+  Yun's squarefree split in Q[lambda][S].
 """
 
 from __future__ import annotations
@@ -40,8 +29,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-
-import numpy as np
 
 from .exactnum import rat
 from .kernel import Kernel
@@ -55,7 +42,6 @@ __all__ = [
     "real_roots",
     "verify_curve",
     "rank_one_eliminate",
-    "random_walk_recursion_check",
 ]
 
 MAX_DEGREE = 64  # in term lists: 8x the largest curves yet, bidegree (7, 8)
@@ -582,8 +568,8 @@ def real_roots(p) -> list:
 def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
     """Max normalized residual |F(lam, S(lam))| over the sample points.
 
-    S comes from the color fixed-point solver (continued from the
-    high-imaginary anchor).  The residual at each point is divided by
+    S comes from the color fixed-point solver (continued down from each
+    point's cruise point x + 4A*i).  The residual at each point is divided by
     max(1, |lc_y F(lam)|) so that a curve that is simply wrong scores
     O(1) rather than being excused by a huge leading coefficient.
     Sample points must satisfy Im(lam) != 0 or |lam| > 2A.
@@ -761,120 +747,3 @@ def rank_one_eliminate(sf, kern: Kernel, residual_tol: float = 1e-8,
         certificate.update(residual=_curve_residual(out, lams, S),
                            samples=len(lams), radius=radius)
     return out
-
-
-# ---------------------------------------------------------------------------
-# banded-walk recursion check
-# ---------------------------------------------------------------------------
-
-def _walk_path_sums(z, ell, t_max, lo, hi, starts, targets):
-    """sum_{t=1..t_max} walk weights start->target with positions in [lo, hi].
-
-    Exact within the truncation: the caps are chosen by callers so that
-    no admissible walk of length <= t_max ever reaches them.
-    """
-    n = hi - lo + 1
-    zker = np.asarray(z, dtype=complex)  # weight of displacement d at z[d+ell]
-    out = np.zeros((len(starts), len(targets)), dtype=complex)
-    tidx = [t - lo for t in targets]
-    for si, s in enumerate(starts):
-        vec = np.zeros(n, dtype=complex)
-        vec[s - lo] = 1.0
-        acc = np.zeros(len(targets), dtype=complex)
-        for _ in range(t_max):
-            vec = np.convolve(vec, zker)[ell:ell + n]
-            acc += vec[tidx]
-        out[si] = acc
-    return out
-
-
-def random_walk_recursion_check(z, ell: int, t_max: int = 60) -> float:
-    """Fixed-point recursions for banded-walk sums vs. direct series.
-
-    z: the L = 2*ell + 1 step weights (weight of displacement d is
-    z[d + ell]); requires sum |z| < 1.  Solves
-
-        U = (B + A(1+U)C)(1+U)     (walks staying >= 1, endpoints 1..ell)
-        V = (B + C(1+V)A)(1+V)     (walks staying <= ell, same endpoints)
-        W = (D + blockdiag(C(1+V)A, 0, A(1+U)C))(1+W)
-                                   (unconstrained walks, endpoints -ell..ell)
-
-    by damped iteration, then compares every entry against truncated
-    path sums (tail below (sum|z|)^(t_max+1) / (1 - sum|z|)) and the
-    central W row against contour-quadrature transforms of the step
-    distribution.  Returns the largest absolute discrepancy.
-    """
-    z = [complex(v) for v in z]
-    L = 2 * ell + 1
-    if len(z) != L:
-        raise ValueError(f"need {L} step weights for ell={ell}")
-    rho = sum(abs(v) for v in z)
-    if rho >= 1:
-        raise ValueError("sum |z| must be < 1 for the walk sums to converge")
-
-    def step_matrix(src, dst):
-        m = np.zeros((len(src), len(dst)), dtype=complex)
-        for i, a in enumerate(src):
-            for j, b in enumerate(dst):
-                if abs(b - a) <= ell:
-                    m[i, j] = z[b - a + ell]
-        return m
-
-    low = list(range(1, ell + 1))           # positions 1..ell
-    high = [p + ell for p in low]           # positions ell+1..2*ell
-    window = list(range(-ell, ell + 1))     # positions -ell..ell
-
-    A = step_matrix(low, high)
-    B = step_matrix(low, low)
-    C = step_matrix(high, low)
-    D = step_matrix(window, window)
-    eye_l = np.eye(ell)
-    eye_w = np.eye(L)
-
-    def solve(initial, update, tol=1e-14, max_iter=100000):
-        x = initial
-        omega = 1.0
-        res_prev = math.inf
-        for _ in range(max_iter):
-            t = update(x)
-            res = float(np.max(np.abs(t - x))) if x.size else 0.0
-            if res <= tol:
-                return t
-            if res > res_prev and omega > 1 / 64:
-                omega /= 2
-            res_prev = res
-            x = (1 - omega) * x + omega * t
-        raise RuntimeError("walk fixed-point iteration did not converge")
-
-    U = solve(np.zeros((ell, ell), complex),
-              lambda u: (B + A @ (eye_l + u) @ C) @ (eye_l + u))
-    V = solve(np.zeros((ell, ell), complex),
-              lambda v: (B + C @ (eye_l + v) @ A) @ (eye_l + v))
-    M = np.zeros((L, L), dtype=complex)
-    if ell:
-        M[:ell, :ell] = C @ (eye_l + V) @ A
-        M[ell + 1:, ell + 1:] = A @ (eye_l + U) @ C
-    W = solve(np.zeros((L, L), complex),
-              lambda w: (D + M) @ (eye_w + w))
-
-    cap = ell * (t_max + 1) + 1
-    U_dp = _walk_path_sums(z, ell, t_max, 1, cap, low, low)
-    V_dp = _walk_path_sums(z, ell, t_max, -cap, ell, low, low)
-    W_dp = _walk_path_sums(z, ell, t_max, -cap, cap, window, window)
-
-    worst = 0.0
-    for got, want in ((U, U_dp), (V, V_dp), (W, W_dp)):
-        if got.size:
-            worst = max(worst, float(np.max(np.abs(got - want))))
-
-    # central row of W against the contour integral of 1/(1 - zhat)
-    T = 4096
-    x = 2.0 * math.pi * np.arange(T) / T
-    zhat = np.zeros(T, dtype=complex)
-    for d in range(-ell, ell + 1):
-        zhat += z[d + ell] * np.exp(1j * d * x)
-    integrand = 1.0 / (1.0 - zhat)
-    for j, pos in enumerate(window):
-        theta = np.mean(np.exp(-1j * pos * x) * integrand) - (pos == 0)
-        worst = max(worst, abs(theta - W[ell, j]))
-    return worst

@@ -31,18 +31,22 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .kernel import read_color_document, as_kernel, validate_kernel, Filter
+from .kernel import (read_color_document, json_document, as_kernel,
+                     validate_kernel, Filter)
 from .moments import theoretical_moments
 from .combinat import moments_by_enumeration
 from .colorsolve import (solve_color_fixed_point, density_profile,
                          solver_moments, circle_points, CONTOUR_RADIUS,
                          CONTOUR_POINTS)
-from .algebra import (BivariatePolynomial, rank_one_eliminate, verify_curve,
-                      random_walk_recursion_check)
+from .algebra import BivariatePolynomial, rank_one_eliminate, verify_curve
+from .walks import random_walk_recursion_check
 from .matrixlab import (SampleConfig, sample_filtered_wigner,
                         sample_colored_gaussian, esd_statistics)
 
 FMT = "%.17g"
+# moments --oracle checks k <= ORACLE_KMAX only: the enumeration visits
+# all Catalan(k/2) partitions, and k <= 16 costs 8x k <= 12 on the compass
+ORACLE_KMAX = 12
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -145,33 +149,23 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _document(flag: str, value) -> dict:
-    """A JSON object given inline, as a dict, or as a path.
+def _document(flag: str, value, read=json_document):
+    """read(value) for the document given to --flag.
 
-    A value that does not read as a JSON object raises ValueError naming
+    A value that is not a readable document raises ValueError naming
     the flag and the value, so main exits 2 instead of a traceback.
     """
-    if isinstance(value, dict):
-        return value
-    text = str(value)
     try:
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text) as fh:
-                doc = json.load(fh)
+        return read(value)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"--{flag} {text!r} is not inline JSON or a "
-                         f"readable JSON file ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"--{flag} {text!r} is not a JSON object")
-    return doc
+        raise ValueError(f"--{flag} {value!r} is not a valid document "
+                         f"({exc})") from None
 
 
 def _get_filter(cfg: dict) -> Filter:
     if "filter" not in cfg:
         raise SystemExit("this command needs --filter (or a config entry)")
-    obj = read_color_document(_document("filter", cfg["filter"]))
+    obj = _document("filter", cfg["filter"], read_color_document)
     if not isinstance(obj, Filter):
         raise SystemExit("--filter must name a filter document")
     return obj
@@ -179,8 +173,8 @@ def _get_filter(cfg: dict) -> Filter:
 
 def _get_kernel(cfg: dict):
     if "kernel" in cfg:
-        doc = _document("kernel", cfg["kernel"])
-        return as_kernel(read_color_document(doc))
+        return as_kernel(
+            _document("kernel", cfg["kernel"], read_color_document))
     if "filter" in cfg:
         return as_kernel(_get_filter(cfg))
     raise SystemExit("this command needs --kernel or --filter")
@@ -213,7 +207,7 @@ def cmd_moments(cfg: dict) -> int:
     header = ["k", "moment"]
     status = 0
     worst = 0.0
-    cap = min(kmax, 12)          # the oracle's enumeration stops here
+    cap = min(kmax, ORACLE_KMAX)
     if cfg.get("oracle"):
         oracle = moments_by_enumeration(kern, cap)
         for k in range(kmax):
@@ -223,7 +217,7 @@ def cmd_moments(cfg: dict) -> int:
         if oracle != exact[:cap]:   # both routes are exact Fractions
             status = 2
     run.write_csv("moments.csv", header, rows)
-    run.write_json("report.json", {"mode": "exact", "kmax": kmax,
+    run.write_json("report.json", {"kmax": kmax,
                                    "moments": ms,
                                    "oracle_kmax": cap
                                    if cfg.get("oracle") else None,
@@ -231,7 +225,7 @@ def cmd_moments(cfg: dict) -> int:
                                    if cfg.get("oracle") else None,
                                    "pass": status == 0})
     run.finish()
-    print(f"moments 1..{kmax} written (exact mode)"
+    print(f"moments 1..{kmax} written"
           + (f"; oracle max diff {worst:.3e}" if cfg.get("oracle") else ""))
     return status
 

@@ -19,20 +19,24 @@ Psi) on T = 128 angular nodes per circle; g is analytic, so the node
 count controls an exponentially small aliasing error, not a truncation.
 At band 0, Psi and g do not depend on the angle, and one node is exact.
 
-Newton converges only from a nearby start, so continuation is the only
-way to a cold solution: Newton from Psi = 0 at the anchor 4A*i, where
-A = 2 sqrt(||s||_inf), then 8 horizontal waypoints to the target's
-vertical line, a geometric descent at ratio 0.7 to the target's height,
-and for real targets a hop from height 1e-8 to the axis, so a real lam
-gets the boundary value from above.  Each waypoint warm-starts the next
-and converges in at most 4 Newton steps on every grid the tests and the
-benchmark use.  A point fails at the division guard |lam - Psi| < 1e-14
-or after NEWTON_STEPS steps (Newton that slow is diverging).  Lower
-half-plane targets fold onto their conjugates and each distinct point
-is solved once, so S(conj lam) = conj S(lam) exactly.  Everything is
-vectorized across lambda points, and converged points drop out.
-density_profile descends once per x, to the upper of its two heights,
-and reaches the lower one by one more Newton solve.
+Newton converges only from a nearby start, so each target's path
+begins where F is a contraction.  Kernel.sup_norm certifies ||s||_inf
+<= A^2/4, with A = 2 sqrt(sup_norm) the amplitude.  When |lam| >= 4A,
+F maps the ball |Psi| <= A/2 into itself, since |F| <= (A^2/4)/(3.5A)
+< A/2, and is a contraction there with constant at most
+(A^2/4)/(3.5A)^2 = 1/49.  The Herglotz solution lies in that ball
+(|Psi| <= (A^2/4)/(|lam| - A) <= A/12), so Newton from Psi = 0 at the
+cruise point x + 4A*i lands on it for every x.  From there a geometric
+descent at ratio 0.7 reaches the target's height, and a real target
+hops from height 1e-8 to the axis, so a real lam gets the boundary
+value from above.  Each waypoint warm-starts the next.  On every grid
+the tests and the benchmark use, the cold solve at the cruise point
+takes at most 3 Newton steps and each later waypoint at most 4.
+A point fails at the division guard |lam - Psi| < 1e-14 or after
+NEWTON_STEPS steps (Newton that slow is diverging).  Lower half-plane
+targets fold onto their conjugates and each distinct point is solved
+once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
+across lambda points, and converged points drop out.
 
 solver_moments reads the moments off S on a circle around the spectrum
 by the trapezoid rule (Trefethen-Weideman, SIAM Review 2014).
@@ -170,51 +174,32 @@ def _newton_batch(ops: _GridOps, lams, c0):
     return c, S, residual, ok
 
 
-def _continue_batch(kern: Kernel, targets, anchor=None):
-    """Continuation from the anchor to every target; vectorized.
+def _continue_batch(kern: Kernel, targets):
+    """Continuation from each target's cruise point; vectorized.
 
     Returns (S, tables, residuals, ok) aligned with targets; a target
     and its conjugate, or a repeated target, share one solve.
     """
-    A = kern.amplitude()
-    if anchor is None:
-        anchor = 4.0 * A * 1j
-    anchor = complex(anchor)
-    if abs(anchor) <= 2.0 * A:
-        raise ValueError(f"anchor {anchor} is not outside |lambda| = 2A = {2 * A}")
-
     targets = np.asarray([complex(t) for t in targets], dtype=complex)
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite complex numbers")
     ops = _GridOps(kern)
-    shape = (ops.nI, 2 * ops.K + 1)
     flip = targets.imag < 0
     work, back = np.unique(np.where(flip, np.conj(targets), targets),
                            return_inverse=True)
-    n = len(work)
 
-    c_a, _, res_a, ok_a = _newton_batch(ops, [anchor],
-                                        np.zeros((1,) + shape, complex))
-    if not ok_a[0]:
-        raise RuntimeError(
-            f"solver failed at the anchor {anchor} (residual {res_a[0]:.2e})")
-
-    height = max(anchor.imag, 4.0 * A)
+    height = 4.0 * kern.amplitude()
     xs = work.real
     hs = np.maximum(work.imag, 1e-8)
-    # horizontal slide at cruise height, geometric descent to each
-    # target's height, then the targets themselves (real ones hop there)
-    top = xs + 1j * height
-    waypoints = [anchor + (top - anchor) * (k / 8) for k in range(1, 9)]
-    ratio = hs / height
+    # cruise point, geometric descent to each target's height, then the
+    # targets themselves (real ones hop there)
     n2 = max(math.ceil(math.log(height / hs.min(initial=height))
                        / math.log(1 / 0.7)), 1)
-    waypoints += [xs + 1j * height * ratio ** (k / n2)
-                  for k in range(1, n2 + 1)]
-    waypoints.append(work)
+    waypoints = [xs + 1j * height * (hs / height) ** (k / n2)
+                 for k in range(n2 + 1)] + [work]
 
-    c = np.broadcast_to(c_a[0], (n,) + shape).copy()
-    ok = np.ones(n, dtype=bool)
+    c = np.zeros((len(work), ops.nI, 2 * ops.K + 1), dtype=complex)
+    ok = np.ones(len(work), dtype=bool)
     for lam in waypoints:
         c, S, res, step_ok = _newton_batch(ops, lam, c)
         ok &= step_ok
@@ -251,10 +236,11 @@ def solve_color_fixed_point(kern: Kernel, lam,
     """Solve the color equations at one lambda.
 
     Without a warm start this is stieltjes_path(kern, [lam])[0]: Newton
-    from Psi = 0 can land on a non-Herglotz branch, so a cold solve
-    always continues from the anchor.  With a warm start Newton runs
-    from that solution; a start too far away ends in the division guard
-    or the step cap, and raises with the last residual.
+    from Psi = 0 can land on a non-Herglotz branch near the spectrum, so
+    a cold solve starts at the cruise point Re lam + 4A*i, where F is a
+    contraction, and continues down to lam.  With a warm start Newton
+    runs from that solution; a start too far away ends in the division
+    guard or the step cap, and raises with the last residual.
     """
     lam = complex(lam)
     if warm_start is None:
@@ -268,15 +254,15 @@ def solve_color_fixed_point(kern: Kernel, lam,
     return _solution(lam, c[0], S[0], res[0])
 
 
-def stieltjes_path(kern: Kernel, targets, anchor=None) -> list:
-    """Continue S(lambda) from the anchor (default 4A*i) to each target.
+def stieltjes_path(kern: Kernel, targets) -> list:
+    """Continue S(lambda) to each target from its cruise point x + 4A*i.
 
-    Path following with warm starts: horizontal leg at cruise height,
-    geometric vertical descent, then the hop to real targets.  Raises
-    if any target fails.
+    Path following with warm starts: Newton from Psi = 0 at the cruise
+    point, geometric vertical descent, then the hop to real targets.
+    Raises if any target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
-    S, cs, res, ok = _continue_batch(kern, targets, anchor=anchor)
+    S, cs, res, ok = _continue_batch(kern, targets)
     if not ok.all():
         bad = [t for t, o in zip(targets, ok) if not o]
         raise RuntimeError(f"continuation failed at lambda = {bad}")

@@ -19,7 +19,7 @@ covariance profile of the corresponding filtered Wigner matrix.
 
 Coefficients are stored exactly (complex rationals), so everything built
 on top can run in exact arithmetic when it wants to.  Kernel and Filter
-are immutable after construction; share them freely across workers.
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "KernelReport",
     "validate_kernel",
     "kernel_from_filter",
+    "json_document",
     "read_color_document",
     "unit_partition",
     "constant_kernel",
@@ -365,35 +366,58 @@ def kernel_grid_matrix(kern: Kernel, T: int, check_real: bool = True) -> np.ndar
 # JSON documents
 # ---------------------------------------------------------------------------
 
+def json_document(doc) -> dict:
+    """A JSON object given as a dict, as inline text (text that starts
+    with "{"), or as a path (any other text)."""
+    if isinstance(doc, dict):
+        return doc
+    text = str(doc)
+    if text.lstrip().startswith("{"):
+        obj = json.loads(text)
+    else:
+        with open(text) as fd:
+            obj = json.load(fd)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
+
+
+def _field(obj, key, fields=None):
+    """obj[key]; with fields, a list of entries of that many fields."""
+    if key not in obj:
+        raise ValueError(f"{obj.get('type', 'color')} document has no {key!r}")
+    rows = obj[key]
+    for n, row in enumerate(rows if fields else ()):
+        if not isinstance(row, list) or len(row) != fields:
+            raise ValueError(
+                f"{key}[{n}] = {row!r} does not have {fields} fields")
+    return rows
+
+
 def read_color_document(doc):
-    """Read a filter or kernel from a JSON document (path, str, or dict).
+    """Read a filter or kernel from a JSON document (see json_document).
 
     {"type": "filter", "entries": [[i, j, value], ...]}
     {"type": "kernel", "breakpoints": [...],
      "coeffs": [[i, j, a, b, re, im], ...]}
 
     Values may be numbers, decimal strings, or 'p/q' rational strings.
-    Returns a Filter or a Kernel accordingly.
+    Returns a Filter or a Kernel accordingly.  A missing key, or an
+    entry with the wrong number of fields, raises ValueError naming it.
     """
-    if isinstance(doc, str):
-        try:
-            obj = json.loads(doc)
-        except json.JSONDecodeError:
-            with open(doc) as fd:
-                obj = json.load(fd)
-    else:
-        obj = doc
-    kind = obj.get("type")
+    obj = json_document(doc)
+    kind = _field(obj, "type")
     if kind == "filter":
         taps = {}
-        for i, j, v in obj["entries"]:
+        for i, j, v in _field(obj, "entries", 3):
             taps[(int(i), int(j))] = rat(v)
         return Filter(taps)
     if kind == "kernel":
-        part = IntervalPartition(tuple(rat(b) for b in obj["breakpoints"]))
+        part = IntervalPartition(
+            tuple(rat(b) for b in _field(obj, "breakpoints")))
         coeffs = {}
         band = 0
-        for i, j, a, b, re, im in obj["coeffs"]:
+        for i, j, a, b, re, im in _field(obj, "coeffs", 6):
             coeffs[(int(i), int(j), int(a), int(b))] = CRat(rat(re), rat(im))
             band = max(band, abs(int(i)), abs(int(j)))
         return Kernel(part, band, coeffs)

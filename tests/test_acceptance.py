@@ -15,8 +15,7 @@ import numpy as np
 from conftest import seeded_two_interval_kernel, two_point_kernel
 from filtered_spectra.algebra import (BivariatePolynomial,
                                       rank_one_eliminate, discriminant,
-                                      real_roots, verify_curve,
-                                      random_walk_recursion_check, resultant)
+                                      real_roots, verify_curve, resultant)
 from filtered_spectra.colorsolve import (solve_color_fixed_point,
                                          density_profile, stieltjes_path)
 from filtered_spectra.combinat import (enumerate_wigner_partitions,
@@ -26,6 +25,7 @@ from filtered_spectra.matrixlab import (SampleConfig, sample_filtered_wigner,
                                         sample_colored_gaussian,
                                         esd_statistics, covariance_check)
 from filtered_spectra.moments import theoretical_moments
+from filtered_spectra.walks import random_walk_recursion_check
 
 SEED_FILTERED = 2026
 SEED_COLORED = 1         # fixed seeds; margins were checked against the

@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from filtered_spectra.algebra import (BivariatePolynomial,
                                       _squarefree_factors,
                                       auxiliary_resultant, discriminant,
-                                      random_walk_recursion_check,
                                       rank_one_eliminate, real_roots,
                                       resultant, verify_curve)
+from filtered_spectra.walks import random_walk_recursion_check
 from filtered_spectra import colorsolve
 from filtered_spectra.kernel import IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter

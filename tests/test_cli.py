@@ -96,20 +96,33 @@ def test_moments_oracle_on_a_two_interval_kernel(tmp_path, monkeypatch):
     assert _report(out)["oracle_max_abs_diff"] == 0.0
 
 
-@pytest.mark.parametrize("command, flag, value", [
-    ("density", "--kernel", '{"type": "kernel", bad'),
-    ("moments", "--filter", "no-such-document.json"),
-    ("verify", "--curve", "no-such-document.json"),
-    ("eliminate", "--relation", '{"coeffs": [[0, 0, "1"]'),
-    ("moments", "--kernel", "[1, 2]")])
+BAD_DOCUMENTS = [  # command, flag, value, what stderr names besides them
+    ("density", "--kernel", '{"type": "kernel", bad', None),
+    ("moments", "--filter", "no-such-document.json", None),
+    ("verify", "--curve", "no-such-document.json", None),
+    ("eliminate", "--relation", '{"coeffs": [[0, 0, "1"]', None),
+    ("moments", "--kernel", "[1, 2]", None),
+    ("moments", "--kernel", '{"type": "kernel"}', "'breakpoints'"),
+    ("moments", "--kernel", '{"type": "kernel", "breakpoints": [0, 1]}',
+     "'coeffs'"),
+    ("moments", "--kernel", '{"breakpoints": [0, 1], "coeffs": []}',
+     "'type'"),
+    ("simulate", "--filter", '{"type": "filter"}', "'entries'"),
+    ("density", "--filter", '{"type": "filter", "entries": [[1, 1]]}',
+     "entries[0]")]
+
+
+@pytest.mark.parametrize("command, flag, value, key", BAD_DOCUMENTS,
+                         ids=[f"{c}-{f}-{v}" for c, f, v, _ in BAD_DOCUMENTS])
 def test_bad_documents_exit_with_usage_error(tmp_path, capsys, command, flag,
-                                            value):
+                                            value, key):
     args = [command, flag, value, "--out", str(tmp_path / "bad")]
     if flag in ("--curve", "--relation"):
         args += ["--filter", COMPASS]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert flag in err and repr(value) in err
+    assert key is None or key in err
 
 
 def test_solve_reports_golden_value(tmp_path):

@@ -170,9 +170,15 @@ def test_path_accepts_any_iterable(semicircle):
         [_semicircle_S(lam) for lam in lams], abs=1e-10)
 
 
-def test_anchor_must_clear_spectrum(compass_kernel):
-    with pytest.raises(ValueError, match="anchor"):
-        stieltjes_path(compass_kernel, [5.0 + 1.0j], anchor=1.0j)
+def test_cold_start_far_from_the_imaginary_axis(semicircle):
+    """Each target starts at its own cruise point x + 4A*i, so targets
+    far to the side of the spectrum, far out, below the axis, close to
+    the axis or on it all reach the closed form."""
+    lams = [40 + 1e-3j, -40 + 1e-3j, 1000 + 1j, -25 - 3j, 0.5 + 1e-6j,
+            1.9, 3.0]
+    for lam, sol in zip(lams, stieltjes_path(semicircle, lams)):
+        want = (lam - cmath.sqrt(lam - 2) * cmath.sqrt(lam + 2)) / 2
+        assert abs(sol.stieltjes - want) < 1e-12, lam
 
 
 BAND_ZERO_CUTS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))

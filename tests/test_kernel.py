@@ -175,6 +175,26 @@ def test_json_round_trip_kernel():
         read_color_document({"type": "spline"})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"breakpoints": [0, 1], "coeffs": []}, "no 'type'"),
+    ({"type": "kernel", "coeffs": []}, "no 'breakpoints'"),
+    ({"type": "kernel", "breakpoints": [0, 1]}, "no 'coeffs'"),
+    ({"type": "filter"}, "no 'entries'"),
+    ({"type": "filter", "entries": [[0, 0, 1], [1, 1]]},
+     r"entries\[1\] = \[1, 1\]"),
+    ({"type": "kernel", "breakpoints": [0, 1],
+      "coeffs": [[0, 0, 0, 0, 1, 0, 0]]}, r"coeffs\[0\]"),
+    ('{"type": "kernel", bad', "property name")])
+def test_malformed_documents_name_the_key(doc, message):
+    with pytest.raises(ValueError, match=message):
+        read_color_document(doc)
+
+
+def test_text_not_starting_with_a_brace_is_a_path():
+    with pytest.raises(FileNotFoundError, match=r"'\[1, 2\]'"):
+        read_color_document("[1, 2]")
+
+
 @st.composite
 def filters(draw):
     pairs = draw(st.lists(
