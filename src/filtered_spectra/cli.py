@@ -32,7 +32,7 @@ import scipy
 
 from . import __version__
 from .kernel import (read_color_document, json_document, as_kernel,
-                     validate_kernel, Filter)
+                     validate_kernel, Filter, _field)
 from .moments import theoretical_moments
 from .combinat import moments_by_enumeration
 from .colorsolve import (solve_color_fixed_point, density_profile,
@@ -185,12 +185,12 @@ def _parse_complex(text: str) -> complex:
     return complex(float(re_s), float(im_s) if im_s else 0.0)
 
 
-def _curve_from_doc(doc) -> BivariatePolynomial:
-    if "coeffs" not in doc:
-        raise SystemExit(
-            'curve/relation documents need a "coeffs" list: '
-            '{"coeffs": [[i, j, "value"], ...]}')
-    return BivariatePolynomial.from_entries(doc["coeffs"])
+def _get_curve(cfg: dict, flag: str) -> BivariatePolynomial:
+    """The curve document {"coeffs": [[i, j, "value"], ...]} of --flag."""
+    def read(value):
+        return BivariatePolynomial.from_entries(
+            _field(json_document(value), "coeffs", 3))
+    return _document(flag, cfg[flag], read)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,9 @@ def cmd_simulate(cfg: dict) -> int:
         "model": model, "N": N, "trials": trials,
         "matrix_sha256": [hashlib.sha256(m).hexdigest() for m in mats],
         "moment_mean": summary.moment_mean,
-        "moment_stderr": summary.moment_stderr})
+        "moment_stderr": summary.moment_stderr,
+        "eigenpair_residual_max": max(e.eigenpair_residual
+                                      for e in summary.esds)})
     run.finish()
     pairs = ", ".join(f"m{k + 1}={summary.moment_mean[k]:.4f}"
                       for k in range(kmax))
@@ -315,7 +317,7 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_eliminate(cfg: dict) -> int:
     if "relation" not in cfg:
         raise SystemExit("eliminate needs --relation (JSON curve document)")
-    rel = _curve_from_doc(_document("relation", cfg["relation"]))
+    rel = _get_curve(cfg, "relation")
     kern = _get_kernel(cfg)
     run = _Run("eliminate", cfg, cfg["out"])
     cert = {}
@@ -334,7 +336,7 @@ def cmd_eliminate(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     if "curve" not in cfg:
         raise SystemExit("verify needs --curve (JSON curve document)")
-    curve = _curve_from_doc(_document("curve", cfg["curve"]))
+    curve = _get_curve(cfg, "curve")
     kern = _get_kernel(cfg)
     count = int(cfg.get("samples", 20))
     radius = float(cfg.get("radius", max(10.0, 2.5 * kern.amplitude())))

@@ -385,8 +385,10 @@ def json_document(doc) -> dict:
 def _field(obj, key, fields=None):
     """obj[key]; with fields, a list of entries of that many fields."""
     if key not in obj:
-        raise ValueError(f"{obj.get('type', 'color')} document has no {key!r}")
+        raise ValueError(f"{obj.get('type', 'the')} document has no {key!r}")
     rows = obj[key]
+    if fields and not isinstance(rows, list):
+        raise ValueError(f"{key} = {rows!r} is not a list of entries")
     for n, row in enumerate(rows if fields else ()):
         if not isinstance(row, list) or len(row) != fields:
             raise ValueError(

@@ -16,12 +16,13 @@ standard errors.
 Both samplers draw one Philox counter per unordered index pair, keyed
 by the sorted pair, over the upper triangle only, and mirror it.
 
-Eigenvalues come from LAPACK's divide-and-conquer symmetric driver
-(Householder tridiagonalization, then Cuppen's tridiagonal divide and
-conquer as stabilized by Gu and Eisenstat — scipy's "evd" driver), with
-an explicit symmetry assertion on input and a residual check
-||M v - lambda v|| <= 1e-8 ||M|| on five eigenpairs spread across the
-spectrum.
+Eigenvalues come without eigenvectors: LAPACK's Householder
+tridiagonalization T = Q^T M Q (dsytrd), then the Pal-Walker-Kahan QR
+iteration for the eigenvalues of T alone (dsterf).  The input is
+asserted symmetric, and five eigenpairs spread across the spectrum are
+checked on M itself: their vectors come from inverse iteration on T
+(dstein) and the back-transform by Q (dormqr on the reflectors dsytrd
+left), and each must satisfy ||M v - lambda v|| <= 1e-8 ||M||_F.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
+from scipy.linalg.blas import dnrm2
 
 from .kernel import Filter, IntervalPartition, Kernel, phases
 from .rng import gaussian_entries, rademacher_entries
@@ -103,15 +105,14 @@ def sample_filtered_wigner(cfg: SampleConfig, h: Filter,
     r, c = np.triu_indices(N, 1)
     Y = np.zeros((N, N))
     Y[r, c] = Y[c, r] = _draw(cfg, trial, r + 1, c + 1)   # r < c: sorted
-    taps = sorted(h.taps.items())
     X = np.zeros((N, N))
-    for (a, b), weight in taps:
-        # term Y[i - a, j + b]: rows shift by a, cols by -b, zero-fill
-        shifted = np.zeros((N, N))
+    for (a, b), weight in sorted(h.taps.items()):
+        # term Y[i - a, j + b]: rows shift by a, cols by -b
         r0, r1 = max(a, 0), N + min(a, 0)        # valid i-range (0-based)
         c0, c1 = max(-b, 0), N + min(-b, 0)
-        shifted[r0:r1, c0:c1] = Y[r0 - a:r1 - a, c0 + b:c1 + b]
-        X += float(weight) * shifted
+        if r0 < r1 and c0 < c1:                  # the tap reaches the window
+            X[r0:r1, c0:c1] += float(weight) * Y[r0 - a:r1 - a,
+                                                 c0 + b:c1 + b]
     return np.triu(X) + np.triu(X, 1).T
 
 
@@ -234,24 +235,64 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
     return M + np.triu(M, 1).T
 
 
-def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, ascending, with a residual check."""
+def _lapack(name, *outputs):
+    """The outputs of a LAPACK call, whose info must be 0."""
+    *values, info = outputs
+    if info != 0:
+        raise RuntimeError(f"LAPACK {name} failed with info = {info}")
+    return values[0] if len(values) == 1 else values
+
+
+def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
+    """Full spectrum of a symmetric matrix, ascending, with a residual check.
+
+    The eigenpairs at indices 0, n/4, n/2, 3n/4 and n-1 are checked on
+    m itself.  If certificate is a dict, "residual" is set to the worst
+    ||m v - lambda v|| / ||m||_F of those pairs.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input is not square")
+    n = m.shape[0]
+    if n == 0:
+        raise ValueError(f"input has shape {m.shape}: no eigenvalues")
     if not np.array_equal(m, m.T):
         raise AssertionError("input matrix is not symmetric")
-    try:
-        vals, vecs = scipy.linalg.eigh(m, driver="evd")
-    except scipy.linalg.LinAlgError as exc:   # pragma: no cover
-        raise RuntimeError(f"symmetric eigensolver did not converge: {exc}")
-    n = len(vals)
-    scale = float(np.linalg.norm(m))
-    for idx in {0, n // 4, n // 2, (3 * n) // 4, n - 1}:
-        resid = float(np.linalg.norm(m @ vecs[:, idx] - vals[idx] * vecs[:, idx]))
-        if resid > 1e-8 * max(scale, 1e-300):
+    scale = float(dnrm2(m.ravel()))    # ||m||_F, free of over/underflow
+    if n == 1 or scale == 0.0:  # already diagonal (and dsterf refuses n = 1)
+        if certificate is not None:
+            certificate["residual"] = 0.0
+        return np.diag(m).copy()
+
+    lwork = _lapack("dsytrd_lwork", *lapack.dsytrd_lwork(n, lower=1))
+    # m.T is m, in the Fortran order LAPACK reads
+    a, d, e, tau = _lapack("dsytrd", *lapack.dsytrd(m.T, lower=1,
+                                                    lwork=int(lwork)))
+    vals = _lapack("dsterf", *lapack.dsterf(d, e))
+
+    idx = sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1})
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n                       # T as one block
+    # inverse iteration on T scaled by a power of two near 1/||T||_F,
+    # which is exact and keeps dstein clear of overflow and underflow
+    shift = -math.frexp(scale)[1]
+    z = _lapack("dstein", *lapack.dstein(
+        np.ldexp(d, shift), np.ldexp(e, shift), np.ldexp(vals[idx], shift),
+        np.ones(n, dtype=np.int32), isplit))
+    # lower storage: Q = diag(1, Q'), Q' the QR-form product of the
+    # reflectors held below the subdiagonal
+    _, work = _lapack("dormqr", *lapack.dormqr("L", "N", a[1:, :n - 1],
+                                               tau, z[1:], lwork=-1))
+    z[1:], _ = _lapack("dormqr", *lapack.dormqr(
+        "L", "N", a[1:, :n - 1], tau, z[1:], lwork=int(work[0])))
+
+    resid = [float(dnrm2(r)) for r in (m @ z - z * vals[idx]).T]
+    for i, r in zip(idx, resid):
+        if not r <= 1e-8 * scale:       # a NaN residual fails too
             raise RuntimeError(
-                f"eigenpair {idx} residual {resid:.3e} exceeds 1e-8 * ||m||")
+                f"eigenpair {i} residual {r:.3e} exceeds 1e-8 * ||m||")
+    if certificate is not None:
+        certificate["residual"] = max(resid) / scale
     return vals
 
 
@@ -261,14 +302,17 @@ class ESD:
 
     eigenvalues: list
     empirical_moments: list     # m_k for k = 1..kmax
+    eigenpair_residual: float   # worst checked ||M v - lambda v|| / ||M||_F
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, kmax: int) -> "ESD":
         n = m.shape[0]
-        lam = eigenvalues_symmetric(m) / math.sqrt(n)
+        cert = {}
+        lam = eigenvalues_symmetric(m, certificate=cert) / math.sqrt(n)
         moments = [float(np.mean(lam ** k)) for k in range(1, kmax + 1)]
         return cls(eigenvalues=[float(v) for v in lam],
-                   empirical_moments=moments)
+                   empirical_moments=moments,
+                   eigenpair_residual=cert["residual"])
 
 
 @dataclass

@@ -109,7 +109,10 @@ BAD_DOCUMENTS = [  # command, flag, value, what stderr names besides them
      "'type'"),
     ("simulate", "--filter", '{"type": "filter"}', "'entries'"),
     ("density", "--filter", '{"type": "filter", "entries": [[1, 1]]}',
-     "entries[0]")]
+     "entries[0]"),
+    ("verify", "--curve", '{"x": 1}', "'coeffs'"),
+    ("verify", "--curve", '{"coeffs": [[0, 0]]}', "coeffs[0]"),
+    ("eliminate", "--relation", '{"coeffs": 3}', "coeffs")]
 
 
 @pytest.mark.parametrize("command, flag, value, key", BAD_DOCUMENTS,
@@ -299,6 +302,15 @@ def test_simulate_records_matrix_hashes_and_blas_threads(tmp_path,
         assert _manifest(out)["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
             "MKL_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize("model, N", [("filtered", 60), ("colored", 6)])
+def test_simulate_reports_the_worst_eigenpair_residual(tmp_path, model, N):
+    out = tmp_path / model
+    assert main(["simulate", "--model", model, "--filter", COMPASS,
+                 "--N", str(N), "--trials", "3", "--seed", "7",
+                 "--kmax", "2", "--out", str(out)]) == 0
+    assert 0.0 < _report(out)["eigenpair_residual_max"] < 1e-8
 
 
 def test_simulate_colored_model(tmp_path):

@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import filtered_spectra
 from filtered_spectra import matrixlab
 from filtered_spectra.exactnum import CRat
-from filtered_spectra.kernel import IntervalPartition, Kernel, \
+from filtered_spectra.kernel import Filter, IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
 from filtered_spectra.matrixlab import (ESD, SampleConfig, _site_cells,
                                         covariance_check,
@@ -24,7 +25,7 @@ from filtered_spectra.rng import (gaussian_entries, philox4x32_10,
                                   rademacher_entries, uniform_pair)
 
 
-# Known-answer vectors for Philox4x32-10 (zero and pi-digit inputs).
+# Known-answer vectors for Philox4x32-10 (Random123's kat_vectors).
 def test_philox_kat_zeros():
     out = philox4x32_10(0, 0, 0, 0, 0)
     assert [int(w) for w in out] == [0x6627e8d5, 0xe169c58d,
@@ -36,6 +37,15 @@ def test_philox_kat_pi_digits():
     out = philox4x32_10(0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344, seed)
     assert [int(w) for w in out] == [0xd16cfe09, 0x94fdcceb,
                                      0x5001e420, 0x24126ea1]
+
+
+def test_philox_kat_all_ones():
+    want = [0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd]
+    ones = 0xffffffff
+    out = philox4x32_10(ones, ones, ones, ones, 2 ** 64 - 1)
+    assert [int(w) for w in out] == want
+    # counters are taken mod 2^32
+    assert [int(w) for w in philox4x32_10(-1, -1, -1, -1, 2 ** 64 - 1)] == want
 
 
 def test_philox_broadcasts():
@@ -268,6 +278,22 @@ def test_filtered_entries_are_single_counter_values(law, compass):
         assert X[i, j] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
+def test_taps_beyond_the_window_contribute_nothing():
+    # taps three rows or columns away reach outside an N = 2 window
+    h = Filter({(0, 0): Fraction(1), (-2, 1): Fraction(-1, 3),
+                (-1, 2): Fraction(-1, 3), (0, 3): Fraction(1, 4),
+                (-3, 0): Fraction(1, 4)})
+    N, seed = 2, 8
+    X = sample_filtered_wigner(SampleConfig(N=N, seed=seed), h)
+    y = float(gaussian_entries(seed, 0, 1, 2))     # Y_12 = Y_21, Y_ii = 0
+    # X_ij = sum of h(a, b) Y_{i-a, j+b} over taps landing in the window
+    want = np.array([[sum(float(w) * (y if {i - a, j + b} == {1, 2} else 0.0)
+                          for (a, b), w in h.taps.items())
+                      for j in (1, 2)] for i in (1, 2)])
+    assert np.array_equal(X, X.T)
+    assert np.allclose(X, want, rtol=1e-15, atol=0.0)
+
+
 def test_colored_entries_are_single_counter_values():
     profile = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     N, seed, trial = 6, 17, 2
@@ -282,22 +308,65 @@ def test_colored_entries_are_single_counter_values():
 
 
 def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
-    real_eigh = matrixlab.scipy.linalg.eigh
-    drivers = []
+    real_dstein = matrixlab.lapack.dstein
+    calls = []
 
-    def perturbed(m, **kwargs):
-        drivers.append(kwargs.get("driver"))
-        vals, vecs = real_eigh(m, **kwargs)
-        vecs = vecs.copy()
-        vecs[0, 20] += 1e-3
-        return vals, vecs
+    def perturbed(d, e, w, iblock, isplit):
+        calls.append(len(w))
+        z, info = real_dstein(d, e, w, iblock, isplit)
+        z[0, 2] += 1e-3     # columns follow the indices 0, 10, 20, 30, 39
+        return z, info
 
-    monkeypatch.setattr(matrixlab.scipy.linalg, "eigh", perturbed)
+    monkeypatch.setattr(matrixlab.lapack, "dstein", perturbed)
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 40))
     with pytest.raises(RuntimeError, match="eigenpair 20 residual"):
         eigenvalues_symmetric(A + A.T)
-    assert drivers == ["evd"]
+    assert calls == [5]
+
+
+def _agrees_with_references(m, cert=None):
+    # eigvalsh runs the same reduction and QR iteration; eigh with
+    # vectors runs divide and conquer, an independent algorithm
+    got = eigenvalues_symmetric(m, certificate=cert)
+    for want in (np.linalg.eigvalsh(m), scipy.linalg.eigh(m, driver="evd")[0]):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(m, 2)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[-2.5]]),
+    np.array([[1.0, 2.0], [2.0, -3.0]]),
+    np.diag([3.0, -1.0, 0.0, 7.5, -1.0, 2.0]),
+    np.zeros((5, 5)),
+    np.kron(np.eye(3), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    np.kron(np.eye(4), np.ones((5, 5))),
+], ids=["1x1", "2x2", "diagonal", "zero", "block-diagonal", "kron-ones"])
+def test_small_and_structured_spectra(m):
+    cert = {}
+    _agrees_with_references(m, cert)
+    assert 0.0 <= cert["residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e250])
+def test_spectra_far_from_unit_scale(scale):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((30, 30))
+    _agrees_with_references(scale * (A + A.T))
+
+
+def test_empty_matrix_is_refused():
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        eigenvalues_symmetric(np.zeros((0, 0)))
+
+
+def test_sampled_spectra_agree_with_references(compass):
+    filtered = sample_filtered_wigner(SampleConfig(N=640, seed=21), compass)
+    colored = sample_colored_gaussian(kernel_from_filter(compass), 24, 21)
+    for m in (filtered, colored):
+        cert = {}
+        _agrees_with_references(m, cert)
+        assert cert["residual"] <= 1e-14
 
 
 _SAMPLE_SCRIPT = """
@@ -318,7 +387,8 @@ print(json.dumps([{"sha256": hashlib.sha256(m).hexdigest(),
 def test_samples_do_not_depend_on_blas_threads():
     # matrices must be bit-identical; LAPACK eigenvalues may move in the
     # last bits with the thread count, so they get a backward-error
-    # tolerance of 1e-12 * ||M||_2 (measured: about 2e-13 at N = 600)
+    # tolerance of 1e-12 * ||M||_2 (measured: 4.2e-13 at N = 600 and
+    # 2.9e-13 at N^2 = 256, where ||M||_2 is 62 and 40)
     src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
     runs = []
     for threads in ("1", "2"):
