@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 import scipy
@@ -45,7 +46,9 @@ from .matrixlab import (SampleConfig, sample_filtered_wigner,
 
 FMT = "%.17g"
 # moments --oracle checks k <= ORACLE_KMAX only: the enumeration visits
-# all Catalan(k/2) partitions, and k <= 16 costs 8x k <= 12 on the compass
+# all Catalan(k/2) partitions.  On the compass k <= 16 costs 12x k <= 12
+# (0.10 s against 0.008 s, one core), and 0.07 s of it is listing the
+# partitions, so a cheaper pairing would not pay for the deeper check
 ORACLE_KMAX = 12
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
@@ -164,10 +167,11 @@ def _document(flag: str, value, read=json_document):
 
 def _get_filter(cfg: dict) -> Filter:
     if "filter" not in cfg:
-        raise SystemExit("this command needs --filter (or a config entry)")
+        raise ValueError("this command needs --filter (or a config entry)")
     obj = _document("filter", cfg["filter"], read_color_document)
     if not isinstance(obj, Filter):
-        raise SystemExit("--filter must name a filter document")
+        raise ValueError(f"--filter {cfg['filter']!r} is not a filter "
+                         "document")
     return obj
 
 
@@ -177,7 +181,7 @@ def _get_kernel(cfg: dict):
             _document("kernel", cfg["kernel"], read_color_document))
     if "filter" in cfg:
         return as_kernel(_get_filter(cfg))
-    raise SystemExit("this command needs --kernel or --filter")
+    raise ValueError("this command needs --kernel or --filter")
 
 
 def _parse_complex(text: str) -> complex:
@@ -187,6 +191,9 @@ def _parse_complex(text: str) -> complex:
 
 def _get_curve(cfg: dict, flag: str) -> BivariatePolynomial:
     """The curve document {"coeffs": [[i, j, "value"], ...]} of --flag."""
+    if flag not in cfg:
+        raise ValueError(f"this command needs --{flag} (JSON curve document)")
+
     def read(value):
         return BivariatePolynomial.from_entries(
             _field(json_document(value), "coeffs", 3))
@@ -276,22 +283,19 @@ def cmd_simulate(cfg: dict) -> int:
     seed = int(cfg["seed"])
     trials = int(cfg.get("trials", 5))
     kmax = int(cfg.get("kmax", 6))
-    run = _Run("simulate", cfg, cfg["out"])
     if model == "filtered":
-        h = _get_filter(cfg)
         N = int(cfg.get("N", 1000))
         scfg = SampleConfig(N=N, seed=seed,
                             entry_law=cfg.get("entry_law", "gaussian"),
                             trials=trials)
-        mats = [sample_filtered_wigner(scfg, h, trial=t)
-                for t in range(trials)]
+        sample = partial(sample_filtered_wigner, scfg, _get_filter(cfg))
     elif model == "colored":
-        kern = _get_kernel(cfg)
         N = int(cfg.get("N", 40))
-        mats = [sample_colored_gaussian(kern, N, seed, trial=t)
-                for t in range(trials)]
+        sample = partial(sample_colored_gaussian, _get_kernel(cfg), N, seed)
     else:
-        raise SystemExit(f"unknown model {model!r}")
+        raise ValueError(f"--model {model!r} is not 'filtered' or 'colored'")
+    run = _Run("simulate", cfg, cfg["out"])
+    mats = [sample(trial=t) for t in range(trials)]
     summary = esd_statistics(mats, kmax=kmax, bins=cfg.get("bins"))
     run.write_csv("moments.csv", ["k", "mean", "stderr"],
                   [[k + 1, summary.moment_mean[k], summary.moment_stderr[k]]
@@ -315,8 +319,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_eliminate(cfg: dict) -> int:
-    if "relation" not in cfg:
-        raise SystemExit("eliminate needs --relation (JSON curve document)")
     rel = _get_curve(cfg, "relation")
     kern = _get_kernel(cfg)
     run = _Run("eliminate", cfg, cfg["out"])
@@ -334,8 +336,6 @@ def cmd_eliminate(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    if "curve" not in cfg:
-        raise SystemExit("verify needs --curve (JSON curve document)")
     curve = _get_curve(cfg, "curve")
     kern = _get_kernel(cfg)
     count = int(cfg.get("samples", 20))
@@ -384,6 +384,7 @@ def cmd_crosscheck(cfg: dict) -> int:
     kmax = int(cfg.get("kmax", 6))
     seed = int(cfg["seed"])
     trials = int(cfg.get("trials", 4))
+    h = _get_filter(cfg) if "filter" in cfg else None
     run = _Run("crosscheck", cfg, cfg["out"])
 
     report = validate_kernel(kern)
@@ -397,8 +398,7 @@ def cmd_crosscheck(cfg: dict) -> int:
     exact = [float(v) for v in theoretical_moments(kern, kmax)]
     solver, solver_tol = solver_moments(kern, kmax)
 
-    if "filter" in cfg:
-        h = _get_filter(cfg)
+    if h is not None:
         N = int(cfg.get("N", 400))
         scfg = SampleConfig(N=N, seed=seed, trials=trials)
         mats = [sample_filtered_wigner(scfg, h, trial=t)

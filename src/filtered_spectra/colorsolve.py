@@ -92,7 +92,6 @@ class SpectralGrid:
     """Density profile on a real grid, Richardson-extrapolated in epsilon."""
 
     xs: list
-    epsilon: float
     density: list
     support_estimate: tuple
     flags: list          # per point: True when both solves converged
@@ -295,7 +294,7 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
 
     lit = [x for x, d, f in zip(xs, dens, flags) if f and d >= DENSITY_FLOOR]
     support = (min(lit), max(lit)) if lit else (math.nan, math.nan)
-    return SpectralGrid(xs=xs, epsilon=e2, density=[float(d) for d in dens],
+    return SpectralGrid(xs=xs, density=[float(d) for d in dens],
                         support_estimate=support,
                         flags=[bool(f) for f in flags], eps_pair=(e1, e2))
 

@@ -20,25 +20,42 @@ involution pairing the two traversals of each tree edge: steps i and
 sigma(i) cross the same edge in opposite directions.
 
 The expectation E M_pi = E prod_{edges} s(kappa_A, kappa_B) over
-i.i.d. uniform colors is a "tree integral".  It has one evaluator, exact
-for every kernel: a color is an interval a and an angle, and integrating
-the angles leaves the finite sum, over integer step labels with zero sum
-on every part, of prod_{i < sigma(i)} s_{f(i), f(sigma(i))}(a, b), each
-vertex's interval a weighted by its length len_a.  Leaf elimination
-contracts that sum over the tree by convolution messages indexed by the
-interval of the vertex they reach, so every value is a Fraction.
+i.i.d. uniform colors is a "tree integral".  A color is an interval a
+and an angle t, and s(c, c') = sum_ij s_ij(a, b) xi^i eta^j with
+xi = e^{it}.  Integrating the angles leaves the finite sum, over integer
+step labels f with zero sum on every part, of
+prod_{i < sigma(i)} s_{f(i), f(sigma(i))}(a_part(i), a_part(sigma(i))),
+each part's interval a weighted by its length len_a: step i carries the
+Fourier index f(i) at the vertex it leaves, and the mean of xi^d over
+the circle is [d = 0], so only labels that cancel at every vertex
+survive.
 
-Cost.  Partitions are still enumerated one at a time.  A message depends
-only on the shape of the rooted subtree below an edge, and s(c, c') =
-s(c', c), so the order of a vertex's children does not matter: shapes
-are canonical, with each vertex's child shapes sorted, and mirror-image
-forests share one memo entry.  moments_by_enumeration shares the
-messages across every partition and every k of one call.  A vertex's
-label distribution is that of its shape minus the last child, convolved
-with the last child's message, so the work is one convolution per
-distinct canonical forest of at most k/2 edges: 85 up to k = 12, instead
-of k/2 edge messages for each of the 196 partitions.  What is left per
-partition is building its shape and one lookup.
+Evaluation.  The sum factors over the tree, leaves first, into the two
+operations of the phi/psi recursion (moments).  As a function of its
+root's color, a forest phi is the product of its trees (moments._mul),
+and a tree hanging from a parent at color c is c |-> integral of
+s(c, c') phi(c') over c' (moments._pair).  Both run on the recursion's
+rows, Gaussian integers over the table scaled by L
+(moments._scaled_table), so a shape with e edges carries L^e.  The tree
+integral is <P, phi(root)> / L^e: integrating the root's angle keeps the
+mode-0 coefficient, which is the zero sum at the root, and moments._mean
+takes that pairing, with its exact non-real check, for both routes.  The
+routes still differ in what they sum: the recursion adds all plane trees
+of one size before it pairs, the oracle evaluates each partition's tree
+alone, and the tests hold the shared product and pairing to the labelled
+sum written out term by term.
+
+Cost.  Partitions are still enumerated one at a time.  A tree integral
+depends only on the shape of the tree, and s(c, c') = s(c', c), so the
+order of a vertex's children does not matter: shapes are canonical, with
+each vertex's child shapes sorted, and mirror-image forests share one
+memo entry.  moments_by_enumeration shares the memo across every
+partition and every k of one call.  A forest is its prefix without the
+last tree times that tree's pairing, so the work is one product per
+distinct canonical forest of at most k/2 edges (85 up to k = 12) and one
+pairing per distinct shape, instead of k/2 pairings for each of the 196
+partitions.  What is left per partition is building its shape and one
+lookup, and listing the partitions is now most of the time.
 """
 
 from __future__ import annotations
@@ -46,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CRat
 from .kernel import Kernel
+from .moments import _mean, _mul, _pair, _scaled_table
 
 __all__ = [
     "WignerPartition",
@@ -192,7 +209,7 @@ def tree_integral(kern: Kernel, w: WignerPartition) -> Fraction:
     part of prod_{i < sigma(i)} s_{f(i), f(sigma(i))}, integrated over
     the intervals of the parts.
     """
-    return _LatticeMessages(kern).integral(w)
+    return _TreeIntegrals(kern).integral(w)
 
 
 def _plane_shape(w: WignerPartition) -> tuple:
@@ -211,88 +228,55 @@ def _plane_shape(w: WignerPartition) -> tuple:
     return shapes[0]
 
 
-class _LatticeMessages:
-    """Exact lattice messages for one kernel, memoized by shape.
+class _TreeIntegrals:
+    """Exact tree integrals for one kernel, memoized by shape.
 
     A shape is a rooted tree written as the sorted tuple of its
     children's shapes, so the same tuple is also the forest hanging below
-    its root.  dist(forest)[a] is the distribution of the sum of the
-    labels on the forest's root edges, the root lying in interval a;
-    up(shape)[a] is the message a subtree of that shape sends over the
-    parent-side label of the edge above it, the parent lying in interval
-    a.  Every tree integral is the sum over a of len_a dist(shape)[a][0],
-    and each distinct forest prefix is convolved, and each shape
-    integrated, once, however many partitions share it.
+    its root.  phi and psi are functions on color space in the
+    recursion's scaled form (moments): phi(forest)(c) integrates the
+    forest's edges with its root at color c, and psi(shape)(c) does the
+    same for a `shape` subtree hanging from a parent at c by one more
+    edge.  A shape with e edges carries the factor L^e.
     """
 
     def __init__(self, kern: Kernel):
-        K, nI = kern.band, kern.partition.n
-        self.lengths = kern.partition.lengths
-        # rows[a][jp + K]: the nonzero len_b s_{jp, jc}(a, b) as (jc, b, value)
-        self.rows = [[[] for _ in range(2 * K + 1)] for _ in range(nI)]
-        for (jp, jc, a, b), v in sorted(kern.coeffs.items()):
-            self.rows[a][jp + K].append((jc, b, v * self.lengths[b]))
-        self.K = K
-        self.dists = {(): [{0: CRat(1)}] * nI}
-        self.ups = {}
+        self.kern = kern
+        self.L, self.terms = _scaled_table(kern)
+        nI = kern.partition.n
+        self.phis = {(): (0, [[1]] * nI, [[0]] * nI)}
+        self.psis = {}
         self.integrals = {}
 
-    def dist(self, forest: tuple) -> list:
-        """Per root interval, the label-sum distribution over the forest's
-        root edges (a convolution)."""
-        out = self.dists.get(forest)
+    def phi(self, forest: tuple) -> tuple:
+        """The product of psi over the forest's trees, one new factor per
+        distinct prefix."""
+        out = self.phis.get(forest)
         if out is None:
-            out = []
-            for prefix, msg in zip(self.dist(forest[:-1]), self.up(forest[-1])):
-                conv = {}
-                for tot, acc in prefix.items():
-                    for j, m in msg.items():
-                        key = tot + j
-                        cur = conv.get(key)
-                        conv[key] = acc * m if cur is None else cur + acc * m
-                out.append(conv)
-            self.dists[forest] = out
+            out = self.phis[forest] = _mul(self.phi(forest[:-1]),
+                                           self.psi(forest[-1]))
         return out
 
-    def up(self, shape: tuple) -> list:
-        """Per parent interval, the message over the parent-side label of
-        the edge into a `shape` subtree.
+    def psi(self, shape: tuple) -> tuple:
+        """phi(shape) paired with the kernel over the edge above it.
 
         The up-step into the child precedes its partner, so the edge
         weight is s_{parent label, child label}(parent, child) in that
-        order.
+        order: the table's first index is the parent's.
         """
-        out = self.ups.get(shape)
+        out = self.psis.get(shape)
         if out is None:
-            dist = self.dist(shape)
-            out = []
-            for rows in self.rows:
-                msg = {}
-                for jp, row in enumerate(rows, start=-self.K):
-                    acc = None
-                    for jc, b, coeff in row:
-                        part = dist[b].get(-jc)
-                        if part is not None:
-                            term = coeff * part
-                            acc = term if acc is None else acc + term
-                    if acc:
-                        msg[jp] = acc
-                out.append(msg)
-            self.ups[shape] = out
+            out = self.psis[shape] = _pair(self.terms, self.kern.band,
+                                           self.phi(shape))
         return out
 
     def integral(self, w: WignerPartition) -> Fraction:
         shape = _plane_shape(w)
         out = self.integrals.get(shape)
         if out is None:
-            total = CRat(0)
-            for length, dist in zip(self.lengths, self.dist(shape)):
-                part = dist.get(0)
-                if part is not None:
-                    total = total + part * length
-            if total.im != 0:
-                raise ValueError("tree integral came out non-real")
-            out = self.integrals[shape] = total.re
+            out = self.integrals[shape] = (
+                _mean(self.kern, self.phi(shape), "tree integral")
+                / self.L ** (w.k // 2))
         return out
 
 
@@ -303,8 +287,8 @@ def moments_by_enumeration(kern: Kernel, kmax: int) -> list:
     """
     if kmax > KMAX_GUARD:
         raise ValueError(f"kmax > {KMAX_GUARD}: Catalan growth makes this a desk-scale ceiling")
-    # one memo per call: every k shares the subtree messages of smaller k
-    lattice = _LatticeMessages(kern)
-    return [sum((lattice.integral(w) for w in enumerate_wigner_partitions(k)),
+    # one memo per call: every k shares the subtree shapes of smaller k
+    trees = _TreeIntegrals(kern)
+    return [sum((trees.integral(w) for w in enumerate_wigner_partitions(k)),
                 Fraction(0))
             for k in range(1, kmax + 1)]

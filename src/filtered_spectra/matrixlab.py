@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.linalg.blas import dnrm2
 
-from .kernel import Filter, IntervalPartition, Kernel, phases
+from .kernel import (Filter, IntervalPartition, Kernel, kernel_from_filter,
+                     phases)
 from .rng import gaussian_entries, rademacher_entries
 
 __all__ = [
@@ -125,16 +125,6 @@ class CovarianceReport:
     trials: int
 
 
-def _filter_autocorrelation(h: Filter, di: int, dj: int) -> Fraction:
-    """s_{di,dj} = sum over taps (c,d) of h(di+c, dj+d) h(c,d), exact."""
-    total = Fraction(0)
-    for (c, d), w in h.taps.items():
-        other = h.taps.get((di + c, dj + d))
-        if other is not None:
-            total += other * w
-    return total
-
-
 def covariance_check(h: Filter, cfg: SampleConfig,
                      index_quad) -> CovarianceReport:
     """Monte Carlo check of E[X_ij X_kl] = s_{i-k, l-j}.
@@ -156,7 +146,9 @@ def covariance_check(h: Filter, cfg: SampleConfig,
             f"indices not in general position: min(j-i, l-k) = "
             f"{min(j - i, l - k)} <= K = {K}")
 
-    theoretical = float(_filter_autocorrelation(h, i - k, l - j))
+    s = kernel_from_filter(h).coeff(i - k, l - j, 0, 0)
+    assert s.im == 0, "a filter's kernel has real coefficients"
+    theoretical = float(s.re)
 
     taps = sorted(h.taps.items())
     trials = np.arange(cfg.trials)

@@ -24,7 +24,9 @@ real and imaginary parts.  Phi_n vanishes for even n, and for odd n
 Phi'_n = L^((n-1)/2) Phi_n and Psi'_n = L^((n+1)/2) Psi_n have Gaussian
 integer coefficients and satisfy the same recursion with the integer
 table L * len_b * s_ij.  So the recursion runs on rows of Python ints,
-and theoretical_moments divides by L^(k/2) once per moment.
+and theoretical_moments divides by L^(k/2) once per moment.  The
+partition oracle (combinat) evaluates each tree with the same product,
+pairing and mean.
 """
 
 from __future__ import annotations
@@ -210,20 +212,27 @@ def phi_psi_recursion(kern: Kernel, nmax: int,
              for n, f in enumerate(psis, start=1)])
 
 
+def _mean(kern: Kernel, f: tuple, what: str) -> Fraction:
+    """<P, f>: the sum over intervals a of len_a times f_a's coefficient 0.
+
+    Integrating the angle keeps only the constant Fourier mode.  Raises
+    ValueError naming `what` unless the imaginary part cancels exactly.
+    """
+    d, re_rows, im_rows = f
+    re, im = (sum((w_a * row[d] for w_a, row in
+                   zip(kern.partition.lengths, rows)), Fraction(0))
+              for rows in (re_rows, im_rows))
+    if im != 0:
+        raise ValueError(f"{what} has an imaginary part")
+    return re
+
+
 def theoretical_moments(kern: Kernel, kmax: int) -> list:
     """m_k = <P, Phi_{k+1}> for k = 1..kmax, as exact Fractions.
 
     Raises ValueError unless every imaginary part cancels identically.
     """
     L, phis, _ = _scaled_recursion(kern, kmax + 1, DEGREE_CAP)
-    w = kern.partition.lengths
-    out = []
-    for k in range(1, kmax + 1):
-        # phis[k] is Phi'_{k+1} = L^(k/2) Phi_{k+1}, and zero for odd k
-        d, re_rows, im_rows = phis[k]
-        re, im = (sum((w_a * row[d] for w_a, row in zip(w, rows)), Fraction(0))
-                  for rows in (re_rows, im_rows))
-        if im != 0:
-            raise ValueError(f"moment m_{k} has an imaginary part")
-        out.append(re / L ** (k // 2))
-    return out
+    # phis[k] is Phi'_{k+1} = L^(k/2) Phi_{k+1}, and zero for odd k
+    return [_mean(kern, phis[k], f"moment m_{k}") / L ** (k // 2)
+            for k in range(1, kmax + 1)]

@@ -112,7 +112,8 @@ BAD_DOCUMENTS = [  # command, flag, value, what stderr names besides them
      "entries[0]"),
     ("verify", "--curve", '{"x": 1}', "'coeffs'"),
     ("verify", "--curve", '{"coeffs": [[0, 0]]}', "coeffs[0]"),
-    ("eliminate", "--relation", '{"coeffs": 3}', "coeffs")]
+    ("eliminate", "--relation", '{"coeffs": 3}', "coeffs"),
+    ("simulate", "--filter", UNIT_KERNEL, "not a filter document")]
 
 
 @pytest.mark.parametrize("command, flag, value, key", BAD_DOCUMENTS,
@@ -337,11 +338,21 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len(_rows(tmp_path / "override" / "moments.csv")) == 6
 
 
-def test_missing_inputs_exit_with_usage_error(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["moments", "--out", str(tmp_path / "x")])
-    with pytest.raises(SystemExit):
-        main(["eliminate", "--filter", COMPASS,
-              "--out", str(tmp_path / "y")])
-    with pytest.raises(SystemExit):
+def test_missing_inputs_exit_with_usage_error(tmp_path, capsys):
+    # exit 2 naming the missing flag or the bad value, before any output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "bogus"}))
+    for args, named in [
+            (["verify", "--filter", COMPASS], "--curve"),
+            (["eliminate", "--filter", COMPASS], "--relation"),
+            (["moments"], "--kernel or --filter"),
+            (["simulate", "--model", "filtered"], "--filter"),
+            (["simulate", "--filter", COMPASS, "--config", str(cfg)],
+             "--model 'bogus'")]:
+        out = tmp_path / args[0]
+        assert main(args + ["--out", str(out)]) == 2, args
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 2

@@ -1,6 +1,8 @@
 """Partition enumeration and the exact tree-integral evaluator."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from filtered_spectra.combinat import (_dyck_paths, _partition_from_path,
                                        enumerate_wigner_partitions,
                                        moments_by_enumeration, tree_integral)
-from filtered_spectra.kernel import compass_filter, constant_kernel, \
-    kernel_from_filter
-from conftest import coprime_kernel, seeded_two_interval_kernel, \
-    small_filters, tilted_circle_kernel, two_point_kernel
+from filtered_spectra.exactnum import CRat
+from filtered_spectra.kernel import IntervalPartition, Kernel, \
+    compass_filter, constant_kernel, kernel_from_filter
+from conftest import coprime_kernel, rank_two_kernel, \
+    seeded_two_interval_kernel, small_filters, tilted_circle_kernel, \
+    two_point_kernel
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -77,7 +81,7 @@ def test_kmax_guard():
 
 
 def _per_partition_moments(kern, kmax):
-    """Each tree integral on its own (no shared messages), then summed."""
+    """Each tree integral on its own (no shared memo), then summed."""
     return [sum((tree_integral(kern, w)
                  for w in enumerate_wigner_partitions(k)), Fraction(0))
             for k in range(1, kmax + 1)]
@@ -106,3 +110,80 @@ def test_two_point_kernel_moments_exact():
 def test_shared_messages_equal_per_partition_sum_random_filters(h):
     kern = kernel_from_filter(h)
     assert moments_by_enumeration(kern, 10) == _per_partition_moments(kern, 10)
+
+
+# ---------------------------------------------------------------------------
+# the tree integral against its definition, with no shared arithmetic
+# ---------------------------------------------------------------------------
+
+def _labelled_sum(kern, w):
+    """The module docstring's definition, term by term.
+
+    Every interval of each part, weighted by its length, and every label
+    f in [-K, K]^k with zero sum on each part, times the product over
+    i < sigma(i) of s_{f(i), f(sigma(i))}(a_part(i), a_part(sigma(i))).
+    """
+    K, po, lengths = kern.band, w.part_of, kern.partition.lengths
+    pairs = [(i, w.sigma[i]) for i in range(1, w.k + 1) if i < w.sigma[i]]
+    labels = [f for f in product(range(-K, K + 1), repeat=w.k)
+              if not any(sum(f[i - 1] for i in part) for part in w.parts)]
+    total = CRat(0)
+    for cells in product(range(kern.partition.n), repeat=len(w.parts)):
+        weight = prod(lengths[a] for a in cells)
+        for f in labels:
+            term = CRat(weight)
+            for i, j in pairs:
+                term = term * kern.coeff(f[i - 1], f[j - 1],
+                                         cells[po[i]], cells[po[j]])
+            total = total + term
+    assert total.im == 0
+    return total.re
+
+
+def _rank_one(breakpoints, f) -> Kernel:
+    """s(c, c') = f(c) f(c'), f[a] the Fourier coefficients on interval a."""
+    part = IntervalPartition(tuple(Fraction(x) for x in breakpoints))
+    band = max(abs(i) for fa in f for i in fa)
+    return Kernel(part, band, {(i, j, a, b): CRat(fa[i] * fb[j])
+                               for a, fa in enumerate(f) for i in fa
+                               for b, fb in enumerate(f) for j in fb})
+
+
+def cosine_step_kernel() -> Kernel:
+    """f = 1 on [0, 1/2) and 1 + cos t on [1/2, 1]: s_01(0, 1) = 1/2 while
+    s_10(0, 1) = 0, so swapping the table's two indices shows."""
+    half = Fraction(1, 2)
+    return _rank_one((0, half, 1), [{0: 1}, {-1: half, 0: 1, 1: half}])
+
+
+@pytest.mark.parametrize("kern, kmax", [
+    (tilted_circle_kernel(), 8), (coprime_kernel(), 8),
+    (two_point_kernel(), 8), (seeded_two_interval_kernel(), 6),
+    (rank_two_kernel(), 6), (cosine_step_kernel(), 6)],
+    ids=["tilted", "coprime", "two_point", "seeded", "rank_two",
+         "cosine_step"])
+def test_tree_integral_is_the_labelled_sum(kern, kmax):
+    for k in range(2, kmax + 1, 2):
+        for w in enumerate_wigner_partitions(k):
+            assert tree_integral(kern, w) == _labelled_sum(kern, w)
+
+
+@pytest.mark.parametrize("breakpoints, profile", [
+    ((0, Fraction(1, 2), 1), (0, 2)),
+    ((0, Fraction(1, 3), Fraction(1, 2), 1), (Fraction(1, 2), 3, 1))],
+    ids=["two_point", "three_piece"])
+def test_band_zero_rank_one_integrals_factor_over_vertices(breakpoints,
+                                                           profile):
+    # s = f(x) f(x') puts one factor f per edge end on each vertex, and the
+    # vertices' colors are independent: E M_pi = prod_v E f^deg(v)
+    kern = _rank_one(breakpoints, [{0: v} for v in profile])
+    lengths = kern.partition.lengths
+    for k in range(2, 13, 2):
+        for w in enumerate_wigner_partitions(k):
+            degree = [0] * len(w.parts)
+            for a, b in w.edges:
+                degree[a] += 1
+                degree[b] += 1
+            assert tree_integral(kern, w) == prod(
+                sum(ell * Fraction(v) ** d for ell, v in zip(lengths, profile))
+                for d in degree)
