@@ -13,10 +13,9 @@ from .kernel import (Filter, Kernel, IntervalPartition, compass_filter,
                      read_color_document, as_kernel)
 from .combinat import (WignerPartition, enumerate_wigner_partitions,
                        tree_integral, moments_by_enumeration)
-from .moments import NiceFunction, phi_psi_recursion, theoretical_moments
-from .colorsolve import (ColorSolution, SpectralGrid, solve_color_fixed_point,
-                         stieltjes_path, density_profile, solver_moments,
-                         rank_one_w)
+from .moments import theoretical_moments
+from .colorsolve import (ColorSolution, SpectralGrid, stieltjes_path,
+                         density_profile, solver_moments)
 from .algebra import (BivariatePolynomial, resultant, auxiliary_resultant,
                       discriminant, real_roots, verify_curve,
                       rank_one_eliminate)
@@ -33,9 +32,9 @@ __all__ = [
     "read_color_document", "as_kernel",
     "WignerPartition", "enumerate_wigner_partitions", "tree_integral",
     "moments_by_enumeration",
-    "NiceFunction", "phi_psi_recursion", "theoretical_moments",
-    "ColorSolution", "SpectralGrid", "solve_color_fixed_point",
-    "stieltjes_path", "density_profile", "solver_moments", "rank_one_w",
+    "theoretical_moments",
+    "ColorSolution", "SpectralGrid", "stieltjes_path", "density_profile",
+    "solver_moments",
     "BivariatePolynomial", "resultant",
     "auxiliary_resultant", "discriminant", "real_roots", "verify_curve",
     "rank_one_eliminate", "random_walk_recursion_check",

@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64  # in term lists: 8x the largest curves yet, bidegree (7, 8)
+# a curve is certified when its normalized residual on the circle of
+# certificate_radius stays below CERTIFICATE_TOL (eliminate and verify)
+CERTIFICATE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +586,11 @@ def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
     return _curve_residual(F, lams, S)
 
 
+def certificate_radius(kern: Kernel) -> float:
+    """max(10, 2.5A): the radius of the circle a curve is certified on."""
+    return max(10.0, 2.5 * kern.amplitude())
+
+
 def _curve_residual(F, lams, S):
     """max |F(lam, S)| / max(1, |lc_y F(lam)|) over the solved points."""
     lead = F.rows[-1] if F.rows else []
@@ -649,7 +657,7 @@ def _squarefree_factors(f):
 # rank-one elimination
 # ---------------------------------------------------------------------------
 
-def rank_one_eliminate(sf, kern: Kernel, residual_tol: float = 1e-8,
+def rank_one_eliminate(sf, kern: Kernel,
                        certificate: dict = None) -> BivariatePolynomial:
     """Algebraic curve F(lambda, S) = 0 for a rank-one kernel s = f (x) f.
 
@@ -663,15 +671,16 @@ def rank_one_eliminate(sf, kern: Kernel, residual_tol: float = 1e-8,
     v = S*w; eliminating w against E = 1 + w^2 - lambda*S by resultant
     and splitting the result into squarefree factors in Q[lambda][S]
     yields candidate curves.  Monomials and content are stripped first;
-    factors that fail the numerical certificate are discarded; surviving
-    factors (their product, if several) are returned normalized.  kern is
-    the kernel to certify against; a collapse or an empty survivor set
-    raises with the offending factorization in the message.
+    factors whose residual is not below CERTIFICATE_TOL are discarded;
+    surviving factors (their product, if several) are returned
+    normalized.  kern is the kernel to certify against; a collapse or an
+    empty survivor set raises with the offending factorization in the
+    message.
 
-    S is solved once, at 12 points on |lambda| = max(10, 2.5A), and every
-    factor is scored there; a dict passed as certificate receives the
-    returned curve's residual and the circle ("residual", "samples",
-    "radius").
+    S is solved once, at 12 points on |lambda| = certificate_radius(kern),
+    and every factor is scored there; a dict passed as certificate
+    receives the returned curve's residual and the circle ("residual",
+    "samples", "radius").
     """
     if not isinstance(sf, BivariatePolynomial):
         raise TypeError("sf must be a BivariatePolynomial relation R(m, v)")
@@ -723,14 +732,14 @@ def rank_one_eliminate(sf, kern: Kernel, residual_tol: float = 1e-8,
 
     from .colorsolve import circle_points, stieltjes_path
 
-    radius = max(10.0, 2.5 * kern.amplitude())
+    radius = certificate_radius(kern)
     lams = [complex(z) for z in circle_points(radius, 12)]
     S = [sol.stieltjes for sol in stieltjes_path(kern, lams)]
     survivors = []
     rejected = []
     for bp, mult in candidates:
         res = _curve_residual(bp, lams, S)
-        if res < residual_tol:
+        if res < CERTIFICATE_TOL:
             survivors.append(bp)
         else:
             rejected.append((bp, mult, res))

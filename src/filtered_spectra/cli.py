@@ -36,10 +36,10 @@ from .kernel import (read_color_document, json_document, as_kernel,
                      validate_kernel, Filter, _field)
 from .moments import theoretical_moments
 from .combinat import moments_by_enumeration
-from .colorsolve import (solve_color_fixed_point, density_profile,
-                         solver_moments, circle_points, CONTOUR_RADIUS,
-                         CONTOUR_POINTS)
-from .algebra import BivariatePolynomial, rank_one_eliminate, verify_curve
+from .colorsolve import (stieltjes_path, density_profile, solver_moments,
+                         circle_points, CONTOUR_RADIUS, CONTOUR_POINTS)
+from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
+                      certificate_radius, rank_one_eliminate, verify_curve)
 from .walks import random_walk_recursion_check
 from .matrixlab import (SampleConfig, sample_filtered_wigner,
                         sample_colored_gaussian, esd_statistics)
@@ -264,7 +264,7 @@ def cmd_solve(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     lam = _parse_complex(str(cfg.get("lam", cfg.get("lambda", "4,1"))))
     run = _Run("solve", cfg, cfg["out"])
-    sol = solve_color_fixed_point(kern, lam)
+    sol = stieltjes_path(kern, [lam])[0]
     run.write_csv("solve.csv", ["re_lambda", "im_lambda", "re_S", "im_S",
                                 "residual"],
                   [[lam.real, lam.imag, sol.stieltjes.real,
@@ -339,8 +339,8 @@ def cmd_verify(cfg: dict) -> int:
     curve = _get_curve(cfg, "curve")
     kern = _get_kernel(cfg)
     count = int(cfg.get("samples", 20))
-    radius = float(cfg.get("radius", max(10.0, 2.5 * kern.amplitude())))
-    tol = float(cfg.get("tol", 1e-8))
+    radius = float(cfg.get("radius", certificate_radius(kern)))
+    tol = float(cfg.get("tol", CERTIFICATE_TOL))
     run = _Run("verify", cfg, cfg["out"])
     resid = verify_curve(curve, kern, circle_points(radius, count))
     ok = resid < tol

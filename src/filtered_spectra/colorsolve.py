@@ -19,9 +19,11 @@ Psi) on T = 128 angular nodes per circle; g is analytic, so the node
 count controls an exponentially small aliasing error, not a truncation.
 At band 0, Psi and g do not depend on the angle, and one node is exact.
 
-Newton converges only from a nearby start, so each target's path
-begins where F is a contraction.  Kernel.sup_norm certifies ||s||_inf
-<= A^2/4, with A = 2 sqrt(sup_norm) the amplitude.  When |lam| >= 4A,
+Newton converges only from a nearby start (from Psi = 0 near the
+spectrum it can land on a non-Herglotz branch), so every solve runs
+through stieltjes_path, and each target's path begins where F is a
+contraction.  Kernel.sup_norm certifies ||s||_inf <= A^2/4, with
+A = 2 sqrt(sup_norm) the amplitude.  When |lam| >= 4A,
 F maps the ball |Psi| <= A/2 into itself, since |F| <= (A^2/4)/(3.5A)
 < A/2, and is a contraction there with constant at most
 (A^2/4)/(3.5A)^2 = 1/49.  The Herglotz solution lies in that ball
@@ -44,7 +46,6 @@ by the trapezoid rule (Trefethen-Weideman, SIAM Review 2014).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,12 +56,10 @@ from .kernel import Kernel, phases
 __all__ = [
     "ColorSolution",
     "SpectralGrid",
-    "solve_color_fixed_point",
     "stieltjes_path",
     "density_profile",
     "solver_moments",
     "circle_points",
-    "rank_one_w",
 ]
 
 T = 128              # angular nodes per circle at band K > 0
@@ -230,35 +229,13 @@ def _assert_herglotz(lam, S, slack=1e-9):
 # public operations
 # ---------------------------------------------------------------------------
 
-def solve_color_fixed_point(kern: Kernel, lam,
-                            warm_start: ColorSolution = None) -> ColorSolution:
-    """Solve the color equations at one lambda.
-
-    Without a warm start this is stieltjes_path(kern, [lam])[0]: Newton
-    from Psi = 0 can land on a non-Herglotz branch near the spectrum, so
-    a cold solve starts at the cruise point Re lam + 4A*i, where F is a
-    contraction, and continues down to lam.  With a warm start Newton
-    runs from that solution; a start too far away ends in the division
-    guard or the step cap, and raises with the last residual.
-    """
-    lam = complex(lam)
-    if warm_start is None:
-        return stieltjes_path(kern, [lam])[0]
-    ops = _GridOps(kern)
-    c, S, res, ok = _newton_batch(ops, [lam], warm_start.psi[None])
-    if not ok[0]:
-        raise RuntimeError(
-            f"color fixed point did not converge at lambda = {lam}: "
-            f"last residual {res[0]:.3e}")
-    return _solution(lam, c[0], S[0], res[0])
-
-
 def stieltjes_path(kern: Kernel, targets) -> list:
     """Continue S(lambda) to each target from its cruise point x + 4A*i.
 
     Path following with warm starts: Newton from Psi = 0 at the cruise
     point, geometric vertical descent, then the hop to real targets.
-    Raises if any target fails.
+    This is the one way to solve: a single point is
+    stieltjes_path(kern, [lam])[0].  Raises if any target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
     S, cs, res, ok = _continue_batch(kern, targets)
@@ -331,68 +308,3 @@ def solver_moments(kern: Kernel, kmax: int):
     ms = (lams ** (ks[:, None] + 1) * S).mean(axis=1).real
     tol = ROUNDOFF * np.finfo(float).eps * R ** ks + 2 * A ** ks * (A / R) ** M
     return ms.tolist(), tol.tolist()
-
-
-# ---------------------------------------------------------------------------
-# rank-one functionals
-# ---------------------------------------------------------------------------
-
-def _rank_one_factor(kern: Kernel):
-    """f with s(c,c') = f(c) f(c'), as a (2K+1, nI) coefficient table.
-
-    The flattened coefficient table over (i, a) x (j, b) of such a
-    kernel is the complex symmetric outer product u u^T; factor it from
-    the largest diagonal entry and certify the reconstruction to 1e-10
-    relative.  The sign is fixed by a positive mean (f >= 0 pointwise
-    for every kernel this is used on).
-    """
-    M = kern.coeff_matrix()
-    scale = float(np.max(np.abs(M)))
-    if scale == 0.0:
-        raise ValueError("zero kernel cannot be factored")
-    q = int(np.argmax(np.abs(np.diag(M))))
-    pivot = M[q, q]
-    if abs(pivot) < 1e-12 * scale:
-        raise ValueError("kernel is not rank one (no usable diagonal pivot)")
-    u = M[:, q] / cmath.sqrt(pivot)
-    defect = float(np.max(np.abs(M - np.outer(u, u))))
-    if defect > 1e-10 * scale:
-        raise ValueError(
-            f"kernel is not rank one: factorization defect {defect:.3e} "
-            f"(relative {defect / scale:.3e})")
-    K, nI = kern.band, kern.partition.n
-    table = u.reshape(2 * K + 1, nI)
-    wts = np.array([float(l) for l in kern.partition.lengths])
-    mean = table[K] @ wts
-    if mean.real < 0:
-        table = -table
-    # realness of f: coefficient(-i) = conj(coefficient(i))
-    defect = float(np.max(np.abs(table[::-1] - np.conj(table))))
-    if defect > 1e-9 * math.sqrt(scale):
-        raise ValueError(f"rank-one factor is not real-valued ({defect:.3e})")
-    return table
-
-
-def rank_one_w(kern: Kernel, lam) -> complex:
-    """w(lambda) = integral of f(c) P(dc) / (lambda - Psi(c, lambda)).
-
-    Requires s = f (x) f (certified numerically from the coefficient
-    table).  The returned value satisfies lambda*S = 1 + w^2, which is
-    asserted before returning.
-    """
-    table = _rank_one_factor(kern)
-    lam = complex(lam)
-    sol = stieltjes_path(kern, [lam])[0]
-    ops = _GridOps(kern)
-    f_grid = table.T @ ops.phase          # (nI, T), complex residue ~ 0
-    if float(np.max(np.abs(f_grid.imag))) > 1e-9 * max(
-            1.0, float(np.max(np.abs(f_grid.real)))):
-        raise AssertionError("rank-one factor came out non-real on the grid")
-    psi_grid = sol.psi @ ops.phase
-    vals = f_grid.real / (lam - psi_grid)
-    w = complex(vals.mean(axis=1) @ ops.wts)
-    lhs = lam * sol.stieltjes
-    if abs(lhs - (1 + w * w)) > 1e-8 * max(1.0, abs(lhs)):
-        raise AssertionError(
-            f"master identity violated: lambda*S = {lhs}, 1 + w^2 = {1 + w * w}")
-    return w

@@ -208,15 +208,6 @@ class Kernel:
             arr[i + K, j + K, a, b] = complex(v)
         return arr
 
-    def coeff_matrix(self) -> np.ndarray:
-        """Coefficient table flattened to a matrix over (i,a) x (j,b).
-
-        Rank one here is exactly the factorized case s(c,c') = f(c) f(c').
-        """
-        K, nI = self.band, self.partition.n
-        arr = self.coeff_array()
-        return arr.transpose(0, 2, 1, 3).reshape((2 * K + 1) * nI, (2 * K + 1) * nI)
-
     def sup_norm(self) -> float:
         """Upper bound of ||s||_inf: the max over cell pairs of sum |s_ij|.
 

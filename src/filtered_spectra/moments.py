@@ -17,14 +17,16 @@ here: we only ever touch the nice representatives.)
 
 The pairing with s keeps Psi_n's Fourier degree at the kernel band K;
 Phi degrees grow additively, and the recursion refuses (with an error,
-never silent truncation) to exceed a configurable degree cap.
+never silent truncation) to exceed DEGREE_CAP.
 
 Scaling.  Let L be the lcm of the denominators of every len_b * s_ij(a, b),
 real and imaginary parts.  Phi_n vanishes for even n, and for odd n
 Phi'_n = L^((n-1)/2) Phi_n and Psi'_n = L^((n+1)/2) Psi_n have Gaussian
 integer coefficients and satisfy the same recursion with the integer
 table L * len_b * s_ij.  So the recursion runs on rows of Python ints,
-and theoretical_moments divides by L^(k/2) once per moment.  The
+and theoretical_moments divides by L^(k/2) once per moment.  Phi and Psi
+are internal: they exist only as these scaled rows, and
+theoretical_moments is the module's one public operation.  The
 partition oracle (combinat) evaluates each tree with the same product,
 pairing and mean.
 """
@@ -34,29 +36,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import CRat
 from .kernel import Kernel
 
-__all__ = ["NiceFunction", "phi_psi_recursion", "theoretical_moments"]
+__all__ = ["theoretical_moments"]
 
 DEGREE_CAP = 256
-
-
-class NiceFunction:
-    """Piecewise-constant-in-x trigonometric polynomial on color space.
-
-    values[a][d + degree] is the coefficient of xi^d on interval a, an
-    exact CRat.
-    """
-
-    __slots__ = ("partition", "degree", "values")
-
-    def __init__(self, partition, degree, values):
-        self.partition = partition
-        self.degree = int(degree)
-        self.values = values
-        assert len(values) == partition.n
-        assert all(len(row) == 2 * self.degree + 1 for row in values)
 
 
 # ---------------------------------------------------------------------------
@@ -185,31 +169,6 @@ def _scaled_recursion(kern: Kernel, nmax: int, degree_cap: int) -> tuple:
             phis.append(_sum(prods, d))
         psis.append(_pair(terms, kern.band, phis[n]))
     return L, phis[1:], psis[1:]
-
-
-def _unscaled(partition, f: tuple, scale: int) -> NiceFunction:
-    d, re_rows, im_rows = f
-    return NiceFunction(partition, d, [
-        [CRat(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(rr, ir)]
-        for rr, ir in zip(re_rows, im_rows)])
-
-
-def phi_psi_recursion(kern: Kernel, nmax: int,
-                      degree_cap: int = DEGREE_CAP):
-    """Phi_1..Phi_nmax and Psi_1..Psi_nmax as NiceFunctions.
-
-    Runs over Gaussian integers scaled by powers of L (kernel tables are
-    stored exactly) and divides once at the end.  Raises if any Phi
-    degree would exceed degree_cap — the caller asked for more than the
-    representation can hold, and truncating would corrupt every later
-    moment.
-    """
-    L, phis, psis = _scaled_recursion(kern, nmax, degree_cap)
-    part = kern.partition
-    return ([_unscaled(part, f, L ** ((n - 1) // 2))
-             for n, f in enumerate(phis, start=1)],
-            [_unscaled(part, f, L ** ((n + 1) // 2))
-             for n, f in enumerate(psis, start=1)])
 
 
 def _mean(kern: Kernel, f: tuple, what: str) -> Fraction:

@@ -16,8 +16,7 @@ from conftest import seeded_two_interval_kernel, two_point_kernel
 from filtered_spectra.algebra import (BivariatePolynomial,
                                       rank_one_eliminate, discriminant,
                                       real_roots, verify_curve, resultant)
-from filtered_spectra.colorsolve import (solve_color_fixed_point,
-                                         density_profile, stieltjes_path)
+from filtered_spectra.colorsolve import density_profile, stieltjes_path
 from filtered_spectra.combinat import (enumerate_wigner_partitions,
                                        moments_by_enumeration)
 from filtered_spectra.kernel import validate_kernel, read_color_document
@@ -106,7 +105,7 @@ def test_criterion_3_semicircle_recovery(capsys, semicircle):
     ms = theoretical_moments(semicircle, 10)
     moments_ok = list(ms) == [0, 1, 0, 2, 0, 5, 0, 14, 0, 42]
 
-    sol = solve_color_fixed_point(semicircle, 3.0)
+    sol = stieltjes_path(semicircle, [3.0])[0]
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     s_ok = abs(sol.stieltjes - golden) <= 1e-10
 
@@ -235,8 +234,8 @@ def test_criterion_7_invariants(capsys, compass_kernel, semicircle):
         for sol in stieltjes_path(kern, lams):
             resid_ok &= sol.residual < 1e-12
     for kern in (compass_kernel, semicircle):
-        up = solve_color_fixed_point(kern, 1.3 + 0.7j)
-        dn = solve_color_fixed_point(kern, 1.3 - 0.7j)
+        up = stieltjes_path(kern, [1.3 + 0.7j])[0]
+        dn = stieltjes_path(kern, [1.3 - 0.7j])[0]
         sign_ok &= up.stieltjes.imag < 0 < dn.stieltjes.imag
         sign_ok &= abs(up.stieltjes - dn.stieltjes.conjugate()) < 1e-11
 

@@ -11,7 +11,6 @@ import pytest
 from filtered_spectra import colorsolve
 from filtered_spectra.colorsolve import (_GridOps, _continue_batch,
                                          circle_points, density_profile,
-                                         rank_one_w, solve_color_fixed_point,
                                          solver_moments, stieltjes_path)
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
@@ -32,8 +31,19 @@ def _semicircle_S(lam: complex) -> complex:
     return min(a, b, key=abs)                      # S ~ 1/lambda at infinity
 
 
+def _tilted_factor() -> dict:
+    """f(x, t) = a(x) + b(x) Re((1+i) exp(it)) / 2 on the cells [0, 1/3)
+    and [1/3, 1]: f[(i, x)] is the coefficient of exp(i i t) on cell x."""
+    a, b = (Fraction(1), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))
+    f = {(0, x): CRat(a[x]) for x in range(2)}
+    for x in range(2):
+        f[(1, x)] = CRat(b[x] / 4, b[x] / 4)
+        f[(-1, x)] = CRat(b[x] / 4, -b[x] / 4)
+    return f
+
+
 def _tilted_kernel() -> Kernel:
-    """s = f (x) f with f(x, t) = a(x) + b(x) Re((1+i) exp(it)) / 2.
+    """s = f (x) f with f = _tilted_factor().
 
     f is positive, neither even nor odd in t, and its mode profiles a, b
     differ across the two cells, so s_ij(x, y) != s_ji(x, y).  A
@@ -41,18 +51,14 @@ def _tilted_kernel() -> Kernel:
     i and j, is wrong here, unlike on the kernels of conftest.
     """
     part = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(1)))
-    a, b = (Fraction(1), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))
-    f = {(0, x): CRat(a[x]) for x in range(2)}
-    for x in range(2):
-        f[(1, x)] = CRat(b[x] / 4, b[x] / 4)
-        f[(-1, x)] = CRat(b[x] / 4, -b[x] / 4)
+    f = _tilted_factor()
     return Kernel(part, 1, {(i, j, x, y): f[(i, x)] * f[(j, y)]
                             for i in (-1, 0, 1) for j in (-1, 0, 1)
                             for x in range(2) for y in range(2)})
 
 
 def test_semicircle_value_at_three(semicircle):
-    sol = solve_color_fixed_point(semicircle, 3.0)
+    sol = stieltjes_path(semicircle, [3.0])[0]
     assert sol.stieltjes.real == pytest.approx(GOLDEN, abs=1e-10)
     assert abs(sol.stieltjes.imag) < 1e-12
     assert sol.residual < 1e-12
@@ -60,7 +66,7 @@ def test_semicircle_value_at_three(semicircle):
 
 def test_semicircle_closed_form(semicircle):
     for lam in (2j, 1.0 + 1.0j, -2.5 + 0.3j, 0.5 + 2.0j, -3.2 + 0.0j):
-        sol = solve_color_fixed_point(semicircle, lam)
+        sol = stieltjes_path(semicircle, [lam])[0]
         assert sol.stieltjes == pytest.approx(_semicircle_S(complex(lam)),
                                               abs=1e-10)
 
@@ -79,8 +85,8 @@ def test_imaginary_sign_and_conjugation(compass_kernel):
     for kern, lam in ((compass_kernel, 1.3 + 0.7j),
                       (seeded_two_interval_kernel(), 1.3 + 0.7j),
                       (seeded_two_interval_kernel(), 2.5 + 0.001j)):
-        up = solve_color_fixed_point(kern, lam)
-        dn = solve_color_fixed_point(kern, lam.conjugate())
+        up = stieltjes_path(kern, [lam])[0]
+        dn = stieltjes_path(kern, [lam.conjugate()])[0]
         assert up.stieltjes.imag < 0
         assert dn.stieltjes == pytest.approx(up.stieltjes.conjugate(),
                                              abs=1e-11)
@@ -89,15 +95,15 @@ def test_imaginary_sign_and_conjugation(compass_kernel):
 def test_real_lambda_inside_support_is_boundary_value_from_above():
     # the seeded kernel's support reaches +-3.39, so lambda = 3 is inside it
     kern = seeded_two_interval_kernel()
-    S = solve_color_fixed_point(kern, 3.0).stieltjes
+    S = stieltjes_path(kern, [3.0])[0].stieltjes
     above = stieltjes_path(kern, [3.0 + 1e-7j])[0].stieltjes
     assert S.imag < 0
     assert S == pytest.approx(above, abs=1e-6)
 
 
 def test_stieltjes_is_odd_for_symmetric_law(compass_kernel):
-    plus = solve_color_fixed_point(compass_kernel, 3.1 + 0.4j)
-    minus = solve_color_fixed_point(compass_kernel, -3.1 + 0.4j)
+    plus = stieltjes_path(compass_kernel, [3.1 + 0.4j])[0]
+    minus = stieltjes_path(compass_kernel, [-3.1 + 0.4j])[0]
     assert minus.stieltjes == pytest.approx(-plus.stieltjes.conjugate(),
                                             abs=1e-10)
 
@@ -105,7 +111,7 @@ def test_stieltjes_is_odd_for_symmetric_law(compass_kernel):
 def test_large_lambda_expansion(compass_kernel):
     # S(lambda) = 1/lambda + m_2/lambda^3 + O(lambda^-5)
     lam = 50.0 + 1.0j
-    sol = solve_color_fixed_point(compass_kernel, lam)
+    sol = stieltjes_path(compass_kernel, [lam])[0]
     want = 1 / lam + 1 / lam ** 3
     assert abs(sol.stieltjes - want) < 2e-6
 
@@ -132,7 +138,7 @@ def test_solver_moments_within_stated_bound(make):
 
 
 def test_psi_representation(compass_kernel):
-    sol = solve_color_fixed_point(compass_kernel, 4.0 + 1.0j)
+    sol = stieltjes_path(compass_kernel, [4.0 + 1.0j])[0]
     assert sol.psi.shape == (1, 2 * compass_kernel.band + 1)
     grid = sol.psi @ phases(compass_kernel.band, 64)
     assert grid.shape == (1, 64)
@@ -153,14 +159,6 @@ def test_newton_jacobian_matches_finite_differences():
     dF = (r_plus - r_minus) / (2 * h) + v           # r = F(c) - c
     want = ops.jacobian(g)[0] @ v.reshape(-1)
     assert np.max(np.abs(dF.reshape(-1) - want)) < 1e-8 * np.max(np.abs(want))
-
-
-def test_warm_start_agrees(compass_kernel):
-    base = solve_color_fixed_point(compass_kernel, 4.0 + 0.5j)
-    warm = solve_color_fixed_point(compass_kernel, 3.9 + 0.5j,
-                                   warm_start=base)
-    cold = solve_color_fixed_point(compass_kernel, 3.9 + 0.5j)
-    assert warm.stieltjes == pytest.approx(cold.stieltjes, abs=1e-11)
 
 
 def test_path_accepts_any_iterable(semicircle):
@@ -314,15 +312,29 @@ def test_eps_pair_validation(semicircle):
         density_profile(semicircle, [0.0], eps_pair=(1e-2, 0.0))
 
 
-def test_rank_one_w_master_identity(semicircle, compass_kernel):
-    for kern, lam in ((semicircle, 3.0 + 0.0j), (semicircle, 1.0 + 1.0j),
-                      (compass_kernel, 4.5 + 0.0j),
-                      (two_point_kernel(), 5.0 + 0.5j)):
-        sol = stieltjes_path(kern, [lam])[0]
-        w = rank_one_w(kern, lam)
-        assert lam * sol.stieltjes == pytest.approx(1 + w * w, abs=1e-8)
+def test_master_identity_for_rank_one_kernels(semicircle, compass_kernel):
+    """lambda S = 1 + w^2 for s = f (x) f, w = integral of f / (lambda - Psi).
 
-
-def test_rank_one_w_rejects_rank_two():
-    with pytest.raises(ValueError, match="rank one"):
-        rank_one_w(rank_two_kernel(), 5.0 + 1.0j)
+    Each factor f is written out here, one row of Fourier modes -K..K per
+    cell, and w is integrated from the solver's Psi table alone.
+    """
+    tilted = _tilted_factor()
+    cases = (
+        (semicircle, [[1]], (3.0, 1.0 + 1.0j)),
+        (compass_kernel, [[0.5, 0, 1, 0, 0.5]], (4.5,)),
+        (two_point_kernel(), [[0], [2]], (5.0 + 0.5j,)),
+        (_tilted_kernel(), [[complex(tilted[(i, x)]) for i in (-1, 0, 1)]
+                            for x in range(2)],
+         (4.0, 1.0 + 0.5j, -2.0 + 1e-3j)),
+    )
+    for kern, f, lams in cases:
+        f = np.array(f, dtype=complex)                      # (nI, 2K+1)
+        assert np.array_equal(kern.coeff_array(),
+                              np.einsum("ai,bj->ijab", f, f))
+        grid = phases(kern.band, 64)
+        f_grid = f @ grid
+        assert np.max(np.abs(f_grid.imag)) < 1e-15          # f is real
+        ell = np.array([float(l) for l in kern.partition.lengths])
+        for lam, sol in zip(lams, stieltjes_path(kern, lams)):
+            w = (f_grid.real / (lam - sol.psi @ grid)).mean(axis=1) @ ell
+            assert lam * sol.stieltjes == pytest.approx(1 + w * w, abs=1e-8)

@@ -7,7 +7,8 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 
-from filtered_spectra.combinat import (_dyck_paths, _partition_from_path,
+from filtered_spectra.combinat import (KMAX_GUARD, _dyck_paths,
+                                       _partition_from_path,
                                        enumerate_wigner_partitions,
                                        moments_by_enumeration, tree_integral)
 from filtered_spectra.exactnum import CRat
@@ -31,13 +32,36 @@ def test_odd_sizes_are_empty():
 
 
 def test_partition_structure():
-    for w in enumerate_wigner_partitions(8):
-        assert w.k == 8
-        assert len(w.edges) == len(w.parts) - 1       # tree on the parts
-        assert sorted(x for p in w.parts for x in p) == list(range(1, 9))
-        for i in range(1, 9):                         # pairing involution
-            assert w.sigma[i] != i
-            assert w.sigma[w.sigma[i]] == i
+    """The Dyck-path bijection's invariants, on every partition served.
+
+    Step i walks from part_of[i] to part_of[i + 1] (cyclically), so a
+    walk over k/2 + 1 nonempty parts along k/2 edges is a tree tour.
+    """
+    for k in range(2, KMAX_GUARD + 1, 2):
+        for w in enumerate_wigner_partitions(k):
+            po = w.part_of
+            assert w.k == k
+            assert len(w.parts) == k // 2 + 1 and len(w.edges) == k // 2
+            assert all(w.parts)
+            assert sorted(x for p in w.parts for x in p) == \
+                list(range(1, k + 1))
+            steps = [(po[i], po[i % k + 1]) for i in range(1, k + 1)]
+            assert all(a != b for a, b in steps)
+            for i in range(1, k + 1):             # pairing involution
+                assert w.sigma[i] != i
+                assert w.sigma[w.sigma[i]] == i
+            # each edge is crossed twice, by sigma-paired steps, once
+            # each way
+            crossings = {frozenset(e): [] for e in w.edges}
+            assert len(crossings) == k // 2
+            for i, step in enumerate(steps, start=1):
+                assert frozenset(step) in crossings
+                crossings[frozenset(step)].append(i)
+            for pair in crossings.values():
+                assert len(pair) == 2
+                i, j = pair
+                assert w.sigma[i] == j
+                assert steps[j - 1] == steps[i - 1][::-1]
 
 
 def test_partitions_all_distinct():

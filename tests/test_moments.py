@@ -11,17 +11,37 @@ from filtered_spectra.combinat import moments_by_enumeration
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (Kernel, compass_filter, constant_kernel,
                                      kernel_from_filter, unit_partition)
-from filtered_spectra.moments import (NiceFunction, phi_psi_recursion,
-                                      theoretical_moments)
+from filtered_spectra.moments import theoretical_moments
 from conftest import coprime_kernel, rank_two_kernel, \
     seeded_two_interval_kernel, small_filters, tilted_circle_kernel, \
     two_point_kernel
 
 
-def _mean(f: NiceFunction):
+def _phi_psi(kern, nmax):
+    """Phi_1..Phi_nmax and Psi_1..Psi_nmax, each as (degree, rows).
+
+    rows[a][d + degree] is the coefficient of xi^d on interval a, a CRat:
+    the recursion's rows Phi'_n and Psi'_n divided by L^((n-1)/2) and
+    L^((n+1)/2).
+    """
+    L, phis, psis = moments._scaled_recursion(kern, nmax, moments.DEGREE_CAP)
+
+    def unscale(f, scale):
+        d, re_rows, im_rows = f
+        return d, [[CRat(Fraction(x, scale), Fraction(y, scale))
+                    for x, y in zip(rr, ir)]
+                   for rr, ir in zip(re_rows, im_rows)]
+
+    return ([unscale(f, L ** ((n - 1) // 2))
+             for n, f in enumerate(phis, start=1)],
+            [unscale(f, L ** ((n + 1) // 2))
+             for n, f in enumerate(psis, start=1)])
+
+
+def _mean(kern, f):
     """<P, f>: the constant coefficients weighted by interval length."""
-    return sum(w * row[f.degree]
-               for w, row in zip(f.partition.lengths, f.values))
+    d, rows = f
+    return sum(w * row[d] for w, row in zip(kern.partition.lengths, rows))
 
 
 def test_semicircle_moments_exact():
@@ -66,14 +86,14 @@ def test_even_moments_positive_odd_zero():
 
 def test_phi_psi_shapes_and_bounds():
     kern = kernel_from_filter(compass_filter())
-    phis, psis = phi_psi_recursion(kern, 6)
-    assert _mean(phis[0]) == 1                # Phi_1 = 1
-    assert _mean(psis[0]) == kern.l1_norm()   # <P, Psi_1> = integral of s
+    phis, psis = _phi_psi(kern, 6)
+    assert _mean(kern, phis[0]) == 1               # Phi_1 = 1
+    assert _mean(kern, psis[0]) == kern.l1_norm()  # <P, Psi_1> = integral of s
     A = kern.amplitude()
     for n, phi in enumerate(phis, start=1):
-        assert 0 <= float(_mean(phi).re) <= A ** (n - 1)
-    for psi in psis:
-        assert psi.degree <= kern.band
+        assert 0 <= float(_mean(kern, phi).re) <= A ** (n - 1)
+    for degree, _ in psis:
+        assert degree <= kern.band
 
 
 def test_nice_function_algebra():
@@ -81,34 +101,34 @@ def test_nice_function_algebra():
 
     s = (xi^2 + 2 + conj xi^2)(eta^2 + 2 + conj eta^2) / 4.
     """
-    phis, psis = phi_psi_recursion(kernel_from_filter(compass_filter()), 5)
+    phis, psis = _phi_psi(kernel_from_filter(compass_filter()), 5)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
-    assert [f.degree for f in phis] == [0, 0, 2, 0, 4]
-    assert phis[0].values == [[1]] and phis[1].values == [[0]]
-    assert psis[0].values == [[half, 0, 1, 0, half]]         # s_{i,0}
-    assert phis[2].values == psis[0].values                  # Psi_1 Phi_1
-    assert psis[2].values == [[3 * quarter, 0, 3 * half, 0, 3 * quarter]]
+    assert [d for d, _ in phis] == [0, 0, 2, 0, 4]
+    assert phis[0][1] == [[1]] and phis[1][1] == [[0]]
+    assert psis[0][1] == [[half, 0, 1, 0, half]]             # s_{i,0}
+    assert phis[2][1] == psis[0][1]                          # Psi_1 Phi_1
+    assert psis[2][1] == [[3 * quarter, 0, 3 * half, 0, 3 * quarter]]
     # Phi_5 = Psi_1^2 + Psi_3, whose mean is m_4 = 3
-    assert phis[4].values == [[quarter, 0, 7 * quarter, 0, 3, 0,
-                               7 * quarter, 0, quarter]]
-    assert all(isinstance(v, CRat) for f in phis + psis for v in f.values[0])
+    assert phis[4][1] == [[quarter, 0, 7 * quarter, 0, 3, 0,
+                           7 * quarter, 0, quarter]]
 
 
 def test_pair_with_kernel_semicircle():
     """s = 1 pairs every Phi_n to its mean: Psi_n = Phi_n = Catalan."""
-    phis, psis = phi_psi_recursion(constant_kernel(), 7)
-    assert [f.degree for f in phis + psis] == [0] * 14
-    assert [_mean(f) for f in phis] == [1, 0, 1, 0, 2, 0, 5]
-    assert [_mean(f) for f in psis] == [1, 0, 1, 0, 2, 0, 5]
+    kern = constant_kernel()
+    phis, psis = _phi_psi(kern, 7)
+    assert [d for d, _ in phis + psis] == [0] * 14
+    assert [_mean(kern, f) for f in phis] == [1, 0, 1, 0, 2, 0, 5]
+    assert [_mean(kern, f) for f in psis] == [1, 0, 1, 0, 2, 0, 5]
 
 
 def test_degree_cap_refuses():
     kern = kernel_from_filter(compass_filter())
     with pytest.raises(ValueError,
                        match=r"^Phi_11 would have degree 10 > cap 8$"):
-        phi_psi_recursion(kern, 12, degree_cap=8)
-    phis, _ = phi_psi_recursion(kern, 11, degree_cap=10)    # at the cap
-    assert phis[-1].degree == 10
+        moments._scaled_recursion(kern, 12, 8)
+    _, phis, _ = moments._scaled_recursion(kern, 11, 10)    # at the cap
+    assert phis[-1][0] == 10
 
 
 def test_nonreal_moment_refused():
