@@ -35,7 +35,7 @@ from . import __version__
 from .kernel import (read_color_document, json_document, as_kernel,
                      validate_kernel, Filter, _field)
 from .moments import theoretical_moments
-from .combinat import moments_by_enumeration
+from .combinat import KMAX_GUARD, moments_by_enumeration
 from .colorsolve import (stieltjes_path, density_profile, solver_moments,
                          circle_points, CONTOUR_RADIUS, CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
@@ -45,11 +45,6 @@ from .matrixlab import (SampleConfig, sample_filtered_wigner,
                         sample_colored_gaussian, esd_statistics)
 
 FMT = "%.17g"
-# moments --oracle checks k <= ORACLE_KMAX only: the enumeration visits
-# all Catalan(k/2) partitions.  On the compass k <= 16 costs 12x k <= 12
-# (0.10 s against 0.008 s, one core), and 0.07 s of it is listing the
-# partitions, so a cheaper pairing would not pay for the deeper check
-ORACLE_KMAX = 12
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -152,6 +147,23 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
     return cfg
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """cfg[key] (or the default) as an int >= 1.
+
+    Anything else raises ValueError naming --key and the value, so main
+    exits 2; commands read their counts before making the output
+    directory.
+    """
+    value = cfg.get(key, default)
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def _document(flag: str, value, read=json_document):
     """read(value) for the document given to --flag.
 
@@ -206,7 +218,7 @@ def _get_curve(cfg: dict, flag: str) -> BivariatePolynomial:
 
 def cmd_moments(cfg: dict) -> int:
     kern = _get_kernel(cfg)
-    kmax = int(cfg.get("kmax", 8))
+    kmax = _count(cfg, "kmax", 8)
     run = _Run("moments", cfg, cfg["out"])
     exact = theoretical_moments(kern, kmax)
     ms = [float(v) for v in exact]
@@ -214,7 +226,7 @@ def cmd_moments(cfg: dict) -> int:
     header = ["k", "moment"]
     status = 0
     worst = 0.0
-    cap = min(kmax, ORACLE_KMAX)
+    cap = min(kmax, KMAX_GUARD)
     if cfg.get("oracle"):
         oracle = moments_by_enumeration(kern, cap)
         for k in range(kmax):
@@ -241,7 +253,7 @@ def cmd_density(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     xmin = float(cfg.get("xmin", -3.0))
     xmax = float(cfg.get("xmax", 3.0))
-    n = int(cfg.get("n", 241))
+    n = _count(cfg, "n", 241)
     eps1 = float(cfg.get("eps1", 1e-2))
     eps2 = float(cfg.get("eps2", 5e-3))
     run = _Run("density", cfg, cfg["out"])
@@ -281,22 +293,22 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     model = cfg.get("model", "filtered")
     seed = int(cfg["seed"])
-    trials = int(cfg.get("trials", 5))
-    kmax = int(cfg.get("kmax", 6))
+    trials = _count(cfg, "trials", 5)
+    kmax = _count(cfg, "kmax", 6)
     if model == "filtered":
-        N = int(cfg.get("N", 1000))
+        N = _count(cfg, "N", 1000)
         scfg = SampleConfig(N=N, seed=seed,
                             entry_law=cfg.get("entry_law", "gaussian"),
                             trials=trials)
         sample = partial(sample_filtered_wigner, scfg, _get_filter(cfg))
     elif model == "colored":
-        N = int(cfg.get("N", 40))
+        N = _count(cfg, "N", 40)
         sample = partial(sample_colored_gaussian, _get_kernel(cfg), N, seed)
     else:
         raise ValueError(f"--model {model!r} is not 'filtered' or 'colored'")
     run = _Run("simulate", cfg, cfg["out"])
     mats = [sample(trial=t) for t in range(trials)]
-    summary = esd_statistics(mats, kmax=kmax, bins=cfg.get("bins"))
+    summary = esd_statistics(mats, kmax=kmax)
     run.write_csv("moments.csv", ["k", "mean", "stderr"],
                   [[k + 1, summary.moment_mean[k], summary.moment_stderr[k]]
                    for k in range(kmax)])
@@ -381,10 +393,11 @@ def cmd_walkcheck(cfg: dict) -> int:
 
 def cmd_crosscheck(cfg: dict) -> int:
     kern = _get_kernel(cfg)
-    kmax = int(cfg.get("kmax", 6))
+    kmax = _count(cfg, "kmax", 6)
     seed = int(cfg["seed"])
-    trials = int(cfg.get("trials", 4))
+    trials = _count(cfg, "trials", 4)
     h = _get_filter(cfg) if "filter" in cfg else None
+    N = _count(cfg, "N", 24 if h is None else 400)
     run = _Run("crosscheck", cfg, cfg["out"])
 
     report = validate_kernel(kern)
@@ -399,12 +412,10 @@ def cmd_crosscheck(cfg: dict) -> int:
     solver, solver_tol = solver_moments(kern, kmax)
 
     if h is not None:
-        N = int(cfg.get("N", 400))
         scfg = SampleConfig(N=N, seed=seed, trials=trials)
         mats = [sample_filtered_wigner(scfg, h, trial=t)
                 for t in range(trials)]
     else:
-        N = int(cfg.get("N", 24))
         mats = [sample_colored_gaussian(kern, N, seed, trial=t)
                 for t in range(trials)]
     summary = esd_statistics(mats, kmax=kmax)
@@ -463,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="limit moments via the recursion")
     p.add_argument("--kmax", type=int)
     p.add_argument("--oracle", action="store_true", default=None,
-                   help="cross-check against partition enumeration")
+                   help="cross-check against the tree sum (k <= 16)")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("density", parents=[common],

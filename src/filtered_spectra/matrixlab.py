@@ -35,7 +35,7 @@ from scipy.linalg import lapack
 from scipy.linalg.blas import dnrm2
 
 from .kernel import (Filter, IntervalPartition, Kernel, kernel_from_filter,
-                     phases)
+                     kernel_grid_matrix)
 from .rng import gaussian_entries, rademacher_entries
 
 __all__ = [
@@ -192,22 +192,10 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
     if N > 64:
         raise ValueError(f"N = {N} exceeds the size guard 64 (N^2 <= 4096)")
     n2 = N * N
-    K = kern.band
-    arr = kern.coeff_array()
-    part = kern.partition
     ps, qs = np.divmod(np.arange(n2), N)
-    cell = _site_cells(part, ps, N)
-    phase = phases(K, N)[:, qs]  # (2K+1, n2)
-
-    # s(c_m, c_n) = sum_{i,j} s_ij(cell_m, cell_n) phase_i(m) phase_j(n),
-    # assembled per interval pair to keep intermediates small
-    smat = np.zeros((n2, n2))
-    for a in range(part.n):
-        sel_a = np.flatnonzero(cell == a)
-        for b in range(part.n):
-            sel_b = np.flatnonzero(cell == b)
-            block = phase[:, sel_a].T @ arr[:, :, a, b] @ phase[:, sel_b]
-            smat[np.ix_(sel_a, sel_b)] = block.real
+    # s on the (interval, angle) product grid, gathered at each site
+    site = _site_cells(kern.partition, ps, N) * N + qs
+    smat = kernel_grid_matrix(kern, N)[np.ix_(site, site)]
     sup = float(np.max(np.abs(smat)))
     if sup > 0:
         smat[np.abs(smat) < 1e-12 * sup] = 0.0
@@ -317,15 +305,15 @@ class EsdSummary:
     esds: list = field(repr=False, default_factory=list)
 
 
-def esd_statistics(samples, kmax: int = 6, bins=None) -> EsdSummary:
+def esd_statistics(samples, kmax: int = 6) -> EsdSummary:
     """Aggregate empirical moments (with standard errors) and a histogram.
 
     samples: list of symmetric matrices (possibly of different sizes).
     Moments are averaged across samples; the standard error is the
     across-sample deviation of the per-sample moment (for a single
     sample, a within-sample plug-in estimate so z-scores stay usable).
-    Histogram bins default to Freedman-Diaconis on the pooled
-    normalized eigenvalues.
+    Histogram bins are Freedman-Diaconis on the pooled normalized
+    eigenvalues.
     """
     if kmax > 10:
         raise ValueError("kmax must be <= 10")
@@ -342,9 +330,7 @@ def esd_statistics(samples, kmax: int = 6, bins=None) -> EsdSummary:
             float(np.std(lam ** k, ddof=1)) / math.sqrt(n)
             for k in range(1, kmax + 1)])
     pooled = np.concatenate([e.eigenvalues for e in esds])
-    edges = np.histogram_bin_edges(pooled, bins=bins if bins is not None
-                                   else "fd")
-    counts, edges = np.histogram(pooled, bins=edges)
+    counts, edges = np.histogram(pooled, bins="fd")
     mass = counts / counts.sum() if counts.sum() else counts.astype(float)
     return EsdSummary(kmax=kmax,
                       moment_mean=[float(v) for v in mean],

@@ -54,15 +54,15 @@ def test_moments_with_oracle(tmp_path):
     assert man["command"] == "moments"
     assert {o["path"] for o in man["outputs"]} == \
         {"moments.csv", "report.json"}
-    # the oracle enumerates up to k = 12 and says so
-    out = tmp_path / "m14"
-    rc = main(["moments", "--filter", COMPASS, "--kmax", "14", "--oracle",
+    # the oracle sums up to k = KMAX_GUARD = 16 and says so
+    out = tmp_path / "m18"
+    rc = main(["moments", "--filter", COMPASS, "--kmax", "18", "--oracle",
                "--out", str(out)])
     assert rc == 0
-    assert _report(out)["oracle_kmax"] == 12
+    assert _report(out)["oracle_kmax"] == 16
     rows = _rows(out / "moments.csv")
-    assert all(r["moment"] == r["enumeration"] for r in rows[:12])
-    assert [r["enumeration"] for r in rows[12:]] == ["", ""]
+    assert all(r["moment"] == r["enumeration"] for r in rows[:16])
+    assert [r["enumeration"] for r in rows[16:]] == ["", ""]
     rc = main(["moments", "--filter", COMPASS, "--kmax", "4",
                "--out", str(tmp_path / "plain")])
     assert rc == 0 and _report(tmp_path / "plain")["oracle_kmax"] is None
@@ -336,6 +336,37 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert main(["moments", "--config", str(cfg), "--kmax", "6",
                  "--out", str(tmp_path / "override")]) == 0
     assert len(_rows(tmp_path / "override" / "moments.csv")) == 6
+
+
+BAD_COUNTS = [  # command and its required input, the bad flag, its value
+    (["simulate", "--model", "colored", "--filter", COMPASS], "trials", 0),
+    (["crosscheck", "--kernel", UNIT_KERNEL], "trials", 0),
+    (["moments", "--filter", COMPASS, "--oracle"], "kmax", 0),
+    (["moments", "--filter", COMPASS], "kmax", -2),
+    (["moments", "--filter", COMPASS], "kmax", 0),
+    (["simulate", "--filter", COMPASS], "kmax", 0),
+    (["simulate", "--filter", COMPASS], "N", 0),
+    (["crosscheck", "--filter", COMPASS], "N", 0),
+    (["density", "--kernel", UNIT_KERNEL], "n", 0)]
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("args, key, value", BAD_COUNTS,
+                         ids=[f"{a[0]}-{k}={v}" for a, k, v in BAD_COUNTS])
+def test_counts_below_one_exit_with_usage_error(tmp_path, capsys, args, key,
+                                               value, via_config):
+    # exit 2 naming the flag and the value, before any output
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = args + ["--config", str(cfg)]
+    else:
+        args = args + [f"--{key}", str(value)]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    assert f"--{key} must be an integer >= 1, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_inputs_exit_with_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Partition enumeration and the exact tree-integral evaluator."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -7,8 +8,8 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 
-from filtered_spectra.combinat import (KMAX_GUARD, _dyck_paths,
-                                       _partition_from_path,
+from filtered_spectra.combinat import (KMAX_GUARD, _dyck_paths, _forests,
+                                       _partition_from_path, _plane_shape,
                                        enumerate_wigner_partitions,
                                        moments_by_enumeration, tree_integral)
 from filtered_spectra.exactnum import CRat
@@ -62,6 +63,17 @@ def test_partition_structure():
                 i, j = pair
                 assert w.sigma[i] == j
                 assert steps[j - 1] == steps[i - 1][::-1]
+
+
+def test_forest_counts_are_the_partitions_per_shape():
+    # n of a canonical tree with k/2 edges is the number of Wigner
+    # partitions of k steps whose tree it is, so the n sum to Catalan(k/2)
+    _, table = _forests(constant_kernel(), KMAX_GUARD // 2)
+    for k in range(2, KMAX_GUARD + 1, 2):
+        counts = {shape: n for shape, (n, _) in table[k // 2].items()}
+        assert sum(counts.values()) == CATALAN[k // 2 - 1]
+        assert Counter(_plane_shape(w)
+                       for w in enumerate_wigner_partitions(k)) == counts
 
 
 def test_partitions_all_distinct():
