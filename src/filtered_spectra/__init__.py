@@ -19,7 +19,6 @@ from .colorsolve import (ColorSolution, SpectralGrid, stieltjes_path,
 from .algebra import (BivariatePolynomial, resultant, auxiliary_resultant,
                       discriminant, real_roots, verify_curve,
                       rank_one_eliminate)
-from .walks import random_walk_recursion_check
 from .matrixlab import (SampleConfig, ESD, EsdSummary, CovarianceReport,
                         sample_filtered_wigner, covariance_check,
                         sample_colored_gaussian, eigenvalues_symmetric,
@@ -37,7 +36,7 @@ __all__ = [
     "solver_moments",
     "BivariatePolynomial", "resultant",
     "auxiliary_resultant", "discriminant", "real_roots", "verify_curve",
-    "rank_one_eliminate", "random_walk_recursion_check",
+    "rank_one_eliminate",
     "SampleConfig", "ESD", "EsdSummary", "CovarianceReport",
     "sample_filtered_wigner", "covariance_check", "sample_colored_gaussian",
     "eigenvalues_symmetric", "esd_statistics",

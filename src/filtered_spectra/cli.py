@@ -3,7 +3,7 @@
     filtered-spectra <command> [--config cfg.json] [flags]
 
 Commands: moments, density, solve, simulate, eliminate, verify,
-crosscheck, walkcheck.  Kernel/filter inputs are JSON documents (inline
+crosscheck.  Kernel/filter inputs are JSON documents (inline
 or a path); every run writes its outputs plus a manifest.json recording
 the command, a config hash, the seed, library versions, wall time, the
 BLAS thread variables, and a sha256 per output file — identical config
@@ -19,9 +19,11 @@ written with 17 significant digits so CSV round-trips are lossless.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -40,9 +42,9 @@ from .colorsolve import (stieltjes_path, density_profile, solver_moments,
                          circle_points, CONTOUR_RADIUS, CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
                       certificate_radius, rank_one_eliminate, verify_curve)
-from .walks import random_walk_recursion_check
-from .matrixlab import (SampleConfig, sample_filtered_wigner,
-                        sample_colored_gaussian, esd_statistics)
+from .matrixlab import (COLORED_N_MAX, ESD_KMAX, SampleConfig,
+                        sample_filtered_wigner, sample_colored_gaussian,
+                        esd_statistics)
 
 FMT = "%.17g"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -147,11 +149,11 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """cfg[key] (or the default) as an int >= 1.
+def _count(cfg: dict, key: str, default: int, cap: int | None = None) -> int:
+    """cfg[key] (or the default) as an int >= 1, and <= cap if given.
 
     Anything else raises ValueError naming --key and the value, so main
-    exits 2; commands read their counts before making the output
+    exits 2; commands read their inputs before making the output
     directory.
     """
     value = cfg.get(key, default)
@@ -161,7 +163,21 @@ def _count(cfg: dict, key: str, default: int) -> int:
         count = 0
     if count < 1:
         raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
+    if cap is not None and count > cap:
+        raise ValueError(f"--{key} must be <= {cap}, got {value!r}")
     return count
+
+
+def _real(cfg: dict, key: str, default: float) -> float:
+    """cfg[key] (or the default) as a finite float, raising like _count."""
+    value = cfg.get(key, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"--{key} must be a finite number, got {value!r}")
+    return x
 
 
 def _document(flag: str, value, read=json_document):
@@ -196,9 +212,17 @@ def _get_kernel(cfg: dict):
     raise ValueError("this command needs --kernel or --filter")
 
 
-def _parse_complex(text: str) -> complex:
+def _get_lambda(cfg: dict) -> complex:
+    """--lambda "re,im" (or "re") as a finite complex number."""
+    text = str(cfg.get("lam", cfg.get("lambda", "4,1")))
     re_s, _, im_s = text.partition(",")
-    return complex(float(re_s), float(im_s) if im_s else 0.0)
+    try:
+        lam = complex(float(re_s), float(im_s) if im_s else 0.0)
+    except ValueError:
+        lam = complex(math.nan)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"--lambda must be finite re[,im], got {text!r}")
+    return lam
 
 
 def _get_curve(cfg: dict, flag: str) -> BivariatePolynomial:
@@ -251,11 +275,14 @@ def cmd_moments(cfg: dict) -> int:
 
 def cmd_density(cfg: dict) -> int:
     kern = _get_kernel(cfg)
-    xmin = float(cfg.get("xmin", -3.0))
-    xmax = float(cfg.get("xmax", 3.0))
+    xmin = _real(cfg, "xmin", -3.0)
+    xmax = _real(cfg, "xmax", 3.0)
     n = _count(cfg, "n", 241)
-    eps1 = float(cfg.get("eps1", 1e-2))
-    eps2 = float(cfg.get("eps2", 5e-3))
+    eps1 = _real(cfg, "eps1", 1e-2)
+    eps2 = _real(cfg, "eps2", 5e-3)
+    if not 0 < eps2 < eps1:
+        raise ValueError(f"--eps1 {eps1!r} and --eps2 {eps2!r} must satisfy "
+                         "0 < eps2 < eps1")
     run = _Run("density", cfg, cfg["out"])
     grid = density_profile(kern, np.linspace(xmin, xmax, n),
                            eps_pair=(eps1, eps2))
@@ -274,7 +301,7 @@ def cmd_density(cfg: dict) -> int:
 
 def cmd_solve(cfg: dict) -> int:
     kern = _get_kernel(cfg)
-    lam = _parse_complex(str(cfg.get("lam", cfg.get("lambda", "4,1"))))
+    lam = _get_lambda(cfg)
     run = _Run("solve", cfg, cfg["out"])
     sol = stieltjes_path(kern, [lam])[0]
     run.write_csv("solve.csv", ["re_lambda", "im_lambda", "re_S", "im_S",
@@ -294,7 +321,7 @@ def cmd_simulate(cfg: dict) -> int:
     model = cfg.get("model", "filtered")
     seed = int(cfg["seed"])
     trials = _count(cfg, "trials", 5)
-    kmax = _count(cfg, "kmax", 6)
+    kmax = _count(cfg, "kmax", 6, ESD_KMAX)
     if model == "filtered":
         N = _count(cfg, "N", 1000)
         scfg = SampleConfig(N=N, seed=seed,
@@ -302,7 +329,7 @@ def cmd_simulate(cfg: dict) -> int:
                             trials=trials)
         sample = partial(sample_filtered_wigner, scfg, _get_filter(cfg))
     elif model == "colored":
-        N = _count(cfg, "N", 40)
+        N = _count(cfg, "N", 40, COLORED_N_MAX)
         sample = partial(sample_colored_gaussian, _get_kernel(cfg), N, seed)
     else:
         raise ValueError(f"--model {model!r} is not 'filtered' or 'colored'")
@@ -350,8 +377,10 @@ def cmd_eliminate(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     curve = _get_curve(cfg, "curve")
     kern = _get_kernel(cfg)
-    count = int(cfg.get("samples", 20))
-    radius = float(cfg.get("radius", certificate_radius(kern)))
+    count = _count(cfg, "samples", 20)
+    radius = _real(cfg, "radius", certificate_radius(kern))
+    if radius <= 0:
+        raise ValueError(f"--radius must be > 0, got {radius!r}")
     tol = float(cfg.get("tol", CERTIFICATE_TOL))
     run = _Run("verify", cfg, cfg["out"])
     resid = verify_curve(curve, kern, circle_points(radius, count))
@@ -365,39 +394,14 @@ def cmd_verify(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def cmd_walkcheck(cfg: dict) -> int:
-    ell = int(cfg.get("ell", 1))
-    t_max = int(cfg.get("tmax", 60))
-    tol = float(cfg.get("tol", 1e-10))
-    if "z" in cfg:
-        raw = cfg["z"]
-        if isinstance(raw, str):
-            z = [_parse_complex(part) for part in raw.split(";")]
-        else:
-            z = [complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                 for v in raw]
-    else:
-        z = [0.1] * (2 * ell + 1)
-    run = _Run("walkcheck", cfg, cfg["out"])
-    resid = random_walk_recursion_check(z, ell, t_max=t_max)
-    ok = resid < tol
-    run.write_json("report.json", {
-        "ell": ell, "t_max": t_max, "tolerance": tol,
-        "z": [[v.real, v.imag] for v in map(complex, z)],
-        "residual": resid, "pass": ok})
-    run.finish()
-    print(f"walk recursion residual {resid:.3e} (ell={ell}): "
-          + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
-
-
 def cmd_crosscheck(cfg: dict) -> int:
     kern = _get_kernel(cfg)
-    kmax = _count(cfg, "kmax", 6)
+    kmax = _count(cfg, "kmax", 6, ESD_KMAX)
     seed = int(cfg["seed"])
     trials = _count(cfg, "trials", 4)
     h = _get_filter(cfg) if "filter" in cfg else None
-    N = _count(cfg, "N", 24 if h is None else 400)
+    N = (_count(cfg, "N", 24, COLORED_N_MAX) if h is None
+         else _count(cfg, "N", 400))
     run = _Run("crosscheck", cfg, cfg["out"])
 
     report = validate_kernel(kern)
@@ -518,14 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--trials", type=int)
     p.set_defaults(func=cmd_crosscheck)
-
-    p = sub.add_parser("walkcheck", parents=[common],
-                       help="walk-recursion identity check")
-    p.add_argument("--ell", type=int)
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--z", help="semicolon-separated complex steps re,im;...")
-    p.set_defaults(func=cmd_walkcheck)
 
     return top
 

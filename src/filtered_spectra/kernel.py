@@ -29,6 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -81,8 +82,10 @@ class IntervalPartition:
     def n(self) -> int:
         return len(self.breakpoints) - 1
 
-    @property
+    @cached_property
     def lengths(self) -> tuple:
+        """Interval lengths, computed once per partition; equality, hash
+        and repr read breakpoints alone."""
         return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
 
     def locate(self, x) -> int:

@@ -38,6 +38,9 @@ from .kernel import (Filter, IntervalPartition, Kernel, kernel_from_filter,
                      kernel_grid_matrix)
 from .rng import gaussian_entries, rademacher_entries
 
+ESD_KMAX = 10          # highest empirical moment esd_statistics reports
+COLORED_N_MAX = 64     # colored model size guard: N^2 <= 4096 sites
+
 __all__ = [
     "SampleConfig",
     "CovarianceReport",
@@ -189,8 +192,9 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
     exact zeros (they are zeros of s hit by roundoff), and tiny
     negative values with them.
     """
-    if N > 64:
-        raise ValueError(f"N = {N} exceeds the size guard 64 (N^2 <= 4096)")
+    if N > COLORED_N_MAX:
+        raise ValueError(f"N = {N} exceeds the size guard {COLORED_N_MAX} "
+                         f"(N^2 <= {COLORED_N_MAX ** 2})")
     n2 = N * N
     ps, qs = np.divmod(np.arange(n2), N)
     # s on the (interval, angle) product grid, gathered at each site
@@ -315,8 +319,8 @@ def esd_statistics(samples, kmax: int = 6) -> EsdSummary:
     Histogram bins are Freedman-Diaconis on the pooled normalized
     eigenvalues.
     """
-    if kmax > 10:
-        raise ValueError("kmax must be <= 10")
+    if kmax > ESD_KMAX:
+        raise ValueError(f"kmax must be <= {ESD_KMAX}")
     esds = [ESD.from_matrix(np.asarray(m), kmax) for m in samples]
     per_k = np.array([e.empirical_moments for e in esds])  # (trials, kmax)
     mean = per_k.mean(axis=0)

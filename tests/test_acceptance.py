@@ -24,7 +24,6 @@ from filtered_spectra.matrixlab import (SampleConfig, sample_filtered_wigner,
                                         sample_colored_gaussian,
                                         esd_statistics, covariance_check)
 from filtered_spectra.moments import theoretical_moments
-from filtered_spectra.walks import random_walk_recursion_check
 
 SEED_FILTERED = 2026
 SEED_COLORED = 1         # fixed seeds; margins were checked against the
@@ -256,19 +255,14 @@ def test_criterion_7_invariants(capsys, compass_kernel, semicircle):
             rhs[i + j] += a * b
     mult_ok = list(lhs) == rhs
 
-    walk_ok = (random_walk_recursion_check([0.1, 0.05, 0.1], 1) < 1e-10 and
-               random_walk_recursion_check(
-                   [0.02, 0.05j, 0.1, -0.04, 0.03 - 0.02j], 2) < 1e-10)
-
-    ok = resid_ok and sign_ok and hankel_ok and mult_ok and walk_ok
+    ok = resid_ok and sign_ok and hankel_ok and mult_ok
     _verdict(capsys, "7 invariant suite", ok,
-             f"residual/sign/hankel/resultant/walk = "
-             f"{resid_ok}/{sign_ok}/{hankel_ok}/{mult_ok}/{walk_ok}")
+             f"residual/sign/hankel/resultant = "
+             f"{resid_ok}/{sign_ok}/{hankel_ok}/{mult_ok}")
     assert resid_ok
     assert sign_ok
     assert hankel_ok
     assert mult_ok
-    assert walk_ok
 
 
 def test_criterion_8_negative_controls(capsys, semicircle):

@@ -13,7 +13,6 @@ from filtered_spectra.algebra import (BivariatePolynomial,
                                       auxiliary_resultant, discriminant,
                                       rank_one_eliminate, real_roots,
                                       resultant, verify_curve)
-from filtered_spectra.walks import random_walk_recursion_check
 from filtered_spectra import colorsolve
 from filtered_spectra.kernel import IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
@@ -378,17 +377,3 @@ def test_cancelled_top_terms_are_canonical(p, dx, dy, c):
         entries + [[p.degree("x") + dx, dy, c], [p.degree("x") + dx, dy, -c]])
     assert cancelled == p and hash(cancelled) == hash(p)
     assert cancelled.degree("x") == p.degree("x")
-
-
-def test_walk_recursion_small_cases():
-    assert random_walk_recursion_check([0.1, 0.05, 0.1], 1) < 1e-13
-    assert random_walk_recursion_check(
-        [0.02 + 0.01j, 0.05, 0.1, -0.04, 0.03 - 0.02j], 2) < 1e-13
-    assert random_walk_recursion_check([0, 0.25, 0], 1) < 1e-13
-
-
-def test_walk_recursion_argument_errors():
-    with pytest.raises(ValueError, match="step weights"):
-        random_walk_recursion_check([0.1, 0.2], 1)
-    with pytest.raises(ValueError, match="converge"):
-        random_walk_recursion_check([0.5, 0.5, 0.5], 1)

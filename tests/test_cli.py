@@ -1,10 +1,14 @@
 """End-to-end runs of the command-line interface, one tmp dir per run."""
 
+import argparse
 import csv
 import hashlib
 import json
 import math
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,14 +158,6 @@ def test_density_csv_columns(tmp_path):
     assert float(mid["density"]) == pytest.approx(1 / math.pi, abs=1e-3)
     assert all(r["residual_flag"] == "0" for r in rows)
     assert len(_report(out)["support_estimate"]) == 2
-
-
-def test_walkcheck_pass_and_fail(tmp_path):
-    assert main(["walkcheck", "--ell", "1", "--z", "0.1,0;0.05,0;0.1,0",
-                 "--out", str(tmp_path / "w1")]) == 0
-    assert main(["walkcheck", "--ell", "1", "--z", "0.1,0;0.05,0;0.1,0",
-                 "--tol", "1e-30", "--out", str(tmp_path / "w2")]) == 1
-    assert _report(tmp_path / "w2")["pass"] is False
 
 
 def test_eliminate_then_verify(tmp_path):
@@ -369,6 +365,42 @@ def test_counts_below_one_exit_with_usage_error(tmp_path, capsys, args, key,
     assert not out.exists()
 
 
+SEMICIRCLE_CURVE = json.dumps(  # S^2 - lambda S + 1 = 0
+    {"coeffs": [[0, 0, "1"], [1, 1, "-1"], [0, 2, "1"]]})
+VERIFY = ["verify", "--kernel", UNIT_KERNEL, "--curve", SEMICIRCLE_CURVE]
+BAD_INPUTS = [  # arguments, the flag named, its value as the message shows it
+    (["simulate", "--filter", COMPASS, "--kmax", "11"], "--kmax", "11"),
+    (["crosscheck", "--filter", COMPASS, "--kmax", "11"], "--kmax", "11"),
+    (["simulate", "--model", "colored", "--filter", COMPASS, "--N", "65"],
+     "--N", "65"),
+    (["crosscheck", "--kernel", UNIT_KERNEL, "--N", "65"], "--N", "65"),
+    (VERIFY + ["--samples", "0"], "--samples", "0"),
+    (VERIFY + ["--samples", "-3"], "--samples", "-3"),
+    (VERIFY + ["--radius", "0"], "--radius", "0.0"),
+    (["density", "--kernel", UNIT_KERNEL, "--xmin", "nan"], "--xmin", "nan"),
+    (["density", "--kernel", UNIT_KERNEL, "--eps1", "0.001", "--eps2",
+      "0.01"], "--eps1", "0.001"),
+    (["density", "--kernel", UNIT_KERNEL, "--eps1", "0.001", "--eps2",
+      "0.01"], "--eps2", "0.01"),
+    (["solve", "--kernel", UNIT_KERNEL, "--lambda", "nan,0"], "--lambda",
+     "'nan,0'"),
+    (["solve", "--kernel", UNIT_KERNEL, "--lambda", "abc"], "--lambda",
+     "'abc'")]
+
+
+@pytest.mark.parametrize("args, flag, value", BAD_INPUTS,
+                         ids=[f"{a[0]}{f}={v}" for a, f, v in BAD_INPUTS])
+def test_bad_values_exit_with_usage_error(tmp_path, capsys, args, flag,
+                                          value):
+    # caps, non-finite numbers and out-of-range heights: exit 2 naming
+    # the flag and the value, before any output
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and value in err
+    assert not out.exists()
+
+
 def test_missing_inputs_exit_with_usage_error(tmp_path, capsys):
     # exit 2 naming the missing flag or the bad value, before any output
     cfg = tmp_path / "cfg.json"
@@ -387,3 +419,32 @@ def test_missing_inputs_exit_with_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _readme_commands():
+    """argv lists of the filtered-spectra lines in the README's
+    "Command line" section (its sh blocks, continuation lines joined)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    commands = []
+    for block in blocks:
+        for token in shlex.split(block.replace("\\\n", " "), comments=True):
+            if token == "filtered-spectra":
+                commands.append([])
+            elif commands:
+                commands[-1].append(token)
+    return commands
+
+
+def test_readme_command_lines_match_the_parser():
+    parser = cli._build_parser()
+    listed = _readme_commands()
+    for argv in listed:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {argv}")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in listed} == set(sub.choices)
