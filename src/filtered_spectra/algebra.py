@@ -1,25 +1,36 @@
 """Exact polynomial algebra for algebraic Stieltjes transforms.
 
-Everything here runs over exact rationals, in one dense representation.
-A univariate polynomial is an ascending list of Fractions, [] for zero.
-A BivariatePolynomial is an element of Q[x][y] stored as its y-rows:
-rows[b] is the univariate polynomial in x that multiplies y^b.  No row
-and no list of rows ends in a zero, so equal polynomials have equal rows.
-Gcds, pseudo-remainders and exact divisions run on the rows directly;
-eliminating x instead of y transposes them once.  The module provides
+Everything here runs over the integers, in one dense representation.
+A univariate polynomial is an ascending list of Python ints, [] for zero.
+A BivariatePolynomial is an element of Q[x][y] stored as integer y-rows
+over one positive denominator den: rows[b] is the univariate polynomial
+in x that multiplies y^b / den.  No row and no list of rows ends in a
+zero, and den has no factor common to all the coefficients, so equal
+polynomials have equal rows and den.  Rationals appear only at the
+boundary: terms(), to_entries(), the lists resultant and discriminant
+return, and the RootInterval ends.  A rational input is cleared once;
+the engines run on ints and undo the scale through
 
-* Sylvester resultants (Bareiss fraction-free determinants, generic over
-  the coefficient ring, so the same engine eliminates a variable from
-  polynomials whose coefficients are themselves polynomials);
+    res(aP, bQ) = a^deg Q * b^deg P * res(P, Q),
+    disc(cF) = c^(2n - 2) * disc(F),   n = deg F.
+
+By Gauss's lemma every division by a primitive divisor (content 1 in
+Z[x]) stays exact in Z[x][y].  Gcds, pseudo-remainders and exact
+divisions run on the rows directly; eliminating x instead of y
+transposes them once.  The module provides
+
+* Sylvester resultants (Bareiss fraction-free determinants over Z[x], or
+  over Z[x][y] to eliminate a third variable);
 * discriminants with the classical sign (-1)^(n(n-1)/2) res(F, F') / lc;
-* real-root isolation by Sturm sequences + bisection;
+* real-root isolation by Sturm sequences + bisection, on a chain of
+  sign-preserving pseudo-remainders: positive multiples of the chain over Q;
 * numerical certification of a candidate curve F(lambda, S(lambda)) = 0
   against the fixed-point solver;
 * the rank-one elimination pipeline: from a polynomial relation
   R(m, S_f(m)) = 0 for the transform of the profile distribution to the
   algebraic curve satisfied by the limit Stieltjes transform, via the
   master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w), with
-  Yun's squarefree split in Q[lambda][S].
+  Yun's squarefree split in Z[lambda][S].
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ CERTIFICATE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials: lists of Fractions, index = degree, [] = 0
+# univariate polynomials: lists of ints, index = degree, [] = 0
 # ---------------------------------------------------------------------------
 
 def _pnorm(p):
@@ -60,10 +71,6 @@ def _pnorm(p):
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _pdeg(p):
-    return len(p) - 1
 
 
 def _padd(p, q):
@@ -77,107 +84,170 @@ def _psub(p, q):
 def _pmul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _pnorm(out)
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
 def _pscale(p, c):
-    if c == 0:
-        return []
-    return [a * c for a in p]
+    return [a * c for a in p] if c else []
 
 
-def _pdivmod(p, q):
-    """Exact field division with remainder over Q."""
-    q = _pnorm(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = _pnorm(p)
-    quo = [Fraction(0)] * max(len(r) - len(q) + 1, 0)
-    while len(r) >= len(q):
-        c = r[-1] / q[-1]
-        d = len(r) - len(q)
+def _pdivexact(p, q):
+    """p / q in Z[x] (q nonzero); raises unless the quotient is in Z[x]."""
+    r, lead, n = list(p), q[-1], len(q)
+    quo = [0] * max(len(r) - n + 1, 0)
+    while len(r) >= n:
+        c, m = divmod(r[-1], lead)
+        if m:
+            raise ArithmeticError("polynomial division was not exact")
+        d = len(r) - n
         quo[d] = c
         for i, b in enumerate(q):
             r[i + d] -= c * b
         r = _pnorm(r)
-    return _pnorm(quo), r
-
-
-def _pdivexact(p, q):
-    quo, rem = _pdivmod(p, q)
-    if rem:
+    if r:
         raise ArithmeticError("polynomial division was not exact")
     return quo
 
 
+def _pprem(a, b):
+    """A positive multiple of the remainder of a by b over Q (b nonzero):
+    each step scales by |lc b| / gcd(|lc b|, the coefficient it cancels)."""
+    lead, n = abs(b[-1]), len(b)
+    sign = 1 if b[-1] > 0 else -1
+    r = list(a)
+    while len(r) >= n:
+        g = math.gcd(lead, r[-1])
+        u, v, d = lead // g, sign * (r[-1] // g), len(r) - n
+        if u != 1:
+            r = [u * c for c in r]
+        for i, c in enumerate(b):
+            r[i + d] -= v * c
+        r = _pnorm(r)
+    return r
+
+
+def _pprimitive(p):
+    """p over its positive integer content."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
 def _pgcd(p, q):
-    """Monic gcd over Q."""
-    a, b = _pnorm(p), _pnorm(q)
+    """Primitive gcd in Z[x] with a positive leading coefficient."""
+    a, b = _pprimitive(p), _pprimitive(q)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _pprimitive(_pprem(a, b))
+    return _pscale(a, -1) if a and a[-1] < 0 else a
 
 
 def _pderiv(p):
-    return _pnorm([i * c for i, c in enumerate(p)][1:])
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def _peval(p, x):
-    acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
+def _peval(p, x, den):
+    """p(x) / den: exact at an int or Fraction x, else floating point with
+    each coefficient rounded once from its exact value c / den."""
+    if isinstance(x, (int, Fraction)):
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        return Fraction(acc, den)
+    cast = complex if isinstance(x, complex) else float
+    acc = 0 * x
     for c in reversed(p):
-        acc = acc * x + (c if not isinstance(x, complex) else complex(c))
+        acc = acc * x + cast(c / den)
     return acc
 
 
-def _pcontent(polys):
-    """Monic gcd of a family of univariate polynomials."""
-    g = []
-    for p in polys:
-        g = _pgcd(g, p)
-        if g == [Fraction(1)]:
-            break
-    return g
-
-
 def _primitive(rows):
-    """rows divided by their content (the monic gcd of all of them)."""
-    g = _pcontent(rows)
-    return rows if len(g) < 2 else [_pdivexact(r, g) for r in rows]
+    """rows over their content in Z[x], its integer part included."""
+    g = []
+    for r in rows:
+        g = _pgcd(g, r)
+        if len(g) == 1:
+            break
+    if len(g) > 1:
+        rows = [_pdivexact(r, g) for r in rows]
+    c = math.gcd(*(v for r in rows for v in r))
+    return [[v // c for v in r] for r in rows] if c > 1 else rows
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials: dense y-rows over Q[x]
+# bivariate polynomials: dense integer y-rows over Z[x], one denominator
 # ---------------------------------------------------------------------------
+
+def _bp_add(a, b):
+    return _pnorm([_padd(r, s) for r, s in zip_longest(a, b, fillvalue=[])])
+
+
+def _bp_sub(a, b):
+    return _pnorm([_psub(r, s) for r, s in zip_longest(a, b, fillvalue=[])])
+
+
+def _bp_mul(a, b):
+    out = [[]] * max(len(a) + len(b) - 1, 0)
+    for i, r in enumerate(a):
+        for j, s in enumerate(b):
+            out[i + j] = _padd(out[i + j], _pmul(r, s))
+    return _pnorm(out)
+
+
+def _bp_scale(rows, c):
+    return rows if c == 1 else _pnorm([_pscale(r, c) for r in rows])
+
+
+def _bp_divexact(p, q):
+    """p / q in Z[x][y] (q nonzero); raises unless the quotient is there."""
+    r = list(p)
+    out = [[]] * max(len(r) - len(q) + 1, 0)
+    while len(r) >= len(q):
+        c, d = _pdivexact(r[-1], q[-1]), len(r) - len(q)
+        out[d] = c
+        for i, s in enumerate(q):
+            r[i + d] = _psub(r[i + d], _pmul(c, s))
+        r = _pnorm(r)
+    if r:
+        raise ArithmeticError("bivariate division was not exact")
+    return out
+
+
+def _reduced(rows, den):
+    """Canonical (rows, den): no trailing empty row, den > 0 in lowest terms."""
+    rows = _pnorm(rows)
+    g = math.gcd(den, *(v for r in rows for v in r)) if den != 1 else 1
+    if g > 1:
+        rows, den = [[v // g for v in r] for r in rows], den // g
+    return rows, den
+
 
 def _rows_of_terms(terms):
-    """Canonical y-rows of [degx, degy, value] terms; repeats add up."""
-    rows = []
+    """(rows, den) of [degx, degy, value] terms; repeats add up."""
+    table = {}
     for term in terms:
         dx, dy, v = term
         for d in (dx, dy):
             if not isinstance(d, numbers.Integral) or not 0 <= d <= MAX_DEGREE:
                 raise ValueError(f"degree {d!r} in the term {list(term)!r} "
                                  f"is not an integer in 0..{MAX_DEGREE}")
+        table[dx, dy] = table.get((dx, dy), 0) + rat(v)
+    den = math.lcm(*(v.denominator for v in table.values()))
+    rows = []
+    for (dx, dy), v in table.items():
         rows += [[] for _ in range(dy + 1 - len(rows))]
-        row = rows[dy]
-        row += [Fraction(0)] * (dx + 1 - len(row))
-        row[dx] += rat(v)
-    return _pnorm([_pnorm(row) for row in rows])
+        rows[dy] += [0] * (dx + 1 - len(rows[dy]))
+        rows[dy][dx] = v.numerator * (den // v.denominator)
+    return [_pnorm(r) for r in rows], den
 
 
 def _transpose(rows):
     """The rows of the same polynomial in the other variable."""
     width = max(map(len, rows), default=0)
-    return [_pnorm([r[a] if a < len(r) else Fraction(0) for r in rows])
+    return [_pnorm([r[a] if a < len(r) else 0 for r in rows])
             for a in range(width)]
 
 
@@ -189,32 +259,33 @@ def _rows_in(F, var):
 
 
 class BivariatePolynomial:
-    """Exact polynomial in Q[x][y], stored as its canonical dense y-rows.
+    """Exact polynomial in Q[x][y]: integer y-rows over one denominator.
 
-    rows[b] is the ascending Fraction list in x of the coefficient of
-    y^b, without trailing zeros, and the list of rows has no trailing
-    empty row.  BivariatePolynomial({(degx, degy): value}) builds one
-    from its terms.  The variables are positional; curves use
-    (x, y) = (lambda, S), profile relations use (x, y) = (m, v).
+    rows[b] is the ascending int list in x of den times the coefficient
+    of y^b, without trailing zeros; the list of rows has no trailing
+    empty row, and den > 0 has no factor common to every coefficient.
+    BivariatePolynomial({(degx, degy): value}) builds one from its terms.
+    The variables are positional; curves use (x, y) = (lambda, S),
+    profile relations use (x, y) = (m, v).
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "den")
 
     def __init__(self, coeffs):
-        self.rows = _rows_of_terms(
-            [dx, dy, v] for (dx, dy), v in coeffs.items())
+        self.rows, self.den = _reduced(*_rows_of_terms(
+            [dx, dy, v] for (dx, dy), v in coeffs.items()))
 
     @classmethod
-    def _of_rows(cls, rows):
-        """Wrap y-rows whose rows are each already without trailing zeros."""
+    def _of_rows(cls, rows, den=1):
+        """Wrap integer y-rows (each without trailing zeros) over den > 0."""
         out = cls.__new__(cls)
-        out.rows = _pnorm(rows)
+        out.rows, out.den = _reduced(rows, den)
         return out
 
     @classmethod
     def from_entries(cls, entries):
         """[[degx, degy, value], ...], degrees <= MAX_DEGREE, p/q values ok."""
-        return cls._of_rows(_rows_of_terms(entries))
+        return cls._of_rows(*_rows_of_terms(entries))
 
     @classmethod
     def constant(cls, v):
@@ -222,7 +293,8 @@ class BivariatePolynomial:
 
     def terms(self):
         """The nonzero terms as a {(degx, degy): Fraction} table."""
-        return {(dx, dy): v for dy, row in enumerate(self.rows)
+        return {(dx, dy): Fraction(v, self.den)
+                for dy, row in enumerate(self.rows)
                 for dx, v in enumerate(row) if v}
 
     def to_entries(self):
@@ -239,15 +311,17 @@ class BivariatePolynomial:
 
     # -- arithmetic ------------------------------------------------------
 
+    def _combine(self, other, op):
+        den = math.lcm(self.den, other.den)
+        return BivariatePolynomial._of_rows(
+            op(_bp_scale(self.rows, den // self.den),
+               _bp_scale(other.rows, den // other.den)), den)
+
     def __add__(self, other):
-        return BivariatePolynomial._of_rows([
-            _padd(a, b)
-            for a, b in zip_longest(self.rows, other.rows, fillvalue=[])])
+        return self._combine(other, _bp_add)
 
     def __sub__(self, other):
-        return BivariatePolynomial._of_rows([
-            _psub(a, b)
-            for a, b in zip_longest(self.rows, other.rows, fillvalue=[])])
+        return self._combine(other, _bp_sub)
 
     def __neg__(self):
         return self * -1
@@ -255,51 +329,45 @@ class BivariatePolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return BivariatePolynomial._of_rows(
-                [_pscale(r, other) for r in self.rows])
-        out = [[]] * max(len(self.rows) + len(other.rows) - 1, 0)
-        for i, a in enumerate(self.rows):
-            for j, b in enumerate(other.rows):
-                out[i + j] = _padd(out[i + j], _pmul(a, b))
-        return BivariatePolynomial._of_rows(out)
+                _bp_scale(self.rows, other.numerator),
+                self.den * other.denominator)
+        return BivariatePolynomial._of_rows(
+            _bp_mul(self.rows, other.rows), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and \
-            self.rows == other.rows
+            self.rows == other.rows and self.den == other.den
 
     def __hash__(self):
-        return hash(tuple(map(tuple, self.rows)))
+        return hash((tuple(map(tuple, self.rows)), self.den))
 
     def evaluate(self, x, y):
         """Horner in y, then x; works for complex and exact arguments."""
         acc = 0j if isinstance(x, complex) or isinstance(y, complex) else Fraction(0)
         for row in reversed(self.rows):
-            acc = acc * y + _peval(row, x)
+            acc = acc * y + _peval(row, x, self.den)
         return acc
 
     # -- normalization ---------------------------------------------------
 
     def normalized(self):
-        """The content over Q[x], then over Q[y], divided out (monomial
+        """The content over Z[x], then over Z[y], divided out (monomial
         factors x^a y^b with it), integer coefficients with gcd 1 and a
         positive coefficient on the lex-largest (degy, degx) monomial."""
         if self.is_zero:
             return self
         rows = _transpose(_primitive(_transpose(_primitive(self.rows))))
-        coeffs = [v for row in rows for v in row]
-        den = math.lcm(*(v.denominator for v in coeffs))
-        scale = Fraction(den, math.gcd(
-            *(v.numerator * (den // v.denominator) for v in coeffs)))
-        if rows[-1][-1] < 0:
-            scale = -scale
-        return BivariatePolynomial._of_rows([_pscale(r, scale) for r in rows])
+        return BivariatePolynomial._of_rows(
+            _bp_scale(rows, -1) if rows[-1][-1] < 0 else rows)
 
     def proportional_to(self, other) -> bool:
         """True when self = c * other for some nonzero rational c."""
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        return self == other * (self.rows[-1][-1] / other.rows[-1][-1])
+        return _bp_scale(self.rows, other.rows[-1][-1]) == \
+            _bp_scale(other.rows, self.rows[-1][-1])
 
     def pretty(self, xname="x", yname="y"):
         if self.is_zero:
@@ -319,88 +387,45 @@ class BivariatePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# resultants: Sylvester matrix + Bareiss, generic over the entry ring
+# resultants: Sylvester matrix + Bareiss over Z[x] or Z[x][y]
 # ---------------------------------------------------------------------------
 
-class _Ring:
-    """Minimal integral-domain interface for the Bareiss elimination."""
-
-    def __init__(self, zero, one, add, sub, mul, divexact, is_zero):
-        self.zero, self.one = zero, one
-        self.add, self.sub, self.mul = add, sub, mul
-        self.divexact, self.is_zero = divexact, is_zero
-
-
-_UNI_RING = _Ring(
-    zero=[], one=[Fraction(1)],
-    add=_padd, sub=_psub, mul=_pmul, divexact=_pdivexact,
-    is_zero=lambda p: not p)
-
-_BP_ZERO = BivariatePolynomial({})
-_BP_ONE = BivariatePolynomial.constant(1)
-
-
-def _bp_divexact(p, q):
-    """Exact division in Q[x][y] (raises if not exact)."""
-    if q.is_zero:
-        raise ZeroDivisionError("bivariate division by zero")
-    r, b = list(p.rows), q.rows
-    out = [[]] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        c, d = _pdivexact(r[-1], b[-1]), len(r) - len(b)
-        out[d] = c
-        for i, s in enumerate(b):
-            r[i + d] = _psub(r[i + d], _pmul(c, s))
-        r = _pnorm(r)
-    if r:
-        raise ArithmeticError("bivariate division was not exact")
-    return BivariatePolynomial._of_rows(out)
-
-
-_BP_RING = _Ring(
-    zero=_BP_ZERO, one=_BP_ONE,
-    add=lambda a, b: a + b, sub=lambda a, b: a - b, mul=lambda a, b: a * b,
-    divexact=_bp_divexact, is_zero=lambda p: p.is_zero)
+# (one, sub, mul, divexact) of each entry ring; zero is [] in both
+_ZX = ([1], _psub, _pmul, _pdivexact)
+_ZXY = ([[1]], _bp_sub, _bp_mul, _bp_divexact)
 
 
 def _bareiss_det(m, ring):
     """Fraction-free determinant over an integral domain."""
+    one, sub, mul, divexact = ring
     n = len(m)
     if n == 0:
-        return ring.one
+        return one
     m = [row[:] for row in m]
     sign = 1
-    prev = ring.one
+    prev = one
     for k in range(n - 1):
-        if ring.is_zero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not ring.is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return ring.zero
+                return []
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                t = ring.sub(ring.mul(m[i][j], m[k][k]),
-                             ring.mul(m[i][k], m[k][j]))
-                m[i][j] = ring.divexact(t, prev)
-            m[i][k] = ring.zero
+                t = sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j]))
+                m[i][j] = divexact(t, prev) if k and t else t
+            m[i][k] = []
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    if sign < 0:
-        det = ring.sub(ring.zero, det)
-    return det
+    return sub([], det) if sign < 0 else det
 
 
 def _sylvester_resultant(p, q, ring):
     """res(p, q) of coefficient lists (ascending) over the given ring."""
-    p = list(p)
-    q = list(q)
-    while p and ring.is_zero(p[-1]):
-        p.pop()
-    while q and ring.is_zero(q[-1]):
-        q.pop()
+    p, q = _pnorm(p), _pnorm(q)
     if not p or not q:
         raise ValueError("resultant of the zero polynomial")
     m, n = len(p) - 1, len(q) - 1
@@ -411,9 +436,9 @@ def _sylvester_resultant(p, q, ring):
     pd = list(reversed(p))  # descending
     qd = list(reversed(q))
     for i in range(n):
-        rows.append([ring.zero] * i + pd + [ring.zero] * (size - m - 1 - i))
+        rows.append([[]] * i + pd + [[]] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([ring.zero] * i + qd + [ring.zero] * (size - n - 1 - i))
+        rows.append([[]] * i + qd + [[]] * (size - n - 1 - i))
     return _bareiss_det(rows, ring)
 
 
@@ -424,8 +449,10 @@ def resultant(P: BivariatePolynomial, Q: BivariatePolynomial, eliminate: str):
     surviving variable.  Errors if both inputs are constant in the
     eliminated variable or either is zero.
     """
-    return _pnorm(_sylvester_resultant(
-        _rows_in(P, eliminate), _rows_in(Q, eliminate), _UNI_RING))
+    p, q = _rows_in(P, eliminate), _rows_in(Q, eliminate)
+    res = _sylvester_resultant(p, q, _ZX)
+    scale = P.den ** (len(q) - 1) * Q.den ** (len(p) - 1)
+    return [Fraction(c, scale) for c in res]
 
 
 def auxiliary_resultant(p, q) -> BivariatePolynomial:
@@ -435,11 +462,16 @@ def auxiliary_resultant(p, q) -> BivariatePolynomial:
     entries are BivariatePolynomials or rationals.  This is the engine
     behind the w-elimination: three variables total, one eliminated.
     """
-    def coerce(c):
-        return c if isinstance(c, BivariatePolynomial) \
-            else BivariatePolynomial.constant(c)
-    return _sylvester_resultant(
-        [coerce(c) for c in p], [coerce(c) for c in q], _BP_RING)
+    def cleared(coeffs):
+        """The integer rows of D * coeffs, and D."""
+        bps = [c if isinstance(c, BivariatePolynomial)
+               else BivariatePolynomial.constant(c) for c in coeffs]
+        den = math.lcm(*(c.den for c in bps))
+        return _pnorm(_bp_scale(c.rows, den // c.den) for c in bps), den
+
+    (p, a), (q, b) = cleared(p), cleared(q)
+    res = _sylvester_resultant(p, q, _ZXY)
+    return BivariatePolynomial._of_rows(res, a ** (len(q) - 1) * b ** (len(p) - 1))
 
 
 def discriminant(F: BivariatePolynomial, var: str = "y"):
@@ -453,10 +485,11 @@ def discriminant(F: BivariatePolynomial, var: str = "y"):
     if n < 1:
         raise ValueError("discriminant needs degree >= 1 in the variable")
     deriv = [_pscale(r, i) for i, r in enumerate(rows)][1:]
-    out = _pdivexact(_sylvester_resultant(rows, deriv, _UNI_RING), rows[-1])
-    if (n * (n - 1) // 2) % 2:
-        out = _pscale(out, -1)
-    return out
+    out = _pdivexact(_sylvester_resultant(rows, deriv, _ZX), rows[-1])
+    scale = F.den ** (2 * n - 2) * (-1) ** (n * (n - 1) // 2)
+    return [Fraction(c, scale) for c in out]
+
+
 # ---------------------------------------------------------------------------
 # real roots: Sturm isolation + bisection
 # ---------------------------------------------------------------------------
@@ -478,23 +511,28 @@ class RootInterval:
 
 
 def _sturm_chain(p):
-    chain = [_pnorm(p), _pderiv(p)]
-    while chain[-1] and _pdeg(chain[-1]) > 0:
-        r = _pdivmod(chain[-2], chain[-1])[1]
+    """Positive multiples of the Sturm chain p, p', -rem, ... (deg p >= 1)."""
+    chain = [p, _pprimitive(_pderiv(p))]
+    while len(chain[-1]) > 1:
+        r = _pprem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_pscale(r, -1))
-    if not chain[-1]:
-        chain.pop()
+        chain.append(_pprimitive(_pscale(r, -1)))
     return chain
 
 
+def _sign_at(p, x):
+    """The sign of p at a rational x = u/v, from sum c_i u^i v^(n - i)."""
+    u, v = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * w
+        w *= v
+    return (acc > 0) - (acc < 0)
+
+
 def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _peval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -503,16 +541,13 @@ _WIDTH = Fraction(1, 10 ** 12)
 
 def _bisect_root(pf, lo, hi):
     """Shrink a sign-changing bracket to width 1e-12 (exact rational ends)."""
-    flo = _peval(pf, lo)
+    slo = _sign_at(pf, lo)
     while hi - lo > _WIDTH:
         mid = (lo + hi) / 2
-        v = _peval(pf, mid)
-        if v == 0:
+        s = _sign_at(pf, mid)
+        if s == 0:
             return RootInterval(mid, mid)
-        if (v > 0) == (flo > 0):
-            lo, flo = mid, v
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if s == slo else (lo, mid)
     return RootInterval(lo, hi)
 
 
@@ -526,22 +561,24 @@ def real_roots(p) -> list:
     p = _pnorm([rat(c) for c in p])
     if not p:
         raise ValueError("real_roots of the zero polynomial")
-    pf = _pdivexact(p, _pgcd(p, _pderiv(p))) if _pdeg(p) > 0 else []
+    den = math.lcm(*(c.denominator for c in p))
+    p = [c.numerator * (den // c.denominator) for c in p]
+    pf = _pprimitive(_pdivexact(p, _pgcd(p, _pderiv(p)))) if len(p) > 1 else []
     roots = []
     if not pf:
         return roots
     if pf[0] == 0:  # squarefree, so x divides exactly once
         roots.append(RootInterval(Fraction(0), Fraction(0)))
         pf = pf[1:]
-    if _pdeg(pf) < 1:
+    if len(pf) < 2:
         return roots
-    bound = 1 + max(abs(c) for c in pf[:-1]) / abs(pf[-1])
+    bound = 1 + Fraction(max(abs(c) for c in pf[:-1]), abs(pf[-1]))
     chain = _sturm_chain(pf)
 
     def probe(lo, hi):
-        for k in range(1, _pdeg(pf) + 3):
+        for k in range(1, len(pf) + 2):
             x = lo + (hi - lo) * Fraction(k, 2 * k + 1)
-            if _peval(pf, x) != 0:
+            if _sign_at(pf, x) != 0:
                 return x
         raise AssertionError("could not find a non-root probe point")
 
@@ -560,8 +597,6 @@ def real_roots(p) -> list:
         stack.append((mid, hi, count - left))
     roots.sort(key=lambda r: r.midpoint)
     return roots
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -594,16 +629,16 @@ def certificate_radius(kern: Kernel) -> float:
 def _curve_residual(F, lams, S):
     """max |F(lam, S)| / max(1, |lc_y F(lam)|) over the solved points."""
     lead = F.rows[-1] if F.rows else []
-    return max(abs(F.evaluate(lam, s)) / max(1.0, abs(_peval(lead, lam)))
+    return max(abs(F.evaluate(lam, s)) / max(1.0, abs(_peval(lead, lam, F.den)))
                for lam, s in zip(lams, S))
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition in Q[x][y]
+# squarefree decomposition in Z[x][y]
 # ---------------------------------------------------------------------------
 
 def _prem(a, b):
-    """Pseudo-remainder of a by b, both as y-rows over Q[x] (b nonzero)."""
+    """Pseudo-remainder of a by b, both as y-rows over Z[x] (b nonzero)."""
     while len(a) >= len(b):
         lead, d = a[-1], len(a) - len(b)
         a = [_pmul(r, b[-1]) for r in a]
@@ -614,41 +649,40 @@ def _prem(a, b):
 
 
 def _bp_gcd(p, q):
-    """Primitive gcd in Q[x][y], up to a rational factor.
+    """Primitive gcd of two y-row lists in Z[x][y], up to its sign.
 
-    Brown's primitive pseudo-remainder sequence on the y-rows: by Gauss's
-    lemma every step stays in Q[x][y] and no quotient field is needed.
+    Brown's primitive pseudo-remainder sequence: by Gauss's lemma every
+    step stays in Z[x][y] and no quotient field is needed.
     """
-    a, b = _primitive(p.rows), _primitive(q.rows)
+    a, b = _primitive(p), _primitive(q)
     while len(b) > 1:
         a, b = b, _primitive(_prem(a, b))
-    return BivariatePolynomial._of_rows(b or a)
+    return b or a
 
 
-def _bp_dy(p):
-    return BivariatePolynomial._of_rows(
-        [_pscale(r, b) for b, r in enumerate(p.rows)][1:])
+def _bp_dy(rows):
+    return [_pscale(r, b) for b, r in enumerate(rows)][1:]
 
 
 def _squarefree_factors(f):
-    """Yun's decomposition of f in Q[x][y], deg_y f >= 1.
+    """Yun's decomposition of f in Z[x][y], deg_y f >= 1.
 
     Returns [(factor, multiplicity)] with primitive factors of positive
-    y-degree.  Every division is exact in Q[x][y] because the gcds are
+    y-degree.  Every division is exact in Z[x][y] because the gcds are
     primitive.
     """
-    df = _bp_dy(f)
-    g = _bp_gcd(f, df)
-    b = _bp_divexact(f, g)
-    d = _bp_divexact(df, g) - _bp_dy(b)
+    df = _bp_dy(f.rows)
+    g = _bp_gcd(f.rows, df)
+    b = _bp_divexact(f.rows, g)
+    d = _bp_sub(_bp_divexact(df, g), _bp_dy(b))
     out = []
     i = 1
-    while b.degree("y") > 0:
+    while len(b) > 1:
         a = _bp_gcd(b, d)
-        if a.degree("y") > 0:
-            out.append((a, i))
+        if len(a) > 1:
+            out.append((BivariatePolynomial._of_rows(a), i))
         b = _bp_divexact(b, a)
-        d = _bp_divexact(d, a) - _bp_dy(b)
+        d = _bp_sub(_bp_divexact(d, a), _bp_dy(b))
         i += 1
     return out
 
@@ -669,7 +703,7 @@ def rank_one_eliminate(sf, kern: Kernel,
     The master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w)
     turns R into a polynomial G(lambda, S, w) via m = lambda/w and
     v = S*w; eliminating w against E = 1 + w^2 - lambda*S by resultant
-    and splitting the result into squarefree factors in Q[lambda][S]
+    and splitting the result into squarefree factors in Z[lambda][S]
     yields candidate curves.  Monomials and content are stripped first;
     factors whose residual is not below CERTIFICATE_TOL are discarded;
     surviving factors (their product, if several) are returned
@@ -689,23 +723,22 @@ def rank_one_eliminate(sf, kern: Kernel,
 
     # m = lambda/w, cleared by w^deg_m; then v = S*w:
     # m^a v^b  ->  lambda^a * S^b * w^(D - a + b).  The lowest power of w
-    # only feeds the spurious w = 0 branch, so it is divided out.
+    # only feeds the spurious w = 0 branch, so it is divided out.  The
+    # denominator of sf only scales the result, which is normalized below.
     D = sf.degree("x")
     by_w = {}
-    for (a, b), c in sf.terms().items():
-        by_w.setdefault(D - a + b, {})[(a, b)] = c
+    for b, row in enumerate(sf.rows):
+        for a, c in enumerate(row):
+            if c:
+                by_w.setdefault(D - a + b, {})[(a, b)] = c
     g_coeffs = [BivariatePolynomial(by_w.get(dw, {}))
                 for dw in range(min(by_w), max(by_w) + 1)]
 
     if len(g_coeffs) == 1:
         eliminated = g_coeffs[0]
     else:
-        master = [
-            BivariatePolynomial({(0, 0): 1, (1, 1): -1}),
-            _BP_ZERO,
-            _BP_ONE,
-        ]  # 1 - lambda*S + w^2
-        eliminated = auxiliary_resultant(master, g_coeffs)
+        master = [BivariatePolynomial({(0, 0): 1, (1, 1): -1}), 0, 1]
+        eliminated = auxiliary_resultant(master, g_coeffs)  # 1 - lambda*S + w^2
 
     stripped = eliminated.normalized()
     if stripped.is_zero or stripped.degree("y") < 1:
@@ -717,15 +750,15 @@ def rank_one_eliminate(sf, kern: Kernel,
     # what the profile relation says, so the resultant routinely carries
     # powers of (lambda*S - 1) that certify nothing.  Divide them out
     # exactly; anything else spurious is caught by the certificate below.
-    phantom = BivariatePolynomial({(1, 1): Fraction(1), (0, 0): Fraction(-1)})
+    phantom = [[-1], [0, 1]]  # lambda*S - 1 as y-rows
     while True:
         try:
-            quotient = _bp_divexact(stripped, phantom)
+            quotient = _bp_divexact(stripped.rows, phantom)
         except ArithmeticError:
             break
-        if quotient.is_zero or quotient.degree("y") < 1:
+        if len(quotient) < 2:
             break
-        stripped = quotient.normalized()
+        stripped = BivariatePolynomial._of_rows(quotient).normalized()
 
     candidates = [(fac.normalized(), mult)
                   for fac, mult in _squarefree_factors(stripped)]

@@ -152,15 +152,16 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
 def _count(cfg: dict, key: str, default: int, cap: int | None = None) -> int:
     """cfg[key] (or the default) as an int >= 1, and <= cap if given.
 
-    Anything else raises ValueError naming --key and the value, so main
+    Only an int (not a bool) or a string of decimal digits is a count;
+    2.5, "2.5" and true are not truncated.  Anything else raises ValueError naming --key and the value, so main
     exits 2; commands read their inputs before making the output
     directory.
     """
     value = cfg.get(key, default)
-    try:
+    if isinstance(value, str) and value.isascii() and value.isdigit():
         count = int(value)
-    except (TypeError, ValueError):
-        count = 0
+    else:
+        count = value if type(value) is int else 0
     if count < 1:
         raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
     if cap is not None and count > cap:
@@ -381,7 +382,9 @@ def cmd_verify(cfg: dict) -> int:
     radius = _real(cfg, "radius", certificate_radius(kern))
     if radius <= 0:
         raise ValueError(f"--radius must be > 0, got {radius!r}")
-    tol = float(cfg.get("tol", CERTIFICATE_TOL))
+    tol = _real(cfg, "tol", CERTIFICATE_TOL)
+    if tol <= 0:
+        raise ValueError(f"--tol must be > 0, got {tol!r}")
     run = _Run("verify", cfg, cfg["out"])
     resid = verify_curve(curve, kern, circle_points(radius, count))
     ok = resid < tol
@@ -513,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="curve JSON (path or inline)")
     p.add_argument("--samples", type=int)
     p.add_argument("--radius", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("crosscheck", parents=[common],

@@ -343,15 +343,24 @@ def test_discriminant_matches_sympy(f, var):
     assert discriminant(f, var) == _sympy_coeffs(sp, want, other)
 
 
+# leading coefficients of the drawn factors: negative and non-integer ones
+# too, so a Sturm chain that flips signs with lc^k shows
+leads = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3),
+                         Fraction(-5, 2), Fraction(2, 3)])
+scales = st.sampled_from([Fraction(-1), Fraction(-3, 2), Fraction(7, 5),
+                          Fraction(-2, 9)])
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(fractions, min_size=1, max_size=4),
+@given(st.lists(st.tuples(st.lists(fractions, min_size=1, max_size=4), leads),
                 min_size=1, max_size=3), st.booleans())
 def test_real_roots_match_sympy(factors, repeat):
-    """Monic factors, the first one squared when repeat is drawn."""
+    """Factors with any leading coefficient, the first one squared when
+    repeat is drawn."""
     sp = pytest.importorskip("sympy")
     p = [Fraction(1)]
-    for f in factors + factors[:repeat]:
-        p = _convolve(p, f + [Fraction(1)])
+    for f, lead in factors + factors[:repeat]:
+        p = _convolve(p, f + [lead])
     x = sp.symbols("x")
     poly = sp.Poly([sp.Rational(c.numerator, c.denominator)
                     for c in reversed(p)], x).sqf_part()
@@ -361,6 +370,28 @@ def test_real_roots_match_sympy(factors, repeat):
         lo = sp.Rational(iv.lo.numerator, iv.lo.denominator)
         hi = sp.Rational(iv.hi.numerator, iv.hi.denominator)
         assert poly.count_roots(lo, hi) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(fractions, min_size=2, max_size=7),
+       st.sampled_from([Fraction(-1), Fraction(-3, 2), Fraction(7, 5)]))
+def test_real_roots_ignore_a_constant_factor(p, c):
+    assume(any(p))
+    assert real_roots([c * v for v in p]) == real_roots(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bivariates(), bivariates(), st.sampled_from("xy"), scales, scales)
+def test_resultant_and_discriminant_scale(p, q, var, a, b):
+    """res(aP, bQ) = a^deg Q b^deg P res(P, Q), disc(aP) = a^(2n-2) disc(P)."""
+    assume(not p.is_zero and not q.is_zero)
+    m, n = p.degree(var), q.degree(var)
+    assume(max(m, n) >= 1)
+    assert resultant(p * a, q * b, var) == \
+        [a ** n * b ** m * c for c in resultant(p, q, var)]
+    if m >= 1:
+        assert discriminant(p * a, var) == \
+            [a ** (2 * m - 2) * c for c in discriminant(p, var)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -343,12 +343,15 @@ BAD_COUNTS = [  # command and its required input, the bad flag, its value
     (["simulate", "--filter", COMPASS], "kmax", 0),
     (["simulate", "--filter", COMPASS], "N", 0),
     (["crosscheck", "--filter", COMPASS], "N", 0),
-    (["density", "--kernel", UNIT_KERNEL], "n", 0)]
+    (["density", "--kernel", UNIT_KERNEL], "n", 0),
+    (["moments", "--filter", COMPASS], "kmax", 2.5),  # not truncated to 2
+    (["moments", "--filter", COMPASS], "kmax", "2.5"),
+    (["moments", "--filter", COMPASS], "kmax", True)]
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
 @pytest.mark.parametrize("args, key, value", BAD_COUNTS,
-                         ids=[f"{a[0]}-{k}={v}" for a, k, v in BAD_COUNTS])
+                         ids=[f"{a[0]}-{k}={v!r}" for a, k, v in BAD_COUNTS])
 def test_counts_below_one_exit_with_usage_error(tmp_path, capsys, args, key,
                                                value, via_config):
     # exit 2 naming the flag and the value, before any output
@@ -359,9 +362,16 @@ def test_counts_below_one_exit_with_usage_error(tmp_path, capsys, args, key,
     else:
         args = args + [f"--{key}", str(value)]
     out = tmp_path / "out"
-    assert main(args + ["--out", str(out)]) == 2
-    assert f"--{key} must be an integer >= 1, got {value}" in \
-        capsys.readouterr().err
+    if via_config or type(value) is int:
+        assert main(args + ["--out", str(out)]) == 2
+        assert f"--{key} must be an integer >= 1, got {value!r}" in \
+            capsys.readouterr().err
+    else:  # argparse itself rejects a flag that is not an integer
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--{key}" in err and str(value) in err
     assert not out.exists()
 
 
@@ -377,6 +387,10 @@ BAD_INPUTS = [  # arguments, the flag named, its value as the message shows it
     (VERIFY + ["--samples", "0"], "--samples", "0"),
     (VERIFY + ["--samples", "-3"], "--samples", "-3"),
     (VERIFY + ["--radius", "0"], "--radius", "0.0"),
+    (VERIFY + ["--tol", "nan"], "--tol", "'nan'"),
+    (VERIFY + ["--tol", "0"], "--tol", "0.0"),
+    (VERIFY + ["--tol", "-1"], "--tol", "-1.0"),
+    (VERIFY + ["--tol", "abc"], "--tol", "'abc'"),
     (["density", "--kernel", UNIT_KERNEL, "--xmin", "nan"], "--xmin", "nan"),
     (["density", "--kernel", UNIT_KERNEL, "--eps1", "0.001", "--eps2",
       "0.01"], "--eps1", "0.001"),

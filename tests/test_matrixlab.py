@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import filtered_spectra
-from filtered_spectra import matrixlab
+from filtered_spectra import matrixlab, rng
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import Filter, IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
@@ -54,6 +54,26 @@ def test_philox_broadcasts():
     for t in range(4):
         one = philox4x32_10(t, 5, 6, 7, 99)
         assert all(int(vec[w][t]) == int(one[w]) for w in range(4))
+
+
+def test_blocks_agree_with_small_calls():
+    # a 2-D broadcast counter array that spans several blocks, against
+    # one call per row, each well inside one block
+    rows = np.arange(-3, 200)[:, None]
+    cols = np.arange(0, 7 * 250, 7)[None, :]
+    assert rows.size * cols.size > 3 * rng._BLOCK
+    g = gaussian_entries(3, 1, rows, cols, 2)
+    s = rademacher_entries(3, 1, rows, cols, 2)
+    u1, u2 = uniform_pair(3, 1, rows, cols, 2)
+    words = philox4x32_10(rows, cols, 2, -1, 2 ** 64 - 5)
+    assert g.shape == s.shape == u1.shape == words[0].shape == (203, 250)
+    for i in range(0, 203, 29):
+        a = rows[i, 0]
+        assert np.array_equal(g[i], gaussian_entries(3, 1, a, cols[0], 2))
+        assert np.array_equal(s[i], rademacher_entries(3, 1, a, cols[0], 2))
+        assert np.array_equal(u2[i], uniform_pair(3, 1, a, cols[0], 2)[1])
+        row = philox4x32_10(a, cols[0], 2, -1, 2 ** 64 - 5)
+        assert all(np.array_equal(w[i], v) for w, v in zip(words, row))
 
 
 def test_uniforms_strictly_inside_unit_interval():
