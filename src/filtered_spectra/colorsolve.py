@@ -40,6 +40,12 @@ targets fold onto their conjugates and each distinct point is solved
 once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
 across lambda points, and converged points drop out.
 
+The law is also symmetric under x -> -x: the tree sum has no odd
+moments, and since s is real, Psi(., -conj lam) = -conj Psi(., lam)
+solves the same equations with the same Herglotz sign, so by uniqueness
+S(-conj lam) = -conj S(lam).  density_profile uses this: it solves only
+the distinct |x| of its grid and gives -x the density of x exactly.
+
 solver_moments reads the moments off S on a circle around the spectrum
 by the trapezoid rule (Trefethen-Weideman, SIAM Review 2014).
 """
@@ -251,23 +257,28 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
 
     density(x) = Richardson extrapolation of -Im S(x + i*eps) / pi over
     the two heights in eps_pair; support_estimate is the smallest
-    interval containing every grid point with density >= 1e-4.  Each x
-    is continued once, to x + i*eps1, and one batched Newton solve,
-    warm-started from those tables, takes it to x + i*eps2.  Solver
-    failures flag their point (density NaN) instead of aborting the grid.
+    interval containing every grid point with density >= 1e-4.  The law
+    is symmetric (the odd moments vanish, and s is real, so
+    S(-conj lam) = -conj S(lam)), hence d(-x) = d(x): the grid folds
+    onto its distinct |x|, and x and -x share one solve and one density
+    value, bit for bit.  Each |x| is continued once, to |x| + i*eps1,
+    and one batched Newton solve, warm-started from those tables, takes
+    it to |x| + i*eps2.  Solver failures flag their point (density NaN)
+    instead of aborting the grid.
     """
     e1, e2 = float(eps_pair[0]), float(eps_pair[1])
     if not (0 < e2 < e1):
         raise ValueError("eps_pair must satisfy 0 < eps2 < eps1")
     xs = [float(x) for x in xs]
-    S1, c1, _, ok1 = _continue_batch(kern, [x + 1j * e1 for x in xs])
-    _, S2, _, ok2 = _newton_batch(_GridOps(kern), np.add(xs, 1j * e2), c1)
+    fold, back = np.unique(np.abs(xs), return_inverse=True)
+    S1, c1, _, ok1 = _continue_batch(kern, fold + 1j * e1)
+    _, S2, _, ok2 = _newton_batch(_GridOps(kern), fold + 1j * e2, c1)
     d1 = -S1.imag / math.pi
     d2 = -S2.imag / math.pi
     r = e1 / e2
     dens = (r * d2 - d1) / (r - 1.0)
-    flags = ok1 & ok2
-    dens = np.where(flags, dens, np.nan)
+    flags = (ok1 & ok2)[back]
+    dens = np.where(flags, dens[back], np.nan)
 
     lit = [x for x, d, f in zip(xs, dens, flags) if f and d >= DENSITY_FLOOR]
     support = (min(lit), max(lit)) if lit else (math.nan, math.nan)

@@ -10,11 +10,12 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from filtered_spectra import cli
 from filtered_spectra.cli import main
-from filtered_spectra.colorsolve import solver_moments
+from filtered_spectra.colorsolve import SpectralGrid, solver_moments
 from filtered_spectra.kernel import compass_filter, kernel_from_filter
 from filtered_spectra.matrixlab import (SampleConfig, sample_colored_gaussian,
                                         sample_filtered_wigner)
@@ -158,6 +159,64 @@ def test_density_csv_columns(tmp_path):
     assert float(mid["density"]) == pytest.approx(1 / math.pi, abs=1e-3)
     assert all(r["residual_flag"] == "0" for r in rows)
     assert len(_report(out)["support_estimate"]) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 181])
+@pytest.mark.parametrize("a", ["2.7", "3", "0.1", "-2.7"])
+def test_symmetric_density_grid_is_a_bitwise_mirror(tmp_path, monkeypatch,
+                                                     a, n):
+    # --xmin -a --xmax a: node n-1-i is exactly -(node i), the ends are
+    # exact and odd n has 0.0 in the middle; n = 1 stays [xmin]
+    monkeypatch.setattr(cli, "density_profile", _flat_density)
+    out = tmp_path / "d"
+    lo = a[1:] if a.startswith("-") else "-" + a
+    assert main(["density", "--kernel", UNIT_KERNEL, "--xmin=" + lo,
+                 "--xmax=" + a, "--n", str(n), "--out", str(out)]) == 0
+    xs = np.array([float(r["x"]) for r in _rows(out / "density.csv")])
+    ref = np.linspace(float(lo), float(a), n)
+    assert np.max(np.abs(xs - ref)) <= 1e-15
+    assert xs[0] == float(lo)
+    if n == 1:
+        return
+    assert xs[-1] == float(a)
+    assert np.array_equal(xs, -xs[::-1])
+    assert not np.signbit(xs[xs == 0]).any()
+    assert (0.0 in xs) == (n % 2 == 1)
+
+
+@pytest.mark.parametrize("lo, hi", [("-2.7", "2.5"), ("-1", "3"),
+                                    ("0.5", "2.5"), ("2.5", "-2.7")])
+def test_asymmetric_density_grid_is_linspace(tmp_path, monkeypatch, lo, hi):
+    monkeypatch.setattr(cli, "density_profile", _flat_density)
+    out = tmp_path / "d"
+    assert main(["density", "--kernel", UNIT_KERNEL, "--xmin=" + lo,
+                 "--xmax=" + hi, "--n", "181", "--out", str(out)]) == 0
+    xs = [float(r["x"]) for r in _rows(out / "density.csv")]
+    assert xs == np.linspace(float(lo), float(hi), 181).tolist()
+
+
+def _flat_density(kern, xs, eps_pair):
+    """A density_profile stand-in that skips the solve: these tests read x."""
+    xs = [float(x) for x in xs]
+    return SpectralGrid(xs=xs, density=[0.0] * len(xs),
+                        support_estimate=(min(xs), max(xs)),
+                        flags=[True] * len(xs), eps_pair=eps_pair)
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    cli._build_parser.cache_clear()
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for name in ("a", "b"):
+        assert main(["solve", "--kernel", UNIT_KERNEL, "--lambda", "3,0",
+                     "--out", str(tmp_path / name)]) == 0
+    assert made.count("filtered-spectra") == 1
 
 
 def test_eliminate_then_verify(tmp_path):

@@ -18,7 +18,7 @@ from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
                                      phases)
 from filtered_spectra.moments import theoretical_moments
 from conftest import rank_two_kernel, seeded_two_interval_kernel, \
-    two_point_kernel
+    tilted_circle_kernel, two_point_kernel
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0      # S(3) for the semicircle law
 
@@ -102,10 +102,16 @@ def test_real_lambda_inside_support_is_boundary_value_from_above():
 
 
 def test_stieltjes_is_odd_for_symmetric_law(compass_kernel):
-    plus = stieltjes_path(compass_kernel, [3.1 + 0.4j])[0]
-    minus = stieltjes_path(compass_kernel, [-3.1 + 0.4j])[0]
-    assert minus.stieltjes == pytest.approx(-plus.stieltjes.conjugate(),
-                                            abs=1e-10)
+    # s is real and the odd moments vanish: S(-conj lam) = -conj S(lam),
+    # off the axis and for the boundary values on it, for every family
+    lams = np.array([3.1 + 0.4j, 0.3 + 0.05j, 1.7 + 0.01j, 0.8, 1.9, 5.0,
+                     0.6 - 0.2j])
+    for kern in (compass_kernel, constant_kernel(),
+                 seeded_two_interval_kernel(), two_point_kernel(),
+                 rank_two_kernel(), tilted_circle_kernel()):
+        S = np.array([sol.stieltjes for sol in stieltjes_path(kern, lams)])
+        minus = [sol.stieltjes for sol in stieltjes_path(kern, -lams.conj())]
+        assert np.max(np.abs(minus + S.conj())) <= 1e-12, kern
 
 
 def test_large_lambda_expansion(compass_kernel):
@@ -247,8 +253,9 @@ def test_conjugate_pairs_are_solved_once(compass_kernel, monkeypatch):
 
 
 def test_density_descends_once_per_point(compass_kernel, monkeypatch):
-    # the benchmark's compass grid (a node at x = 0): eps1 by continuation,
-    # then one Newton solve of at most 4 steps to eps2
+    # np.linspace on the benchmark's compass range (a node at x = 0, 133
+    # distinct |x|): eps1 by continuation, then one Newton solve of at
+    # most 4 steps to eps2, both at the grid's distinct |x|
     xs = np.linspace(-2.7, 2.7, 181)
     e1, e2 = 1e-2, 5e-3
     calls = []
@@ -265,10 +272,53 @@ def test_density_descends_once_per_point(compass_kernel, monkeypatch):
     assert all(grid.flags)
     assert all(np.all(lams.imag >= e1) for lams, _ in calls[:-1])
     lams, S2 = calls[-1]
-    assert np.array_equal(lams, xs + 1j * e2)
+    assert np.array_equal(lams, np.unique(np.abs(xs)) + 1j * e2)
     monkeypatch.undo()
     ref = [sol.stieltjes for sol in stieltjes_path(compass_kernel, lams)]
     assert np.max(np.abs(S2 - ref)) <= 1e-12
+
+
+def _mirror_grid(a, n):
+    """n points near np.linspace(-a, a, n), node n-1-i exactly -(node i)."""
+    right = np.abs(np.linspace(-a, a, n)[n // 2:])
+    if n % 2:
+        right[0] = 0.0
+    return np.concatenate([-right[::-1][:n // 2], right])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 181])
+def test_density_solves_each_mirror_pair_once(compass_kernel, monkeypatch, n):
+    xs = _mirror_grid(2.7, n)
+    assert len(xs) == n and np.array_equal(xs, -xs[::-1])
+    sizes = []
+    newton = colorsolve._newton_batch
+
+    def spy(ops, lams, c0):
+        sizes.append(len(lams))
+        return newton(ops, lams, c0)
+
+    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    grid = density_profile(compass_kernel, xs)
+    assert max(sizes) == (n + 1) // 2
+    assert all(grid.flags)
+    dens = np.array(grid.density)
+    assert np.array_equal(dens, dens[::-1])
+    lo, hi = grid.support_estimate
+    assert lo == -hi or (n == 2 and math.isnan(lo) and math.isnan(hi))
+
+
+def test_density_fold_mirrors_failures(compass_kernel, monkeypatch):
+    # too few Newton steps near the axis: the failures, like the values,
+    # come in mirror pairs
+    xs = _mirror_grid(2.7, 41)
+    monkeypatch.setattr(colorsolve, "NEWTON_STEPS", 3)
+    grid = density_profile(compass_kernel, xs)
+    flags = np.array(grid.flags)
+    assert flags.any() and not flags.all()
+    assert np.array_equal(flags, flags[::-1])
+    dens = np.array(grid.density)
+    assert np.array_equal(np.isnan(dens), ~flags)
+    assert np.array_equal(dens[flags], dens[::-1][flags])
 
 
 def test_semicircle_density_values(semicircle):
