@@ -134,7 +134,11 @@ class _GridOps:
 
     def residual(self, lams, c):
         """g on the grid and r = F(c) - c, for (n,) lams."""
-        g = 1.0 / (lams[:, None, None] - c @ self.phase)
+        # in place: an (n, nI, T) array can pass malloc's mmap threshold,
+        # and three per step made the heap shrink and fault back each step
+        g = c @ self.phase
+        np.subtract(lams[:, None, None], g, out=g)
+        np.divide(1.0, g, out=g)
         r = np.einsum("ijab,nbj->nai", self.pair, g @ self.phase.T / self.T) - c
         return g, r
 

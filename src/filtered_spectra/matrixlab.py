@@ -23,6 +23,7 @@ asserted symmetric, and five eigenpairs spread across the spectrum are
 checked on M itself: their vectors come from inverse iteration on T
 (dstein) and the back-transform by Q (dormqr on the reflectors dsytrd
 left), and each must satisfy ||M v - lambda v|| <= 1e-8 ||M||_F.
+scipy's LAPACK is loaded at the first eigensolve, not with the module.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.linalg.blas import dnrm2
 
 from .kernel import (Filter, IntervalPartition, Kernel, kernel_from_filter,
                      kernel_grid_matrix)
@@ -234,6 +233,10 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
     m itself.  If certificate is a dict, "residual" is set to the worst
     ||m v - lambda v|| / ||m||_F of those pairs.
     """
+    # imported here, not at module load: scipy.linalg is most of the
+    # package's import time, and no other function needs it
+    from scipy.linalg import lapack
+    from scipy.linalg.blas import dnrm2
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input is not square")

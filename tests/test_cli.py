@@ -5,14 +5,18 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import filtered_spectra
 from filtered_spectra import cli
 from filtered_spectra.cli import main
 from filtered_spectra.colorsolve import SpectralGrid, solver_moments
@@ -521,3 +525,41 @@ def test_readme_command_lines_match_the_parser():
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in listed} == set(sub.choices)
+
+
+_IMPORT_BOUNDARY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import filtered_spectra
+seen = {"import": "scipy.linalg" in sys.modules}
+from filtered_spectra.cli import main
+out, compass = Path(sys.argv[1]), sys.argv[2]
+relation = json.dumps({"coeffs": [[2, 2, "1"], [1, 2, "-2"], [0, 0, "-1"]]})
+codes = [main(argv + ["--out", str(out / argv[0])]) for argv in (
+    ["moments", "--filter", compass, "--kmax", "6", "--oracle"],
+    ["density", "--filter", compass, "--n", "9"],
+    ["solve", "--filter", compass, "--lambda", "3,1"],
+    ["eliminate", "--filter", compass, "--relation", relation],
+    ["verify", "--filter", compass, "--curve",
+     str(out / "eliminate" / "curve.json")])]
+seen["commands"] = "scipy.linalg" in sys.modules
+codes.append(main(["simulate", "--filter", compass, "--N", "20",
+                   "--kmax", "2", "--out", str(out / "simulate")]))
+seen["simulate"] = "scipy.linalg" in sys.modules
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_only_the_eigensolve_loads_scipy_linalg(tmp_path):
+    # a fresh interpreter, so the suite's own scipy imports hide nothing
+    src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, str(tmp_path),
+         COMPASS], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * 6
+    assert got["seen"] == {"import": False, "commands": False,
+                           "simulate": True}

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import filtered_spectra
-from filtered_spectra import matrixlab, rng
+from filtered_spectra import rng
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import Filter, IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
@@ -328,7 +328,7 @@ def test_colored_entries_are_single_counter_values():
 
 
 def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
-    real_dstein = matrixlab.lapack.dstein
+    real_dstein = scipy.linalg.lapack.dstein
     calls = []
 
     def perturbed(d, e, w, iblock, isplit):
@@ -337,7 +337,7 @@ def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
         z[0, 2] += 1e-3     # columns follow the indices 0, 10, 20, 30, 39
         return z, info
 
-    monkeypatch.setattr(matrixlab.lapack, "dstein", perturbed)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", perturbed)
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 40))
     with pytest.raises(RuntimeError, match="eigenpair 20 residual"):
