@@ -31,11 +31,16 @@ F maps the ball |Psi| <= A/2 into itself, since |F| <= (A^2/4)/(3.5A)
 cruise point x + 4A*i lands on it for every x.  From there a geometric
 descent at ratio 0.7 reaches the target's height, and a real target
 hops from height 1e-8 to the axis, so a real lam gets the boundary
-value from above.  Each waypoint warm-starts the next.  On every grid
-the tests and the benchmark use, the cold solve at the cruise point
-takes at most 3 Newton steps and each later waypoint at most 4.
-A point fails at the division guard |lam - Psi| < 1e-14 or after
-NEWTON_STEPS steps (Newton that slow is diverging).  Lower half-plane
+value from above.  Newton converges only where its answer is used, at
+the cruise point and at the target.  Each waypoint in between takes
+exactly one Newton step from the previous waypoint's table: one
+corrector step per waypoint, which keeps the iterate in Newton's basin
+along the path (Allgower-Georg, Numerical Continuation Methods, 1990).
+On every grid the tests and the benchmark use, the cold solve and the
+target solve each take at most 3 Newton steps.  A point fails at the
+division guard |lam - Psi| < 1e-14, anywhere on its path, or after
+NEWTON_STEPS steps of a converging solve (Newton that slow is
+diverging).  Lower half-plane
 targets fold onto their conjugates and each distinct point is solved
 once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
 across lambda points, and converged points drop out.
@@ -70,7 +75,7 @@ __all__ = [
 
 T = 128              # angular nodes per circle at band K > 0
 TOL = 1e-13          # convergence: max |F(Psi) - Psi| on the grid
-NEWTON_STEPS = 30    # cap per waypoint; continuation needs at most 4
+NEWTON_STEPS = 30    # cap per converging solve; they need at most 4
 GUARD = 1e-14        # division guard on |lam - Psi|
 DENSITY_FLOOR = 1e-4  # support_estimate threshold on the extrapolated density
 CONTOUR_RADIUS = 1.5  # R / A in solver_moments (at 1.2, m_k loses 1.5e-6)
@@ -166,8 +171,7 @@ def _newton_batch(ops: _GridOps, lams, c0):
     with np.errstate(all="ignore"):
         for step in range(NEWTON_STEPS + 1):
             g, r = ops.residual(lams[alive], c[alive])
-            # |lam - Psi| >= GUARD everywhere; False on NaN
-            sane = np.max(np.abs(g), axis=(1, 2)) <= 1.0 / GUARD
+            sane = _sane(g)
             res = np.max(np.abs(r @ ops.phase), axis=(1, 2))
             S[alive] = g.mean(axis=2) @ ops.wts
             residual[alive] = np.where(sane, res, np.inf)
@@ -176,15 +180,33 @@ def _newton_batch(ops: _GridOps, lams, c0):
             alive, g, r = alive[go], g[go], r[go]
             if not alive.size or step == NEWTON_STEPS:
                 break
-            delta = np.linalg.solve(np.eye(ops.dim) - ops.jacobian(g),
-                                    r.reshape(-1, ops.dim, 1))
-            c[alive] += delta.reshape(r.shape)
+            _newton_update(ops, c, alive, g, r)
     return c, S, residual, ok
+
+
+def _sane(g):
+    """|lam - Psi| >= GUARD everywhere, per point; False on NaN."""
+    return np.max(np.abs(g), axis=(1, 2)) <= 1.0 / GUARD
+
+
+def _newton_update(ops: _GridOps, c, alive, g, r):
+    """The Newton step c[alive] += (I - J)^-1 (F(c) - c), in place.
+
+    g and r are ops.residual at the tables c[alive]; every g passed _sane,
+    so J is finite and no point can spoil the batched solve.
+    """
+    delta = np.linalg.solve(np.eye(ops.dim) - ops.jacobian(g),
+                            r.reshape(-1, ops.dim, 1))
+    c[alive] += delta.reshape(r.shape)
 
 
 def _continue_batch(kern: Kernel, targets):
     """Continuation from each target's cruise point; vectorized.
 
+    Newton converges at the cruise point x + 4A*i, takes one step at each
+    waypoint of the geometric descent to the target's height, and
+    converges again at the target (a real target hops there from 1e-8).
+    A point that fails the division guard on the way leaves the batch.
     Returns (S, tables, residuals, ok) aligned with targets; a target
     and its conjugate, or a repeated target, share one solve.
     """
@@ -196,21 +218,28 @@ def _continue_batch(kern: Kernel, targets):
     work, back = np.unique(np.where(flip, np.conj(targets), targets),
                            return_inverse=True)
 
+    n = len(work)
     height = 4.0 * kern.amplitude()
     xs = work.real
     hs = np.maximum(work.imag, 1e-8)
-    # cruise point, geometric descent to each target's height, then the
-    # targets themselves (real ones hop there)
     n2 = max(math.ceil(math.log(height / hs.min(initial=height))
                        / math.log(1 / 0.7)), 1)
-    waypoints = [xs + 1j * height * (hs / height) ** (k / n2)
-                 for k in range(n2 + 1)] + [work]
-
-    c = np.zeros((len(work), ops.nI, 2 * ops.K + 1), dtype=complex)
-    ok = np.ones(len(work), dtype=bool)
-    for lam in waypoints:
-        c, S, res, step_ok = _newton_batch(ops, lam, c)
-        ok &= step_ok
+    c = np.zeros((n, ops.nI, 2 * ops.K + 1), dtype=complex)
+    c, _, _, ok = _newton_batch(ops, xs + 1j * height, c)
+    alive = np.flatnonzero(ok)
+    with np.errstate(all="ignore"):
+        for k in range(1, n2 + 1):
+            lam = xs[alive] + 1j * height * (hs[alive] / height) ** (k / n2)
+            g, r = ops.residual(lam, c[alive])
+            sane = _sane(g)
+            alive, g, r = alive[sane], g[sane], r[sane]
+            _newton_update(ops, c, alive, g, r)
+            del g, r    # freed before the next residual allocates its g
+    S = np.full(n, np.nan, dtype=complex)
+    res = np.full(n, np.inf)
+    ok = np.zeros(n, dtype=bool)
+    c[alive], S[alive], res[alive], ok[alive] = _newton_batch(
+        ops, work[alive], c[alive])
 
     S, c, res, ok = S[back], c[back], res[back], ok[back]
     S = np.where(flip, np.conj(S), S)
@@ -242,10 +271,12 @@ def _assert_herglotz(lam, S, slack=1e-9):
 def stieltjes_path(kern: Kernel, targets) -> list:
     """Continue S(lambda) to each target from its cruise point x + 4A*i.
 
-    Path following with warm starts: Newton from Psi = 0 at the cruise
-    point, geometric vertical descent, then the hop to real targets.
-    This is the one way to solve: a single point is
-    stieltjes_path(kern, [lam])[0].  Raises if any target fails.
+    Path following with warm starts: Newton converged from Psi = 0 at
+    the cruise point, one Newton step at each waypoint of the geometric
+    vertical descent, then Newton converged at the target (a real target
+    hops there from height 1e-8).  This is the one way to solve: a
+    single point is stieltjes_path(kern, [lam])[0].  Raises if any
+    target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
     S, cs, res, ok = _continue_batch(kern, targets)
@@ -309,8 +340,10 @@ def solver_moments(kern: Kernel, kmax: int):
     bounds the aliased m_(k+jM) R^(-jM), j >= 1, as |m_n| <= A^n.  The
     first is rounding, c = ROUNDOFF = 3 * 256: |S| <= 1/(R - A) = 3/R, so
     |lam^(k+1) S| <= 3 R^k, and each term is good to 256 eps (S to
-    Newton's TOL, within 117 eps on the test kernels; the power and the
-    mean about k eps).  Raises if a point fails.
+    Newton's TOL: within 166 eps of Newton run on to roundoff on the
+    test kernels and eight seeded ones, and within 196 eps after a
+    restart from tables perturbed by 1e-6; the power and the mean about
+    k eps).  Raises if a point fails.
     """
     M = CONTOUR_POINTS
     if not 1 <= kmax < M:

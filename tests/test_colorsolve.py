@@ -17,8 +17,8 @@ from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
                                      constant_kernel, kernel_from_filter,
                                      phases)
 from filtered_spectra.moments import theoretical_moments
-from conftest import rank_two_kernel, seeded_two_interval_kernel, \
-    tilted_circle_kernel, two_point_kernel
+from conftest import coprime_kernel, rank_two_kernel, \
+    seeded_two_interval_kernel, tilted_circle_kernel, two_point_kernel
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0      # S(3) for the semicircle law
 
@@ -143,6 +143,63 @@ def test_solver_moments_within_stated_bound(make):
         solver_moments(kern, 64)
 
 
+def _converged_descent(kern, targets):
+    """The descent with Newton converged to TOL at every waypoint, for
+    targets at one height h > 0: each solve warm-starts the next, and a
+    point fails if any of its solves fails."""
+    ops = _GridOps(kern)
+    top, h = 4.0 * kern.amplitude(), targets.imag
+    n2 = math.ceil(math.log(top / h.min()) / math.log(1 / 0.7))
+    c = np.zeros((len(targets), ops.nI, 2 * ops.K + 1), dtype=complex)
+    ok = np.ones(len(targets), dtype=bool)
+    for k in range(n2 + 2):
+        lam = (targets if k > n2
+               else targets.real + 1j * top * (h / top) ** (k / n2))
+        c, S, _, step_ok = colorsolve._newton_batch(ops, lam, c)
+        ok &= step_ok
+    return S, ok
+
+
+BRANCH_KERNELS = {
+    "compass": lambda: kernel_from_filter(compass_filter()),
+    "constant": constant_kernel, "rank-two": rank_two_kernel,
+    "two-point": two_point_kernel, "tilted": tilted_circle_kernel,
+    "coprime": coprime_kernel, "seeded": seeded_two_interval_kernel,
+    **{f"seeded-{seed}": (lambda seed=seed: seeded_two_interval_kernel(seed))
+       for seed in (0, 1, 2, 3, 7)},
+}
+
+
+@pytest.mark.parametrize("height", [1e-2, 1e-5])
+@pytest.mark.parametrize("name", list(BRANCH_KERNELS))
+def test_one_step_descent_lands_on_the_converged_branch(name, height):
+    """One Newton step per waypoint stays on the branch that converging
+    at every waypoint follows, on 301 points across +-1.2A.
+
+    Each side stops at a residual <= TOL, and its last Newton step
+    squares the error before that, so the two values of S differ by the
+    two stopping errors, a small multiple of TOL where I - J is well
+    conditioned, plus the rounding of S = sum_b len_b mean g_b, a few
+    eps |S|.  The bound is 10 TOL + 4 eps |S|; the largest differences
+    are 1.6e-13 (coprime at 1e-2, near its edge) and 4.6e-13 at |S| =
+    1573 (compass centre at 1e-5, 1.3 eps relative).
+    """
+    kern = BRANCH_KERNELS[name]()
+    A = kern.amplitude()
+    xs = np.linspace(-1.2 * A, 1.2 * A, 301)
+    S, _, _, ok = _continue_batch(kern, xs + 1j * height)
+    S_ref, ok_ref = _converged_descent(kern, xs + 1j * height)
+    # at the compass centre at 1e-5 the reference fails a waypoint near
+    # height 1.4e-5: |S| ~ 1100 there puts the residual's rounding above
+    # TOL, though its own target converges
+    stuck = [0.0] if (name, height) == ("compass", 1e-5) else []
+    assert ok.all() and np.array_equal(xs[~ok_ref], stuck)
+    assert np.all(S.imag < 0) and np.all(S_ref.imag < 0)
+    eps = np.finfo(float).eps
+    bound = 10 * colorsolve.TOL + 4 * eps * np.abs(S)
+    assert np.all(np.abs(S - S_ref) <= bound)
+
+
 def test_psi_representation(compass_kernel):
     sol = stieltjes_path(compass_kernel, [4.0 + 1.0j])[0]
     assert sol.psi.shape == (1, 2 * compass_kernel.band + 1)
@@ -233,23 +290,55 @@ def test_band_zero_psi_solves_the_color_equations():
         assert abs(sol.stieltjes - ell @ g) <= 1e-12
 
 
+def _spy_residual(monkeypatch) -> list:
+    """The lambdas of every Newton evaluation, _GridOps.residual, in order."""
+    seen = []
+    residual = _GridOps.residual
+
+    def spy(self, lams, c):
+        seen.append(np.array(lams))
+        return residual(self, lams, c)
+
+    monkeypatch.setattr(_GridOps, "residual", spy)
+    return seen
+
+
 def test_conjugate_pairs_are_solved_once(compass_kernel, monkeypatch):
-    sizes = []
-    newton = colorsolve._newton_batch
-
-    def spy(ops, lams, c0):
-        sizes.append(len(lams))
-        return newton(ops, lams, c0)
-
-    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    seen = _spy_residual(monkeypatch)
     lams = circle_points(4.0, 6)
     assert np.array_equal(lams[3:], np.conj(lams[2::-1]))
     S, c, _, ok = _continue_batch(compass_kernel, list(lams) + [lams[1]])
     assert ok.all()
-    assert max(sizes) == 3                     # 3 pairs, one repeat
+    assert max(len(batch) for batch in seen) == 3   # 3 pairs, one repeat
     assert np.array_equal(S[3:6], np.conj(S[2::-1]))
     assert S[6] == S[1]
     assert np.array_equal(c[5], np.conj(c[0, :, ::-1]))
+
+
+@pytest.mark.parametrize("height", [1e-2, 1e-5, 0.0])
+def test_each_descent_waypoint_costs_one_evaluation(compass_kernel,
+                                                    monkeypatch, height):
+    # Newton converges at the cruise point, takes exactly one step at each
+    # of the n2 descent heights, and converges again at the targets (off
+    # x = 0, where the axis value is the density's 1/sqrt|x| pole)
+    xs = np.linspace(0.06, 2.7, 45)
+    seen = _spy_residual(monkeypatch)
+    _, _, _, ok = _continue_batch(compass_kernel, xs + 1j * height)
+    assert ok.all()
+    top, h = 4.0 * compass_kernel.amplitude(), max(height, 1e-8)
+    n2 = math.ceil(math.log(top / h) / math.log(1 / 0.7))
+    heights = [batch.imag.max() for batch in seen]
+    cruise = heights.count(top)
+    assert heights[:cruise] == [top] * cruise and 2 <= cruise <= 4
+    descent = seen[cruise:cruise + n2]
+    want = [top * (h / top) ** (k / n2) for k in range(1, n2 + 1)]
+    assert [batch.imag.max() for batch in descent] == pytest.approx(
+        want, rel=1e-15)
+    assert all(np.array_equal(batch.real, xs) for batch in descent)
+    target = seen[cruise + n2:]
+    assert np.array_equal(target[0], xs + 1j * height)
+    assert all(np.isin(batch, target[0]).all() for batch in target)
+    assert 1 <= len(target) <= 4
 
 
 def test_density_descends_once_per_point(compass_kernel, monkeypatch):
@@ -290,16 +379,9 @@ def _mirror_grid(a, n):
 def test_density_solves_each_mirror_pair_once(compass_kernel, monkeypatch, n):
     xs = _mirror_grid(2.7, n)
     assert len(xs) == n and np.array_equal(xs, -xs[::-1])
-    sizes = []
-    newton = colorsolve._newton_batch
-
-    def spy(ops, lams, c0):
-        sizes.append(len(lams))
-        return newton(ops, lams, c0)
-
-    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    seen = _spy_residual(monkeypatch)
     grid = density_profile(compass_kernel, xs)
-    assert max(sizes) == (n + 1) // 2
+    assert max(len(batch) for batch in seen) == (n + 1) // 2
     assert all(grid.flags)
     dens = np.array(grid.density)
     assert np.array_equal(dens, dens[::-1])
@@ -319,6 +401,35 @@ def test_density_fold_mirrors_failures(compass_kernel, monkeypatch):
     dens = np.array(grid.density)
     assert np.array_equal(np.isnan(dens), ~flags)
     assert np.array_equal(dens[flags], dens[::-1][flags])
+
+
+def test_density_survives_guard_failures_in_the_descent(compass_kernel,
+                                                       monkeypatch):
+    # |lam - Psi| >= 0.3 fails the compass centre, where |S(x + 0.01i)| is
+    # large, during the descent: those points leave the batch before the
+    # target solve, and the rest of the grid goes on
+    xs = _mirror_grid(2.7, 41)
+    ref = np.array(density_profile(compass_kernel, xs).density)
+    sizes = []
+    newton = colorsolve._newton_batch
+
+    def spy(ops, lams, c0):
+        sizes.append(len(lams))
+        return newton(ops, lams, c0)
+
+    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    monkeypatch.setattr(colorsolve, "GUARD", 0.3)
+    grid = density_profile(compass_kernel, xs)
+    assert sizes[0] == 21 and sizes[1] < 21     # cruise, then the targets
+    flags = np.array(grid.flags)
+    assert flags.any() and not flags.all()
+    assert np.array_equal(flags, flags[::-1])
+    assert not flags[20]                        # x = 0
+    dens = np.array(grid.density)
+    assert np.array_equal(np.isnan(dens), ~flags)
+    # a point's Newton iterates do not depend on the rest of its batch;
+    # 1e-14 leaves room for a BLAS that rounds a smaller batch differently
+    assert np.max(np.abs(dens[flags] - ref[flags])) <= 1e-14
 
 
 def test_semicircle_density_values(semicircle):
