@@ -350,8 +350,15 @@ def cmd_simulate(cfg: dict) -> int:
     else:
         raise ValueError(f"--model {model!r} is not 'filtered' or 'colored'")
     run = _Run("simulate", cfg, cfg["out"])
-    mats = [sample(trial=t) for t in range(trials)]
-    summary = esd_statistics(mats, kmax=kmax)
+    hashes = []
+
+    def hashed(trial):
+        m = sample(trial=trial)
+        hashes.append(hashlib.sha256(m).hexdigest())
+        return m
+
+    # one matrix alive at a time: drawn, hashed, eigensolved, released
+    summary = esd_statistics(map(hashed, range(trials)), kmax=kmax)
     run.write_csv("moments.csv", ["k", "mean", "stderr"],
                   [[k + 1, summary.moment_mean[k], summary.moment_stderr[k]]
                    for k in range(kmax)])
@@ -361,7 +368,7 @@ def cmd_simulate(cfg: dict) -> int:
                    for i in range(len(summary.hist_mass))])
     run.write_json("report.json", {
         "model": model, "N": N, "trials": trials,
-        "matrix_sha256": [hashlib.sha256(m).hexdigest() for m in mats],
+        "matrix_sha256": hashes,
         "moment_mean": summary.moment_mean,
         "moment_stderr": summary.moment_stderr,
         "eigenpair_residual_max": max(e.eigenpair_residual
@@ -434,13 +441,11 @@ def cmd_crosscheck(cfg: dict) -> int:
     solver, solver_tol = solver_moments(kern, kmax)
 
     if h is not None:
-        scfg = SampleConfig(N=N, seed=seed, trials=trials)
-        mats = [sample_filtered_wigner(scfg, h, trial=t)
-                for t in range(trials)]
+        sample = partial(sample_filtered_wigner,
+                         SampleConfig(N=N, seed=seed, trials=trials), h)
     else:
-        mats = [sample_colored_gaussian(kern, N, seed, trial=t)
-                for t in range(trials)]
-    summary = esd_statistics(mats, kmax=kmax)
+        sample = partial(sample_colored_gaussian, kern, N, seed)
+    summary = esd_statistics(map(sample, range(trials)), kmax=kmax)
 
     rows, all_ok = [], True
     for k in range(kmax):

@@ -298,8 +298,8 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     onto its distinct |x|, and x and -x share one solve and one density
     value, bit for bit.  Each |x| is continued once, to |x| + i*eps1,
     and one batched Newton solve, warm-started from those tables, takes
-    it to |x| + i*eps2.  Solver failures flag their point (density NaN)
-    instead of aborting the grid.
+    each |x| that converged there to |x| + i*eps2.  Solver failures flag
+    their point (density NaN) instead of aborting the grid.
     """
     e1, e2 = float(eps_pair[0]), float(eps_pair[1])
     if not (0 < e2 < e1):
@@ -307,7 +307,10 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     xs = [float(x) for x in xs]
     fold, back = np.unique(np.abs(xs), return_inverse=True)
     S1, c1, _, ok1 = _continue_batch(kern, fold + 1j * e1)
-    _, S2, _, ok2 = _newton_batch(_GridOps(kern), fold + 1j * e2, c1)
+    S2 = np.full(len(fold), np.nan, dtype=complex)
+    ok2 = np.zeros(len(fold), dtype=bool)
+    _, S2[ok1], _, ok2[ok1] = _newton_batch(_GridOps(kern),
+                                            fold[ok1] + 1j * e2, c1[ok1])
     d1 = -S1.imag / math.pi
     d2 = -S2.imag / math.pi
     r = e1 / e2

@@ -1,15 +1,20 @@
 """Shared fixtures: the kernels and filters every suite leans on."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      compass_filter, constant_kernel,
-                                     kernel_from_filter, unit_partition)
+                                     kernel_from_filter, kernel_grid_matrix,
+                                     unit_partition)
+from filtered_spectra.matrixlab import _draw, _site_cells
+from filtered_spectra.rng import gaussian_entries
 
 
 @pytest.fixture(scope="session")
@@ -133,3 +138,39 @@ def small_filters(draw):
         taps[(1, 1)] = Fraction(1, 2)
         taps[(-1, -1)] = Fraction(1, 2)
     return Filter(taps)
+
+
+# The two samplers as first written: whole-triangle index arrays, a full
+# Y field, one full-size temporary per tap and mirrors by addition.  The
+# library's samplers must match them bit for bit.
+
+def reference_filtered_wigner(cfg, h, trial=0):
+    N = cfg.N
+    r, c = np.triu_indices(N, 1)
+    Y = np.zeros((N, N))
+    Y[r, c] = Y[c, r] = _draw(cfg, trial, r + 1, c + 1)
+    X = np.zeros((N, N))
+    for (a, b), weight in sorted(h.taps.items()):
+        r0, r1 = max(a, 0), N + min(a, 0)
+        c0, c1 = max(-b, 0), N + min(-b, 0)
+        if r0 < r1 and c0 < c1:
+            X[r0:r1, c0:c1] += float(weight) * Y[r0 - a:r1 - a,
+                                                 c0 + b:c1 + b]
+    return np.triu(X) + np.triu(X, 1).T
+
+
+def reference_colored_gaussian(kern, N, seed, trial=0):
+    n2 = N * N
+    ps, qs = np.divmod(np.arange(n2), N)
+    site = _site_cells(kern.partition, ps, N) * N + qs
+    smat = kernel_grid_matrix(kern, N)[np.ix_(site, site)]
+    sup = float(np.max(np.abs(smat)))
+    if sup > 0:
+        smat[np.abs(smat) < 1e-12 * sup] = 0.0
+    smat[smat < 0] = 0.0
+    amp = np.sqrt(smat)
+    r, c = np.triu_indices(n2)
+    M = np.zeros((n2, n2))
+    M[r, c] = amp[r, c] * gaussian_entries(seed, trial, r, c, 1)
+    M[np.diag_indices(n2)] *= math.sqrt(2.0)
+    return M + np.triu(M, 1).T

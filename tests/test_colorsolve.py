@@ -410,26 +410,31 @@ def test_density_survives_guard_failures_in_the_descent(compass_kernel,
     # target solve, and the rest of the grid goes on
     xs = _mirror_grid(2.7, 41)
     ref = np.array(density_profile(compass_kernel, xs).density)
-    sizes = []
+    batches = []
     newton = colorsolve._newton_batch
 
     def spy(ops, lams, c0):
-        sizes.append(len(lams))
-        return newton(ops, lams, c0)
+        out = newton(ops, lams, c0)
+        batches.append((np.array(lams), out[3]))
+        return out
 
     monkeypatch.setattr(colorsolve, "_newton_batch", spy)
     monkeypatch.setattr(colorsolve, "GUARD", 0.3)
     grid = density_profile(compass_kernel, xs)
+    sizes = [len(lams) for lams, _ in batches]
     assert sizes[0] == 21 and sizes[1] < 21     # cruise, then the targets
+    # the eps2 solve starts only from the |x| whose eps1 target converged
+    (eps1, ok1), (eps2, _) = batches[-2], batches[-1]
+    assert len(eps2) < 21
+    assert np.array_equal(eps2, eps1[ok1].real + 5e-3j)
     flags = np.array(grid.flags)
     assert flags.any() and not flags.all()
     assert np.array_equal(flags, flags[::-1])
     assert not flags[20]                        # x = 0
     dens = np.array(grid.density)
     assert np.array_equal(np.isnan(dens), ~flags)
-    # a point's Newton iterates do not depend on the rest of its batch;
-    # 1e-14 leaves room for a BLAS that rounds a smaller batch differently
-    assert np.max(np.abs(dens[flags] - ref[flags])) <= 1e-14
+    # a point's Newton iterates do not depend on the rest of its batch
+    assert np.array_equal(dens[flags], ref[flags])
 
 
 def test_semicircle_density_values(semicircle):

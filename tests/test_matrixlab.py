@@ -1,10 +1,12 @@
 """Counter-based sampling, the two matrix models, and spectral statistics."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from filtered_spectra.matrixlab import (ESD, SampleConfig, _site_cells,
                                         sample_filtered_wigner)
 from filtered_spectra.rng import (gaussian_entries, philox4x32_10,
                                   rademacher_entries, uniform_pair)
+from conftest import reference_colored_gaussian, reference_filtered_wigner
 
 
 # Known-answer vectors for Philox4x32-10 (Random123's kat_vectors).
@@ -74,6 +77,61 @@ def test_blocks_agree_with_small_calls():
         assert np.array_equal(u2[i], uniform_pair(3, 1, a, cols[0], 2)[1])
         row = philox4x32_10(a, cols[0], 2, -1, 2 ** 64 - 5)
         assert all(np.array_equal(w[i], v) for w, v in zip(words, row))
+
+
+def _reference_words(c0, c1, c2, c3, seed):
+    """Philox4x32-10 as first written: the ten rounds on whole uint64
+    arrays, with fresh temporaries in every round."""
+    c = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) & 0xFFFFFFFF
+                              for x in (c0, c1, c2, c3)))
+    c0, c1, c2, c3 = (x.astype(np.uint64) for x in c)
+    k0, k1 = seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF
+    m0, m1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
+    lo, sh = np.uint64(0xFFFFFFFF), np.uint64(32)
+    for _ in range(10):
+        p0, p1 = m0 * c0, m1 * c2
+        c0, c1, c2, c3 = ((p1 >> sh) ^ c1 ^ np.uint64(k0), p1 & lo,
+                          (p0 >> sh) ^ c3 ^ np.uint64(k1), p0 & lo)
+        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
+def _reference_unit(hi, lo):
+    x = (hi << np.uint64(32)) | lo
+    return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 99, 2 ** 32 + 5, 2 ** 64 - 1])
+@pytest.mark.parametrize("counters", [
+    (3, 7, 11, 0),                                          # one counter
+    (1, np.arange(-40, 9)[:, None], np.arange(60)[None, :], 2),  # broadcast
+    (-2, np.arange(-3 * (1 << 14) - 5, 0), 5, -1),          # negative, ragged
+    (np.arange(2), 1, np.arange((1 << 14) + 1)[:, None], 0),  # 2-D, ragged
+])
+def test_block_buffers_reproduce_the_whole_array_rounds(seed, counters):
+    # the in-place rounds on reused block buffers against the rounds on
+    # whole arrays with fresh temporaries, bit for bit; the second and
+    # last cases cover sizes that are not a multiple of the block
+    t, a, b, s = counters
+    w = _reference_words(t, a, b, s, seed)
+    u1, u2 = _reference_unit(w[0], w[1]), _reference_unit(w[2], w[3])
+    gauss = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    signs = (w[0] & np.uint64(1)).astype(np.float64) * 2.0 - 1.0
+    assert _sha(*philox4x32_10(t, a, b, s, seed)) == \
+        _sha(*(x.astype(np.uint32) for x in w))
+    assert _sha(*uniform_pair(seed, t, a, b, s)) == _sha(u1, u2)
+    assert _sha(gaussian_entries(seed, t, a, b, s)) == _sha(gauss)
+    assert _sha(rademacher_entries(seed, t, a, b, s)) == _sha(signs)
 
 
 def test_uniforms_strictly_inside_unit_interval():
@@ -325,6 +383,67 @@ def test_colored_entries_are_single_counter_values():
         g = float(gaussian_entries(seed, trial, min(m, k), max(m, k), 1))
         want = amp * g * (math.sqrt(2.0) if m == k else 1.0)
         assert M[m, k] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("N", [1, 2, 5, 13, 48, 200, 640])
+def test_filtered_sample_matches_the_whole_triangle_reference(compass, N,
+                                                              law):
+    cfg = SampleConfig(N=N, seed=N + 3, entry_law=law)
+    for trial in range(3):
+        got = sample_filtered_wigner(cfg, compass, trial=trial)
+        want = reference_filtered_wigner(cfg, compass, trial=trial)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_wide_filter_sample_matches_the_whole_triangle_reference():
+    # taps up to 7 away, negative weights: blocks where a tap reaches
+    # only part of the window, and windows it misses entirely
+    h = Filter({(0, 0): 1, (1, 0): "1/3", (0, -1): "1/3", (-2, 1): "-1/3",
+                (-1, 2): "-1/3", (3, -2): "1/5", (2, -3): "1/5",
+                (7, 0): "1/7", (0, -7): "1/7"})
+    for N in (1, 2, 3, 8, 9, 90, 300):
+        cfg = SampleConfig(N=N, seed=N)
+        assert sample_filtered_wigner(cfg, h, trial=1).tobytes() == \
+            reference_filtered_wigner(cfg, h, trial=1).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 24])
+@pytest.mark.parametrize("kernel", ["compass", "constant", "piecewise"])
+def test_colored_sample_matches_the_whole_triangle_reference(kernel, N):
+    # the compass's amplitude is zero at 16 % of the site pairs, where a
+    # negative draw gives -0.0 before the mirror; the output holds +0.0
+    kern = {"compass": lambda: kernel_from_filter(compass_filter()),
+            "constant": constant_kernel,
+            "piecewise": lambda: _piecewise_kernel(
+                (Fraction(1, 2), Fraction(1), Fraction(3, 2)))}[kernel]()
+    for trial in range(2):
+        got = sample_colored_gaussian(kern, N, 40 + N, trial=trial)
+        want = reference_colored_gaussian(kern, N, 40 + N, trial=trial)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_samplers_allocate_little_beyond_their_matrix(compass):
+    # Y, X and block buffers (measured 2.12 X.nbytes; whole-triangle
+    # index arrays and a temporary per tap took 5.12), and amplitudes, M
+    # and block buffers (measured 2.97; 6.56 before)
+    X, peak = _traced_peak(lambda: sample_filtered_wigner(
+        SampleConfig(N=640, seed=4), compass))
+    assert peak <= 2.5 * X.nbytes
+    M, peak = _traced_peak(lambda: sample_colored_gaussian(
+        kernel_from_filter(compass), 24, 4))
+    assert peak <= 3.5 * M.nbytes
 
 
 def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
