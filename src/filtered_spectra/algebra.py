@@ -521,9 +521,8 @@ def _sturm_chain(p):
     return chain
 
 
-def _sign_at(p, x):
-    """The sign of p at a rational x = u/v, from sum c_i u^i v^(n - i)."""
-    u, v = x.numerator, x.denominator
+def _sign_at(p, u, v):
+    """The sign of p at the rational u/v, v > 0, from sum c_i u^i v^(n - i)."""
     acc, w = 0, 1
     for c in reversed(p):
         acc = acc * u + c * w
@@ -532,23 +531,33 @@ def _sign_at(p, x):
 
 
 def _variations(chain, x):
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+    u, v = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(p, u, v) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-_WIDTH = Fraction(1, 10 ** 12)
+_WIDTH = 10 ** 12     # isolating intervals are refined to width 1/_WIDTH
 
 
 def _bisect_root(pf, lo, hi):
-    """Shrink a sign-changing bracket to width 1e-12 (exact rational ends)."""
-    slo = _sign_at(pf, lo)
-    while hi - lo > _WIDTH:
-        mid = (lo + hi) / 2
-        s = _sign_at(pf, mid)
+    """Shrink a sign-changing bracket to width 1e-12 (exact rational ends).
+
+    The ends are a/q and b/q over one integer denominator q, and each
+    halving doubles q, so every midpoint is the exact rational
+    (lo + hi)/2 with no Fraction arithmetic; the ends become Fractions
+    once, at the end.
+    """
+    q = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    slo = _sign_at(pf, a, q)
+    while (b - a) * _WIDTH > q:
+        mid, q = a + b, 2 * q                # the midpoint (a + b) / 2q
+        s = _sign_at(pf, mid, q)
         if s == 0:
-            return RootInterval(mid, mid)
-        lo, hi = (mid, hi) if s == slo else (lo, mid)
-    return RootInterval(lo, hi)
+            return RootInterval(Fraction(mid, q), Fraction(mid, q))
+        a, b = (mid, 2 * b) if s == slo else (2 * a, mid)
+    return RootInterval(Fraction(a, q), Fraction(b, q))
 
 
 def real_roots(p) -> list:
@@ -578,7 +587,7 @@ def real_roots(p) -> list:
     def probe(lo, hi):
         for k in range(1, len(pf) + 2):
             x = lo + (hi - lo) * Fraction(k, 2 * k + 1)
-            if _sign_at(pf, x) != 0:
+            if _sign_at(pf, x.numerator, x.denominator) != 0:
                 return x
         raise AssertionError("could not find a non-root probe point")
 
@@ -606,10 +615,12 @@ def real_roots(p) -> list:
 def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
     """Max normalized residual |F(lam, S(lam))| over the sample points.
 
-    S comes from the color fixed-point solver (continued down from each
-    point's cruise point x + 4A*i).  The residual at each point is divided by
-    max(1, |lc_y F(lam)|) so that a curve that is simply wrong scores
-    O(1) rather than being excused by a huge leading coefficient.
+    S comes from the color fixed-point solver: solved in place where
+    |lam| >= 2A, as on the circle of certificate_radius, else continued
+    down from the point's cruise point x + 2A*i.  The residual at each
+    point is divided by max(1, |lc_y F(lam)|) so that a curve that is
+    simply wrong scores O(1) rather than being excused by a huge leading
+    coefficient.
     Sample points must satisfy Im(lam) != 0 or |lam| > 2A.
     """
     from .colorsolve import stieltjes_path

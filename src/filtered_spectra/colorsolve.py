@@ -21,26 +21,32 @@ At band 0, Psi and g do not depend on the angle, and one node is exact.
 
 Newton converges only from a nearby start (from Psi = 0 near the
 spectrum it can land on a non-Herglotz branch), so every solve runs
-through stieltjes_path, and each target's path begins where F is a
-contraction.  Kernel.sup_norm certifies ||s||_inf <= A^2/4, with
-A = 2 sqrt(sup_norm) the amplitude.  When |lam| >= 4A,
-F maps the ball |Psi| <= A/2 into itself, since |F| <= (A^2/4)/(3.5A)
-< A/2, and is a contraction there with constant at most
-(A^2/4)/(3.5A)^2 = 1/49.  The Herglotz solution lies in that ball
-(|Psi| <= (A^2/4)/(|lam| - A) <= A/12), so Newton from Psi = 0 at the
-cruise point x + 4A*i lands on it for every x.  From there a geometric
-descent at ratio 0.7 reaches the target's height, and a real target
-hops from height 1e-8 to the axis, so a real lam gets the boundary
-value from above.  Newton converges only where its answer is used, at
-the cruise point and at the target.  Each waypoint in between takes
-exactly one Newton step from the previous waypoint's table: one
-corrector step per waypoint, which keeps the iterate in Newton's basin
-along the path (Allgower-Georg, Numerical Continuation Methods, 1990).
-On every grid the tests and the benchmark use, the cold solve and the
-target solve each take at most 3 Newton steps.  A point fails at the
-division guard |lam - Psi| < 1e-14, anywhere on its path, or after
-NEWTON_STEPS steps of a converging solve (Newton that slow is
-diverging).  Lower half-plane
+through stieltjes_path, and each target's path begins where Newton is
+certified.  Kernel.sup_norm certifies ||s||_inf <= A^2/4, with
+A = 2 sqrt(sup_norm) the amplitude, and the spectrum lies in [-A, A].
+When |lam| >= CRUISE * A = 2A, F maps the ball |Psi| <= A/2 into
+itself, since |lam - Psi| >= 3A/2 gives |F| <= (A^2/4)/(3A/2) = A/6,
+and it is a contraction there with constant at most
+(A^2/4)/(3A/2)^2 = 1/9.  The Herglotz solution lies in that ball
+(|Psi| <= (A^2/4)/(|lam| - A) <= A/4), and Newton from Psi = 0 meets
+Kantorovich's condition with room to spare: ||(I - J(0))^-1|| <= 16/15,
+the first step is at most (16/15)(A/8), and J is Lipschitz with
+constant 2 (A^2/4)/(3A/2)^3 = 4/(27A) on the ball, so
+h = beta L eta <= 0.022 < 1/2 (Rump, Acta Numerica 2010).  So a target
+with |lam| >= 2A is its own cruise point: Newton converges there cold,
+for every x.  Every other target starts at the cruise point x + 2A*i.
+From there a geometric descent at ratio 0.7 reaches the target's
+height, and a real target hops from height 1e-8 to the axis, so a real
+lam gets the boundary value from above.  Newton converges only where
+its answer is used, at the cruise point and at the target.  Each
+waypoint in between takes exactly one Newton step from the previous
+waypoint's table: one corrector step per waypoint, which keeps the
+iterate in Newton's basin along the path (Allgower-Georg, Numerical
+Continuation Methods, 1990).  On every grid the tests and the
+benchmark use, the cold solve and the target solve each take at most 3
+Newton steps.  A point fails at the division guard |lam - Psi| < 1e-14,
+anywhere on its path, or after NEWTON_STEPS steps of a converging solve
+(Newton that slow is diverging).  Lower half-plane
 targets fold onto their conjugates and each distinct point is solved
 once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
 across lambda points, and converged points drop out.
@@ -77,6 +83,7 @@ T = 128              # angular nodes per circle at band K > 0
 TOL = 1e-13          # convergence: max |F(Psi) - Psi| on the grid
 NEWTON_STEPS = 30    # cap per converging solve; they need at most 4
 GUARD = 1e-14        # division guard on |lam - Psi|
+CRUISE = 2.0         # |lam| / A from which Newton converges cold
 DENSITY_FLOOR = 1e-4  # support_estimate threshold on the extrapolated density
 CONTOUR_RADIUS = 1.5  # R / A in solver_moments (at 1.2, m_k loses 1.5e-6)
 CONTOUR_POINTS = 64   # M, the points on that circle
@@ -203,12 +210,14 @@ def _newton_update(ops: _GridOps, c, alive, g, r):
 def _continue_batch(kern: Kernel, targets):
     """Continuation from each target's cruise point; vectorized.
 
-    Newton converges at the cruise point x + 4A*i, takes one step at each
-    waypoint of the geometric descent to the target's height, and
-    converges again at the target (a real target hops there from 1e-8).
-    A point that fails the division guard on the way leaves the batch.
-    Returns (S, tables, residuals, ok) aligned with targets; a target
-    and its conjugate, or a repeated target, share one solve.
+    A target with |lam| >= CRUISE * A is its own cruise point, and
+    Newton converges there cold.  Every other target's cruise point is
+    x + 2A*i: Newton converges there, takes one step at each waypoint of
+    the geometric descent to the target's height, and converges again at
+    the target (a real target hops there from 1e-8).  A point that fails
+    the division guard on the way leaves the batch.  Returns (S, tables,
+    residuals, ok) aligned with targets; a target and its conjugate, or
+    a repeated target, share one solve.
     """
     targets = np.asarray([complex(t) for t in targets], dtype=complex)
     if not np.all(np.isfinite(targets)):
@@ -218,28 +227,28 @@ def _continue_batch(kern: Kernel, targets):
     work, back = np.unique(np.where(flip, np.conj(targets), targets),
                            return_inverse=True)
 
-    n = len(work)
-    height = 4.0 * kern.amplitude()
+    height = CRUISE * kern.amplitude()
     xs = work.real
-    hs = np.maximum(work.imag, 1e-8)
-    n2 = max(math.ceil(math.log(height / hs.min(initial=height))
-                       / math.log(1 / 0.7)), 1)
-    c = np.zeros((n, ops.nI, 2 * ops.K + 1), dtype=complex)
-    c, _, _, ok = _newton_batch(ops, xs + 1j * height, c)
-    alive = np.flatnonzero(ok)
-    with np.errstate(all="ignore"):
-        for k in range(1, n2 + 1):
-            lam = xs[alive] + 1j * height * (hs[alive] / height) ** (k / n2)
-            g, r = ops.residual(lam, c[alive])
-            sane = _sane(g)
-            alive, g, r = alive[sane], g[sane], r[sane]
-            _newton_update(ops, c, alive, g, r)
-            del g, r    # freed before the next residual allocates its g
-    S = np.full(n, np.nan, dtype=complex)
-    res = np.full(n, np.inf)
-    ok = np.zeros(n, dtype=bool)
-    c[alive], S[alive], res[alive], ok[alive] = _newton_batch(
-        ops, work[alive], c[alive])
+    direct = np.abs(work) >= height
+    c = np.zeros((len(work), ops.nI, 2 * ops.K + 1), dtype=complex)
+    start = np.where(direct, work, xs + 1j * height)
+    c, S, res, ok = _newton_batch(ops, start, c)
+    alive = np.flatnonzero(ok & ~direct)
+    S[~direct], res[~direct], ok[~direct] = np.nan, np.inf, False
+    if alive.size:
+        hs = np.maximum(work.imag, 1e-8)
+        n2 = max(math.ceil(math.log(height / hs[alive].min())
+                           / math.log(1 / 0.7)), 1)
+        with np.errstate(all="ignore"):
+            for k in range(1, n2 + 1):
+                lam = xs[alive] + 1j * height * (hs[alive] / height) ** (k / n2)
+                g, r = ops.residual(lam, c[alive])
+                sane = _sane(g)
+                alive, g, r = alive[sane], g[sane], r[sane]
+                _newton_update(ops, c, alive, g, r)
+                del g, r    # freed before the next residual allocates its g
+        c[alive], S[alive], res[alive], ok[alive] = _newton_batch(
+            ops, work[alive], c[alive])
 
     S, c, res, ok = S[back], c[back], res[back], ok[back]
     S = np.where(flip, np.conj(S), S)
@@ -269,14 +278,16 @@ def _assert_herglotz(lam, S, slack=1e-9):
 # ---------------------------------------------------------------------------
 
 def stieltjes_path(kern: Kernel, targets) -> list:
-    """Continue S(lambda) to each target from its cruise point x + 4A*i.
+    """Continue S(lambda) to each target from its cruise point.
 
-    Path following with warm starts: Newton converged from Psi = 0 at
-    the cruise point, one Newton step at each waypoint of the geometric
-    vertical descent, then Newton converged at the target (a real target
-    hops there from height 1e-8).  This is the one way to solve: a
-    single point is stieltjes_path(kern, [lam])[0].  Raises if any
-    target fails.
+    A target with |lambda| >= 2A is its own cruise point: Newton
+    converges there from Psi = 0.  Any other target is reached by path
+    following with warm starts: Newton converged from Psi = 0 at the
+    cruise point x + 2A*i, one Newton step at each waypoint of the
+    geometric vertical descent, then Newton converged at the target (a
+    real target hops there from height 1e-8).  This is the one way to
+    solve: a single point is stieltjes_path(kern, [lam])[0].  Raises if
+    any target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
     S, cs, res, ok = _continue_batch(kern, targets)

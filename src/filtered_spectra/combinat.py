@@ -39,7 +39,9 @@ rows, Gaussian integers over the table scaled by L
 (moments._scaled_table), so a forest with e edges carries L^e.  The tree
 integral is <P, phi(root)> / L^e: integrating the root's angle keeps the
 mode-0 coefficient, which is the zero sum at the root, and moments._mean
-takes that pairing, with its exact non-real check, for both routes.  The
+takes that pairing, with its exact non-real check, for both routes.  It
+pairs with the integer weights D len_a (moments._weights), so a level's
+sum stays an int and becomes one Fraction, over D L^e.  The
 tests hold the shared product and pairing to the labelled sum written
 out term by term.
 
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Kernel
-from .moments import _mean, _mul, _pair, _scaled_table
+from .moments import _mean, _mul, _pair, _scaled_table, _weights
 
 __all__ = [
     "WignerPartition",
@@ -231,7 +233,8 @@ def tree_integral(kern: Kernel, w: WignerPartition) -> Fraction:
     e = w.k // 2
     L, table = _forests(kern, e)
     _, phi = table[e][_plane_shape(w)]
-    return _mean(kern, phi, "tree integral") / L ** e
+    D, weights = _weights(kern)
+    return Fraction(_mean(weights, phi, "tree integral"), D * L ** e)
 
 
 def moments_by_enumeration(kern: Kernel, kmax: int) -> list:
@@ -239,15 +242,18 @@ def moments_by_enumeration(kern: Kernel, kmax: int) -> list:
 
     Summed over canonical trees, each weighted by its number of plane
     embeddings.  Exact Fractions; odd moments are zero (there are no
-    partitions).
+    partitions).  Each tree's imaginary part must cancel on its own,
+    not just in the sum over its level.
     """
     if kmax > KMAX_GUARD:
         raise ValueError(f"kmax > {KMAX_GUARD}: the tree count's growth "
                          "makes this a desk-scale ceiling")
     L, table = _forests(kern, kmax // 2)
+    D, weights = _weights(kern)
 
     def moment(e):
-        return sum((n * _mean(kern, phi, "tree integral")
-                    for n, phi in table[e].values()), Fraction(0)) / L ** e
+        total = sum(n * _mean(weights, phi, "tree integral")
+                    for n, phi in table[e].values())
+        return Fraction(total, D * L ** e)
     return [Fraction(0) if k % 2 else moment(k // 2)
             for k in range(1, kmax + 1)]

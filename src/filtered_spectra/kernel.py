@@ -272,9 +272,13 @@ def validate_kernel(kern: Kernel) -> KernelReport:
 
     Checks: Fourier support within the band; conjugate symmetry
     conj(s_ij) = s_{-i,-j}; exchange symmetry s_ji(y,x) = s_ij(x,y);
-    pointwise nonnegativity on an angular grid exact for the
-    trigonometric degree (failure there is a hard error, not a grid
-    artifact); nondegeneracy ||s||_1 > 0.
+    pointwise nonnegativity, sampled on T = max(4K + 1, 8) angles per
+    circle; nondegeneracy ||s||_1 > 0.  That grid integrates a
+    trigonometric polynomial of the kernel's degree exactly, but it does
+    not find its minimum, which can lie between the nodes: a negative
+    sample is a real failure, not a grid artifact, yet a kernel that
+    dips below 0 only between the nodes passes.  Nonnegativity is
+    sampled, not certified.
     """
     checks = {}
     messages = []
@@ -303,7 +307,8 @@ def validate_kernel(kern: Kernel) -> KernelReport:
     if bad:
         messages.append(f"s_ji(y,x) != s_ij(x,y) at (i,j,a,b)={bad}")
 
-    # nonnegativity on a grid exact for the trig degree
+    # nonnegativity sampled on T angles: exact for integrals of this
+    # degree, not for minima
     T = max(4 * K + 1, 8)
     grid = kernel_grid_matrix(kern, T, check_real=checks["conjugate_symmetry"])
     mn = float(np.min(grid))

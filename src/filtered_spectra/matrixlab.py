@@ -332,11 +332,13 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
         np.ldexp(d, shift), np.ldexp(e, shift), np.ldexp(vals[idx], shift),
         np.ones(n, dtype=np.int32), isplit))
     # lower storage: Q = diag(1, Q'), Q' the QR-form product of the
-    # reflectors held below the subdiagonal
-    _, work = _lapack("dormqr", *lapack.dormqr("L", "N", a[1:, :n - 1],
-                                               tau, z[1:], lwork=-1))
-    z[1:], _ = _lapack("dormqr", *lapack.dormqr(
-        "L", "N", a[1:, :n - 1], tau, z[1:], lwork=int(work[0])))
+    # reflectors held below the subdiagonal; copied once to the Fortran
+    # order dormqr reads, which f2py would otherwise copy for each call
+    v = np.asfortranarray(a[1:, :n - 1])
+    _, work = _lapack("dormqr", *lapack.dormqr("L", "N", v, tau, z[1:],
+                                               lwork=-1))
+    z[1:], _ = _lapack("dormqr", *lapack.dormqr("L", "N", v, tau, z[1:],
+                                                lwork=int(work[0])))
 
     resid = [float(dnrm2(r)) for r in (m @ z - z * vals[idx]).T]
     for i, r in zip(idx, resid):

@@ -24,11 +24,12 @@ real and imaginary parts.  Phi_n vanishes for even n, and for odd n
 Phi'_n = L^((n-1)/2) Phi_n and Psi'_n = L^((n+1)/2) Psi_n have Gaussian
 integer coefficients and satisfy the same recursion with the integer
 table L * len_b * s_ij.  So the recursion runs on rows of Python ints,
-and theoretical_moments divides by L^(k/2) once per moment.  Phi and Psi
-are internal: they exist only as these scaled rows, and
-theoretical_moments is the module's one public operation.  The
-partition oracle (combinat) evaluates each tree with the same product,
-pairing and mean.
+and so does the mean: with D the lcm of the interval lengths'
+denominators, D <P, f> is an int, and theoretical_moments builds one
+Fraction per moment, over D L^(k/2).  Phi and Psi are internal: they
+exist only as these scaled rows, and theoretical_moments is the
+module's one public operation.  The partition oracle (combinat)
+evaluates each tree with the same product, pairing and mean.
 """
 
 from __future__ import annotations
@@ -171,19 +172,25 @@ def _scaled_recursion(kern: Kernel, nmax: int, degree_cap: int) -> tuple:
     return L, phis[1:], psis[1:]
 
 
-def _mean(kern: Kernel, f: tuple, what: str) -> Fraction:
-    """<P, f>: the sum over intervals a of len_a times f_a's coefficient 0.
+def _weights(kern: Kernel) -> tuple:
+    """D and the ints W_a = D * len_a, D the lcm of the lengths' denominators."""
+    lengths = kern.partition.lengths
+    D = math.lcm(*(w.denominator for w in lengths))
+    return D, [w.numerator * (D // w.denominator) for w in lengths]
+
+
+def _mean(weights: list, f: tuple, what: str) -> int:
+    """D <P, f>: the sum over intervals a of W_a times f_a's coefficient 0.
 
     Integrating the angle keeps only the constant Fourier mode.  Raises
-    ValueError naming `what` unless the imaginary part cancels exactly.
+    ValueError naming `what` unless the imaginary part cancels exactly:
+    an int sum over the weights W_a = D len_a is zero exactly when the
+    sum over the lengths is.
     """
     d, re_rows, im_rows = f
-    re, im = (sum((w_a * row[d] for w_a, row in
-                   zip(kern.partition.lengths, rows)), Fraction(0))
-              for rows in (re_rows, im_rows))
-    if im != 0:
+    if sum(w * row[d] for w, row in zip(weights, im_rows)):
         raise ValueError(f"{what} has an imaginary part")
-    return re
+    return sum(w * row[d] for w, row in zip(weights, re_rows))
 
 
 def theoretical_moments(kern: Kernel, kmax: int) -> list:
@@ -192,6 +199,7 @@ def theoretical_moments(kern: Kernel, kmax: int) -> list:
     Raises ValueError unless every imaginary part cancels identically.
     """
     L, phis, _ = _scaled_recursion(kern, kmax + 1, DEGREE_CAP)
+    D, weights = _weights(kern)
     # phis[k] is Phi'_{k+1} = L^(k/2) Phi_{k+1}, and zero for odd k
-    return [_mean(kern, phis[k], f"moment m_{k}") / L ** (k // 2)
+    return [Fraction(_mean(weights, phis[k], f"moment m_{k}"), D * L ** (k // 2))
             for k in range(1, kmax + 1)]

@@ -122,6 +122,19 @@ def coprime_kernel() -> Kernel:
         (-1, 1, 0, 0): CRat(Fraction(1, 7))})
 
 
+# the kernels the solver's branch test and the moment routes' integer
+# tests run on: real and complex coefficients, one to three intervals,
+# equal and unequal lengths, bands 0 to 2
+BRANCH_KERNELS = {
+    "compass": lambda: kernel_from_filter(compass_filter()),
+    "constant": constant_kernel, "rank-two": rank_two_kernel,
+    "two-point": two_point_kernel, "tilted": tilted_circle_kernel,
+    "coprime": coprime_kernel, "seeded": seeded_two_interval_kernel,
+    **{f"seeded-{seed}": (lambda seed=seed: seeded_two_interval_kernel(seed))
+       for seed in (0, 1, 2, 3, 7)},
+}
+
+
 @st.composite
 def small_filters(draw):
     """A random filter with taps in [-1, 1]^2 and values of denominator <= 3."""

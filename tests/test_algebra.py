@@ -4,12 +4,14 @@ import math
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from filtered_spectra.algebra import (BivariatePolynomial,
-                                      _squarefree_factors,
+from filtered_spectra import algebra
+from filtered_spectra.algebra import (BivariatePolynomial, RootInterval,
+                                      _bisect_root, _squarefree_factors,
                                       auxiliary_resultant, discriminant,
                                       rank_one_eliminate, real_roots,
                                       resultant, verify_curve)
@@ -370,6 +372,53 @@ def test_real_roots_match_sympy(factors, repeat):
         lo = sp.Rational(iv.lo.numerator, iv.lo.denominator)
         hi = sp.Rational(iv.hi.numerator, iv.hi.denominator)
         assert poly.count_roots(lo, hi) == 1
+
+
+def _fraction_bisect_root(pf, lo, hi):
+    """algebra._bisect_root as first written, on Fractions: the reference."""
+    def sign(x):
+        v = sum(c * x ** i for i, c in enumerate(pf))
+        return (v > 0) - (v < 0)
+
+    slo = sign(lo)
+    while hi - lo > Fraction(1, 10 ** 12):
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s == 0:
+            return RootInterval(mid, mid)
+        lo, hi = (mid, hi) if s == slo else (lo, mid)
+    return RootInterval(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
+                             max_denominator=8), max_size=5, unique=True),
+       st.integers(-12, 12))
+def test_real_roots_match_the_fraction_bisection(roots, d):
+    """Distinct rational roots, times x^2 - d unless d is a square: a
+    squarefree polynomial.  Roots with a power-of-two denominator land
+    on a midpoint, so the exact-root exit runs too."""
+    p = [Fraction(1)]
+    for r in roots:
+        p = _convolve(p, [-r, Fraction(1)])
+    if d < 0 or math.isqrt(d) ** 2 != d:
+        p = _convolve(p, [Fraction(-d), Fraction(0), Fraction(1)])
+    assume(len(p) > 1)
+    with mock.patch.object(algebra, "_bisect_root", _fraction_bisect_root):
+        want = real_roots(p)
+    assert real_roots(p) == want
+
+
+@pytest.mark.parametrize("pf, lo, hi, root", [
+    ([-1, 2], Fraction(0), Fraction(1), Fraction(1, 2)),       # first midpoint
+    ([-3, 8], Fraction(0), Fraction(1), Fraction(3, 8)),       # third
+    ([-5, 12], Fraction(1, 3), Fraction(1, 2), Fraction(5, 12)),   # q = 6
+    ([-1, 12], Fraction(0), Fraction(1, 3), Fraction(1, 12)),  # q = 3, second
+])
+def test_bisection_stops_on_an_exact_root(pf, lo, hi, root):
+    got = _bisect_root(pf, lo, hi)
+    assert got == RootInterval(root, root)
+    assert got == _fraction_bisect_root(pf, lo, hi)
 
 
 @settings(max_examples=40, deadline=None)

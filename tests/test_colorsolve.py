@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from filtered_spectra import colorsolve
+from filtered_spectra.algebra import certificate_radius
 from filtered_spectra.colorsolve import (_GridOps, _continue_batch,
                                          circle_points, density_profile,
                                          solver_moments, stieltjes_path)
@@ -17,7 +18,7 @@ from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
                                      constant_kernel, kernel_from_filter,
                                      phases)
 from filtered_spectra.moments import theoretical_moments
-from conftest import coprime_kernel, rank_two_kernel, \
+from conftest import BRANCH_KERNELS, rank_two_kernel, \
     seeded_two_interval_kernel, tilted_circle_kernel, two_point_kernel
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0      # S(3) for the semicircle law
@@ -160,16 +161,6 @@ def _converged_descent(kern, targets):
     return S, ok
 
 
-BRANCH_KERNELS = {
-    "compass": lambda: kernel_from_filter(compass_filter()),
-    "constant": constant_kernel, "rank-two": rank_two_kernel,
-    "two-point": two_point_kernel, "tilted": tilted_circle_kernel,
-    "coprime": coprime_kernel, "seeded": seeded_two_interval_kernel,
-    **{f"seeded-{seed}": (lambda seed=seed: seeded_two_interval_kernel(seed))
-       for seed in (0, 1, 2, 3, 7)},
-}
-
-
 @pytest.mark.parametrize("height", [1e-2, 1e-5])
 @pytest.mark.parametrize("name", list(BRANCH_KERNELS))
 def test_one_step_descent_lands_on_the_converged_branch(name, height):
@@ -232,11 +223,14 @@ def test_path_accepts_any_iterable(semicircle):
 
 
 def test_cold_start_far_from_the_imaginary_axis(semicircle):
-    """Each target starts at its own cruise point x + 4A*i, so targets
-    far to the side of the spectrum, far out, below the axis, close to
-    the axis or on it all reach the closed form."""
+    """Each target starts at its own cruise point, so targets far to the
+    side of the spectrum, far out, below the axis, close to the axis or
+    on it all reach the closed form.  A = 2: the targets at 2A <= |lam|
+    < 4A, real ones and |lam| = 2A exactly among them, are solved in
+    place."""
     lams = [40 + 1e-3j, -40 + 1e-3j, 1000 + 1j, -25 - 3j, 0.5 + 1e-6j,
-            1.9, 3.0]
+            1.9, 3.0, 4.0, -4.5, 7.9, 5 + 3j, -1 + 4.5j, 0.5 - 7j, -3 - 3j,
+            4j]
     for lam, sol in zip(lams, stieltjes_path(semicircle, lams)):
         want = (lam - cmath.sqrt(lam - 2) * cmath.sqrt(lam + 2)) / 2
         assert abs(sol.stieltjes - want) < 1e-12, lam
@@ -315,6 +309,22 @@ def test_conjugate_pairs_are_solved_once(compass_kernel, monkeypatch):
     assert np.array_equal(c[5], np.conj(c[0, :, ::-1]))
 
 
+def test_certificate_points_are_solved_in_place(compass_kernel, monkeypatch):
+    # |lam| = certificate_radius >= 2.5A: each point is its own cruise
+    # point, so Newton runs only at the targets, one batch per step, with
+    # no cruise batch above them and no descent waypoint
+    lams = circle_points(certificate_radius(compass_kernel), 20)
+    assert np.all(np.abs(lams) >= colorsolve.CRUISE
+                  * compass_kernel.amplitude())
+    seen = _spy_residual(monkeypatch)
+    sols = stieltjes_path(compass_kernel, lams)
+    upper = lams[lams.imag > 0]
+    assert np.array_equal(seen[0], np.sort(upper))
+    assert all(np.isin(batch, upper).all() for batch in seen)
+    assert 2 <= len(seen) <= 4
+    assert max(sol.residual for sol in sols) <= colorsolve.TOL
+
+
 @pytest.mark.parametrize("height", [1e-2, 1e-5, 0.0])
 def test_each_descent_waypoint_costs_one_evaluation(compass_kernel,
                                                     monkeypatch, height):
@@ -325,7 +335,8 @@ def test_each_descent_waypoint_costs_one_evaluation(compass_kernel,
     seen = _spy_residual(monkeypatch)
     _, _, _, ok = _continue_batch(compass_kernel, xs + 1j * height)
     assert ok.all()
-    top, h = 4.0 * compass_kernel.amplitude(), max(height, 1e-8)
+    top = colorsolve.CRUISE * compass_kernel.amplitude()
+    h = max(height, 1e-8)
     n2 = math.ceil(math.log(top / h) / math.log(1 / 0.7))
     heights = [batch.imag.max() for batch in seen]
     cruise = heights.count(top)

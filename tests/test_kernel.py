@@ -109,6 +109,25 @@ def test_validate_rejects_negative_kernel():
     assert not report.checks["nonnegative"]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: nonnegativity is "
+                   "sampled on T = max(4K + 1, 8) angles, not certified")
+def test_validate_rejects_a_kernel_negative_between_the_grid_angles():
+    # s = 19/10 + cos(t1 + pi/8) + cos(t2 + pi/8), with c = 0.462 + 0.191i
+    # for e^(i pi/8)/2: its minimum is 1.9 - 4|c| = -0.100, but on the
+    # 8-angle grid it is +0.052, so validate_kernel passes it today
+    c = CRat(Fraction(462, 1000), Fraction(191, 1000))
+    k = Kernel(unit_partition(), 1, {
+        (0, 0, 0, 0): CRat(Fraction(19, 10)),
+        (1, 0, 0, 0): c, (-1, 0, 0, 0): c.conjugate(),
+        (0, 1, 0, 0): c, (0, -1, 0, 0): c.conjugate()})
+    assert float(np.min(kernel_grid_matrix(k, 256))) < -0.09
+    report = validate_kernel(k)
+    assert report.checks["conjugate_symmetry"]
+    assert report.checks["exchange_symmetry"]
+    assert not report.ok
+    assert not report.checks["nonnegative"]
+
+
 def test_validate_rejects_asymmetric_kernel():
     bad = Kernel(unit_partition(), 1, {(1, 0, 0, 0): CRat(1),
                                        (0, 0, 0, 0): CRat(2)})

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 from filtered_spectra import moments
-from filtered_spectra.combinat import moments_by_enumeration
+from filtered_spectra.combinat import _forests, moments_by_enumeration
 from filtered_spectra.exactnum import CRat
-from filtered_spectra.kernel import (Kernel, compass_filter, constant_kernel,
+from filtered_spectra.kernel import (IntervalPartition, Kernel,
+                                     compass_filter, constant_kernel,
                                      kernel_from_filter, unit_partition)
 from filtered_spectra.moments import theoretical_moments
-from conftest import coprime_kernel, rank_two_kernel, \
+from conftest import BRANCH_KERNELS, coprime_kernel, rank_two_kernel, \
     seeded_two_interval_kernel, small_filters, tilted_circle_kernel, \
     two_point_kernel
 
@@ -136,6 +137,45 @@ def test_nonreal_moment_refused():
     kern = Kernel(unit_partition(), 0, {(0, 0, 0, 0): CRat(1, 1)})
     with pytest.raises(ValueError, match="m_2 has an imaginary part"):
         theoretical_moments(kern, 4)
+
+
+def _fraction_mean(kern, f):
+    """moments._mean as first written, over the Fraction lengths: the
+    reference for the integer weights."""
+    d, re_rows, im_rows = f
+    re, im = (sum((w * row[d] for w, row in
+                   zip(kern.partition.lengths, rows)), Fraction(0))
+              for rows in (re_rows, im_rows))
+    if im != 0:
+        raise ValueError("imaginary part")
+    return re
+
+
+@pytest.mark.parametrize("name", list(BRANCH_KERNELS))
+def test_integer_means_match_the_fraction_means(name):
+    kern = BRANCH_KERNELS[name]()
+    L, phis, _ = moments._scaled_recursion(kern, 13, moments.DEGREE_CAP)
+    assert theoretical_moments(kern, 12) == [
+        _fraction_mean(kern, phis[k]) / L ** (k // 2) for k in range(1, 13)]
+    L, table = _forests(kern, 4)
+    assert moments_by_enumeration(kern, 8) == [
+        0 if k % 2 else sum(n * _fraction_mean(kern, phi)
+                            for n, phi in table[k // 2].values()) / L ** (k // 2)
+        for k in range(1, 9)]
+
+
+def test_each_tree_must_be_real_not_only_its_level():
+    # band 0 on two halves, s = [[0, 1+i], [2-i, 0]], neither real nor
+    # symmetric.  m_2 = (3 + 0i)/4.  At k = 4 the path's imaginary part
+    # (1/4) and the cherry's (-1/4) cancel: the recursion, which sums
+    # the level before it pairs, accepts m_4 = 9/8, and the oracle
+    # refuses the first tree whose integral is not real
+    part = IntervalPartition((Fraction(0), Fraction(1, 2), Fraction(1)))
+    kern = Kernel(part, 0, {(0, 0, 0, 1): CRat(1, 1), (0, 0, 1, 0): CRat(2, -1)})
+    assert theoretical_moments(kern, 4) == [0, Fraction(3, 4), 0, Fraction(9, 8)]
+    assert moments_by_enumeration(kern, 2) == [0, Fraction(3, 4)]
+    with pytest.raises(ValueError, match="tree integral has an imaginary part"):
+        moments_by_enumeration(kern, 4)
 
 
 def test_recursion_matches_enumeration_nonreal_coefficients():
