@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .exactnum import rat
-from .kernel import Kernel
+from .kernel import Kernel, rat
 
 __all__ = [
     "BivariatePolynomial",
@@ -231,7 +230,8 @@ def _rows_of_terms(terms):
     for term in terms:
         dx, dy, v = term
         for d in (dx, dy):
-            if not isinstance(d, numbers.Integral) or not 0 <= d <= MAX_DEGREE:
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral) \
+                    or not 0 <= d <= MAX_DEGREE:
                 raise ValueError(f"degree {d!r} in the term {list(term)!r} "
                                  f"is not an integer in 0..{MAX_DEGREE}")
         table[dx, dy] = table.get((dx, dy), 0) + rat(v)

@@ -35,15 +35,15 @@ operations of the phi/psi recursion (moments).  As a function of its
 root's color, a forest phi is the product of its trees (moments._mul),
 and a tree hanging from a parent at color c is c |-> integral of
 s(c, c') phi(c') over c' (moments._pair).  Both run on the recursion's
-rows, Gaussian integers over the table scaled by L
-(moments._scaled_table), so a forest with e edges carries L^e.  The tree
-integral is <P, phi(root)> / L^e: integrating the root's angle keeps the
-mode-0 coefficient, which is the zero sum at the root, and moments._mean
-takes that pairing, with its exact non-real check, for both routes.  It
-pairs with the integer weights D len_a (moments._weights), so a level's
-sum stays an int and becomes one Fraction, over D L^e.  The
-tests hold the shared product and pairing to the labelled sum written
-out term by term.
+rows, Gaussian integers, and pair with the kernel's integer table
+scaled to L * len_b * s_ij (moments._scaled_table), so a forest with e
+edges carries L^e.  The tree integral is <P, phi(root)> / L^e:
+integrating the root's angle keeps the mode-0 coefficient, which is
+the zero sum at the root, and moments._mean takes that pairing, with
+its exact non-real check, for both routes.  It pairs with the integer
+weights D len_a (IntervalPartition.weights), so a level's sum stays an
+int and becomes one Fraction, over D L^e.  The tests hold the shared
+product and pairing to the labelled sum written out term by term.
 
 Cost.  A tree integral depends only on the rooted tree, not on the order
 of a vertex's children, so m_k sums over canonical trees (each vertex's
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Kernel
-from .moments import _mean, _mul, _pair, _scaled_table, _weights
+from .moments import _mean, _mul, _pair, _scaled_table
 
 __all__ = [
     "WignerPartition",
@@ -233,7 +233,7 @@ def tree_integral(kern: Kernel, w: WignerPartition) -> Fraction:
     e = w.k // 2
     L, table = _forests(kern, e)
     _, phi = table[e][_plane_shape(w)]
-    D, weights = _weights(kern)
+    D, weights = kern.partition.weights
     return Fraction(_mean(weights, phi, "tree integral"), D * L ** e)
 
 
@@ -249,7 +249,7 @@ def moments_by_enumeration(kern: Kernel, kmax: int) -> list:
         raise ValueError(f"kmax > {KMAX_GUARD}: the tree count's growth "
                          "makes this a desk-scale ceiling")
     L, table = _forests(kern, kmax // 2)
-    D, weights = _weights(kern)
+    D, weights = kern.partition.weights
 
     def moment(e):
         total = sum(n * _mean(weights, phi, "tree integral")

@@ -17,23 +17,23 @@ A filter is a finitely supported h: Z^2 -> R with h(-i,-j) = h(j,i);
 its Fourier transform H gives the pure-Fourier kernel s = |H|^2, the
 covariance profile of the corresponding filtered Wigner matrix.
 
-Coefficients are stored exactly (complex rationals), so everything built
-on top can run in exact arithmetic when it wants to.  Kernel and Filter
-are immutable after construction.
+A kernel's coefficients are stored exactly, as Gaussian integers over
+one denominator, so everything built on top can run on ints; rat parses
+rationals where they come in.  Kernel and Filter are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-
-from .exactnum import CRat, rat
 
 __all__ = [
     "IntervalPartition",
@@ -52,6 +52,35 @@ __all__ = [
     "kernel_grid_matrix",
     "as_kernel",
 ]
+
+
+def rat(x) -> Fraction:
+    """Coerce x to an exact Fraction.
+
+    Accepts int, Fraction, finite float (converted exactly, bit for bit),
+    and strings in either 'p/q' or decimal form ('0.25', '-3', '1/3').
+    Anything else, bool and None included, raises ValueError naming it.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        return Fraction(x.strip())
+    if isinstance(x, (int, float)) and not isinstance(x, bool) \
+            and math.isfinite(x):
+        return Fraction(x)
+    raise ValueError(f"{x!r} is not a rational value")
+
+
+def _checked_key(key, intervals=None) -> tuple:
+    """key as ints; a bool or non-integer index, or an interval index (the
+    last two) outside 0..intervals - 1, raises ValueError naming key."""
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Integral)
+           for x in key):
+        raise ValueError(f"entry {key!r} has an index that is not an integer")
+    if intervals is not None and not all(0 <= a < intervals for a in key[2:]):
+        raise ValueError(f"entry {key!r} has an interval index outside "
+                         f"0..{intervals - 1}")
+    return tuple(int(x) for x in key)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +117,14 @@ class IntervalPartition:
         and repr read breakpoints alone."""
         return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
 
+    @cached_property
+    def weights(self) -> tuple:
+        """D and the ints W_a = D * len_a, D the lcm of the lengths'
+        denominators: integrals over the intervals, scaled by D."""
+        D = math.lcm(*(w.denominator for w in self.lengths))
+        return D, tuple(w.numerator * (D // w.denominator)
+                        for w in self.lengths)
+
     def locate(self, x) -> int:
         """Index of the interval containing x in [0,1]."""
         if x < 0 or x > 1:
@@ -109,10 +146,10 @@ def unit_partition() -> IntervalPartition:
 class Filter:
     """Finitely supported real function h on Z^2 with h(-i,-j) = h(j,i).
 
-    taps maps (i, j) -> Fraction; zero taps are dropped.  The support
-    bound K is the even integer 2 * max(|i|, |j|), so taps live in the
-    square |i|, |j| <= K/2 and the kernel |H|^2 has Fourier support in
-    [-K, K]^2.
+    taps maps integer indices (i, j) -> Fraction; zero taps are dropped.
+    The support bound K is the even integer 2 * max(|i|, |j|), so taps
+    live in the square |i|, |j| <= K/2 and the kernel |H|^2 has Fourier
+    support in [-K, K]^2.
     """
 
     taps: dict = field(compare=False)
@@ -120,9 +157,10 @@ class Filter:
     def __post_init__(self):
         clean = {}
         for (i, j), v in self.taps.items():
+            key = _checked_key((i, j))
             v = rat(v)
             if v != 0:
-                clean[(int(i), int(j))] = v
+                clean[key] = v
         if not clean:
             raise ValueError("filter is identically zero")
         for (i, j), v in clean.items():
@@ -164,51 +202,56 @@ class Kernel:
 
     partition: the interval partition of [0,1];
     band:      Fourier support bound K >= 0;
-    coeffs:    dict (i, j, a, b) -> CRat with |i|,|j| <= band and
-               a, b interval indices — the value of s_ij on I_a x I_b.
+    coeffs:    dict (i, j, a, b) -> (re, im) ints with |i|,|j| <= band
+               and a, b interval indices: s_ij on I_a x I_b is
+               (re + i im) / den, den > 0 in lowest terms, zero entries
+               dropped, so equal kernels have equal tables.
 
-    Treated as immutable after construction.
+    Each given value is a rational or an (re, im) pair of rationals; a
+    bad index raises ValueError naming the entry.  Treated as immutable
+    after construction.
     """
 
     partition: IntervalPartition
     band: int
     coeffs: dict
+    den: int = field(init=False)
 
     def __post_init__(self):
-        clean = {}
-        for (i, j, a, b), v in self.coeffs.items():
-            v = v if isinstance(v, CRat) else CRat(v)
-            if v != 0:
-                clean[(int(i), int(j), int(a), int(b))] = v
-        self.coeffs = clean
+        n = self.partition.n
+        pairs = {}
+        for key, v in self.coeffs.items():
+            re, im = v if isinstance(v, tuple) else (v, 0)
+            pairs[_checked_key(key, n)] = (rat(re), rat(im))
+        # the lcm of reduced denominators is already in lowest terms
+        den = math.lcm(*(x.denominator for v in pairs.values() for x in v))
+        self.coeffs = {key: (re.numerator * (den // re.denominator),
+                             im.numerator * (den // im.denominator))
+                       for key, (re, im) in pairs.items() if re or im}
+        self.den = den
         self.band = int(self.band)
         if self.band < 0:
             raise ValueError("band must be >= 0")
 
-    # -- exact accessors -----------------------------------------------
-
-    def coeff(self, i: int, j: int, a: int, b: int) -> CRat:
-        return self.coeffs.get((i, j, a, b), CRat(0))
-
     def l1_norm(self) -> Fraction:
-        """Exact L1 norm of s (s is nonnegative, so this is its integral)."""
-        w = self.partition.lengths
-        total = CRat(0)
-        for a in range(self.partition.n):
-            for b in range(self.partition.n):
-                total = total + (w[a] * w[b]) * self.coeff(0, 0, a, b)
-        if total.im != 0:
+        """Exact L1 norm of s (s is nonnegative, so this is its integral):
+        the sum of W_a W_b s_00(a, b) over D^2, one int sum per part."""
+        D, W = self.partition.weights
+        re, im = (sum(W[a] * W[b] * v[part]
+                      for (i, j, a, b), v in self.coeffs.items()
+                      if i == j == 0) for part in (0, 1))
+        if im != 0:
             raise ValueError("kernel integral came out non-real")
-        return total.re
-
-    # -- float accessors -----------------------------------------------
+        return Fraction(re, D * D * self.den)
 
     def coeff_array(self) -> np.ndarray:
-        """Dense complex table, shape (2K+1, 2K+1, nI, nI); index [i+K, j+K, a, b]."""
-        K, nI = self.band, self.partition.n
+        """Dense complex table, shape (2K+1, 2K+1, nI, nI); index [i+K, j+K, a, b].
+
+        int / int is correctly rounded, so each part is its nearest float."""
+        K, nI, den = self.band, self.partition.n, self.den
         arr = np.zeros((2 * K + 1, 2 * K + 1, nI, nI), dtype=complex)
-        for (i, j, a, b), v in self.coeffs.items():
-            arr[i + K, j + K, a, b] = complex(v)
+        for (i, j, a, b), (re, im) in self.coeffs.items():
+            arr[i + K, j + K, a, b] = complex(re / den, im / den)
         return arr
 
     def sup_norm(self) -> float:
@@ -226,7 +269,7 @@ class Kernel:
 
 def constant_kernel() -> Kernel:
     """s = 1: the plain Wigner/semicircle case."""
-    return Kernel(unit_partition(), 0, {(0, 0, 0, 0): CRat(1)})
+    return Kernel(unit_partition(), 0, {(0, 0, 0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +279,20 @@ def constant_kernel() -> Kernel:
 def kernel_from_filter(h: Filter) -> Kernel:
     """The pure-Fourier kernel s = |H|^2 of a filter.
 
-    s_ij = sum_{c,d} h(i+c, j+d) h(c, d), exact over rationals, and
+    s_ij = sum_{c,d} h(i+c, j+d) h(c, d): the taps are ints over their
+    one denominator q, so s_ij is an int over q^2, and
     ||s||_L1 = ||h||_L2^2 by construction.
     """
-    K = h.K
-    coeffs = {}
-    for (c, d), v in h.taps.items():
-        for (e, f_), w in h.taps.items():
-            i, j = e - c, f_ - d
-            key = (i, j, 0, 0)
-            cur = coeffs.get(key, Fraction(0))
-            coeffs[key] = cur + w * v
-    out = {k: CRat(v) for k, v in coeffs.items() if v != 0}
-    kern = Kernel(unit_partition(), K, out)
+    q = math.lcm(*(v.denominator for v in h.taps.values()))
+    taps = [(c, d, v.numerator * (q // v.denominator))
+            for (c, d), v in h.taps.items()]
+    table = {}
+    for c, d, v in taps:
+        for e, f_, w in taps:
+            key = (e - c, f_ - d, 0, 0)
+            table[key] = table.get(key, 0) + w * v
+    kern = Kernel(unit_partition(), h.K,
+                  {key: Fraction(s, q * q) for key, s in table.items()})
     assert kern.l1_norm() == h.l2_norm_sq()
     return kern
 
@@ -290,8 +334,8 @@ def validate_kernel(kern: Kernel) -> KernelReport:
         messages.append("coefficients outside the declared Fourier band")
 
     bad = None
-    for (i, j, a, b), v in kern.coeffs.items():
-        if kern.coeff(-i, -j, a, b) != v.conjugate():
+    for (i, j, a, b), (re, im) in kern.coeffs.items():
+        if kern.coeffs.get((-i, -j, a, b)) != (re, -im):
             bad = (i, j, a, b)
             break
     checks["conjugate_symmetry"] = bad is None
@@ -300,7 +344,7 @@ def validate_kernel(kern: Kernel) -> KernelReport:
 
     bad = None
     for (i, j, a, b), v in kern.coeffs.items():
-        if kern.coeff(j, i, b, a) != v:
+        if kern.coeffs.get((j, i, b, a)) != v:
             bad = (i, j, a, b)
             break
     checks["exchange_symmetry"] = bad is None
@@ -403,24 +447,21 @@ def read_color_document(doc):
      "coeffs": [[i, j, a, b, re, im], ...]}
 
     Values may be numbers, decimal strings, or 'p/q' rational strings.
-    Returns a Filter or a Kernel accordingly.  A missing key, or an
-    entry with the wrong number of fields, raises ValueError naming it.
+    Returns a Filter or a Kernel accordingly.  A missing key, an entry
+    with the wrong number of fields, or a bad index or value raises
+    ValueError naming it.
     """
     obj = json_document(doc)
     kind = _field(obj, "type")
     if kind == "filter":
-        taps = {}
-        for i, j, v in _field(obj, "entries", 3):
-            taps[(int(i), int(j))] = rat(v)
-        return Filter(taps)
+        return Filter({_checked_key((i, j)): v
+                       for i, j, v in _field(obj, "entries", 3)})
     if kind == "kernel":
         part = IntervalPartition(
             tuple(rat(b) for b in _field(obj, "breakpoints")))
-        coeffs = {}
-        band = 0
-        for i, j, a, b, re, im in _field(obj, "coeffs", 6):
-            coeffs[(int(i), int(j), int(a), int(b))] = CRat(rat(re), rat(im))
-            band = max(band, abs(int(i)), abs(int(j)))
+        coeffs = {_checked_key((i, j, a, b), part.n): (re, im)
+                  for i, j, a, b, re, im in _field(obj, "coeffs", 6)}
+        band = max((max(abs(i), abs(j)) for i, j, _, _ in coeffs), default=0)
         return Kernel(part, band, coeffs)
     raise ValueError(f"unknown color document type {kind!r}")
 

@@ -86,15 +86,14 @@ class SampleConfig:
             raise ValueError(f"unknown entry law {self.entry_law!r}")
 
 
-def _draw(cfg: SampleConfig, trial: int, lo, hi, stream=_Y_STREAM):
-    """The entry law's variates, keyed by the sorted index pairs (lo, hi)."""
+def _draw(cfg: SampleConfig, trial: int, lo, hi):
+    """The entry law's Y-field variates at the sorted index pairs (lo, hi)."""
     draw = rademacher_entries if cfg.entry_law == "rademacher" \
         else gaussian_entries
-    return draw(cfg.seed, trial, lo, hi, stream)
+    return draw(cfg.seed, trial, lo, hi, _Y_STREAM)
 
 
-def _entry_field(cfg: SampleConfig, trial: int, rows, cols,
-                 stream=_Y_STREAM) -> np.ndarray:
+def _entry_field(cfg: SampleConfig, trial: int, rows, cols) -> np.ndarray:
     """Symmetric mean-0 variance-1 field at integer sites, zero diagonal.
 
     Keyed by the sorted index pair so Y[a,b] == Y[b,a] identically, in
@@ -104,7 +103,7 @@ def _entry_field(cfg: SampleConfig, trial: int, rows, cols,
     cols = np.asarray(cols, dtype=np.int64)
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
-    return np.where(rows == cols, 0.0, _draw(cfg, trial, lo, hi, stream))
+    return np.where(rows == cols, 0.0, _draw(cfg, trial, lo, hi))
 
 
 def _fill_upper(M: np.ndarray, draw, k: int) -> None:
@@ -208,9 +207,10 @@ def covariance_check(h: Filter, cfg: SampleConfig,
             f"indices not in general position: min(j-i, l-k) = "
             f"{min(j - i, l - k)} <= K = {K}")
 
-    s = kernel_from_filter(h).coeff(i - k, l - j, 0, 0)
-    assert s.im == 0, "a filter's kernel has real coefficients"
-    theoretical = float(s.re)
+    kern = kernel_from_filter(h)
+    re, im = kern.coeffs.get((i - k, l - j, 0, 0), (0, 0))
+    assert im == 0, "a filter's kernel has real coefficients"
+    theoretical = re / kern.den
 
     taps = sorted(h.taps.items())
     trials = np.arange(cfg.trials)

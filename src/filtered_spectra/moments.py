@@ -19,16 +19,18 @@ The pairing with s keeps Psi_n's Fourier degree at the kernel band K;
 Phi degrees grow additively, and the recursion refuses (with an error,
 never silent truncation) to exceed DEGREE_CAP.
 
-Scaling.  Let L be the lcm of the denominators of every len_b * s_ij(a, b),
-real and imaginary parts.  Phi_n vanishes for even n, and for odd n
+Scaling.  The kernel's table is Gaussian integers (re, im) over one
+denominator den, and W_b = D len_b is an int for D the lcm of the
+interval lengths' denominators (IntervalPartition.weights).  Let L be
+the lcm of the reduced denominators of every len_b * s_ij(a, b) =
+W_b (re, im) / (D den).  Phi_n vanishes for even n, and for odd n
 Phi'_n = L^((n-1)/2) Phi_n and Psi'_n = L^((n+1)/2) Psi_n have Gaussian
 integer coefficients and satisfy the same recursion with the integer
 table L * len_b * s_ij.  So the recursion runs on rows of Python ints,
-and so does the mean: with D the lcm of the interval lengths'
-denominators, D <P, f> is an int, and theoretical_moments builds one
-Fraction per moment, over D L^(k/2).  Phi and Psi are internal: they
-exist only as these scaled rows, and theoretical_moments is the
-module's one public operation.  The partition oracle (combinat)
+and so does the mean: D <P, f> is an int, and theoretical_moments
+builds one Fraction per moment, over D L^(k/2).  Phi and Psi are
+internal: they exist only as these scaled rows, and theoretical_moments
+is the module's one public operation.  The partition oracle (combinat)
 evaluates each tree with the same product, pairing and mean.
 """
 
@@ -55,18 +57,17 @@ DEGREE_CAP = 256
 def _scaled_table(kern: Kernel) -> tuple:
     """L and the pairing table L * len_b * s_ij(a, b) over Gaussian integers.
 
-    L is the lcm of the denominators of every len_b * s_ij(a, b), real
-    and imaginary parts; terms[a] lists (i, j, b, re, im) for interval a.
+    With g the gcd of D den and every W_b re and W_b im, L = D den / g
+    and the entry is W_b (re, im) / g; terms[a] lists (i, j, b, re, im).
     """
-    w = kern.partition.lengths
-    scaled = [(key, w[key[3]] * v.re, w[key[3]] * v.im)
-              for key, v in kern.coeffs.items()]
-    L = math.lcm(*(x.denominator for _, re, im in scaled for x in (re, im)))
+    D, W = kern.partition.weights
+    M = D * kern.den
+    g = math.gcd(M, *(W[key[3]] * x for key, v in kern.coeffs.items()
+                      for x in v))
     terms = [[] for _ in range(kern.partition.n)]
-    for (i, j, a, b), re, im in scaled:
-        terms[a].append((i, j, b, re.numerator * (L // re.denominator),
-                         im.numerator * (L // im.denominator)))
-    return L, terms
+    for (i, j, a, b), (re, im) in kern.coeffs.items():
+        terms[a].append((i, j, b, W[b] * re // g, W[b] * im // g))
+    return M // g, terms
 
 
 def _trim(d: int, re_rows: list, im_rows: list) -> tuple:
@@ -172,13 +173,6 @@ def _scaled_recursion(kern: Kernel, nmax: int, degree_cap: int) -> tuple:
     return L, phis[1:], psis[1:]
 
 
-def _weights(kern: Kernel) -> tuple:
-    """D and the ints W_a = D * len_a, D the lcm of the lengths' denominators."""
-    lengths = kern.partition.lengths
-    D = math.lcm(*(w.denominator for w in lengths))
-    return D, [w.numerator * (D // w.denominator) for w in lengths]
-
-
 def _mean(weights: list, f: tuple, what: str) -> int:
     """D <P, f>: the sum over intervals a of W_a times f_a's coefficient 0.
 
@@ -199,7 +193,7 @@ def theoretical_moments(kern: Kernel, kmax: int) -> list:
     Raises ValueError unless every imaginary part cancels identically.
     """
     L, phis, _ = _scaled_recursion(kern, kmax + 1, DEGREE_CAP)
-    D, weights = _weights(kern)
+    D, weights = kern.partition.weights
     # phis[k] is Phi'_{k+1} = L^(k/2) Phi_{k+1}, and zero for odd k
     return [Fraction(_mean(weights, phis[k], f"moment m_{k}"), D * L ** (k // 2))
             for k in range(1, kmax + 1)]

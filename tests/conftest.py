@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      compass_filter, constant_kernel,
                                      kernel_from_filter, kernel_grid_matrix,
                                      unit_partition)
 from filtered_spectra.matrixlab import _draw, _site_cells
 from filtered_spectra.rng import gaussian_entries
+
+
+def pair_product(z, w):
+    """The product of two complex numbers given as (re, im) pairs."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
 @pytest.fixture(scope="session")
@@ -48,10 +52,9 @@ def rank_two_kernel() -> Kernel:
         for ib in range(2):
             for i, ci in cos.items():
                 for j, cj in cos.items():
-                    coeffs[(i, j, ia, ib)] = CRat(a[ia] * a[ib] * ci * cj)
-            key = (0, 0, ia, ib)
-            coeffs[key] = coeffs[key] + CRat(b[ia] * b[ib])
-    return Kernel(part, 1, coeffs)
+                    coeffs[(i, j, ia, ib)] = a[ia] * a[ib] * ci * cj
+            coeffs[(0, 0, ia, ib)] += b[ia] * b[ib]
+    return Kernel(part, 1, {key: (v, 0) for key, v in coeffs.items()})
 
 
 def two_point_kernel() -> Kernel:
@@ -66,7 +69,7 @@ def two_point_kernel() -> Kernel:
         for ib in range(2):
             v = f[ia] * f[ib]
             if v:
-                coeffs[(0, 0, ia, ib)] = CRat(v)
+                coeffs[(0, 0, ia, ib)] = (v, 0)
     return Kernel(part, 0, coeffs)
 
 
@@ -95,11 +98,9 @@ def seeded_two_interval_kernel(seed: int = 20260819) -> Kernel:
             for i, ci in cos.items():
                 for j, cj in cos.items():
                     key = (i, j, ia, ib)
-                    v = CRat(a[ia] * a[ib] * ci * cj)
-                    coeffs[key] = coeffs.get(key, CRat(0)) + v
-            key = (0, 0, ia, ib)
-            coeffs[key] = coeffs[key] + CRat(b[ia] * b[ib])
-    return Kernel(part, 1, coeffs)
+                    coeffs[key] = coeffs.get(key, 0) + a[ia] * a[ib] * ci * cj
+            coeffs[(0, 0, ia, ib)] += b[ia] * b[ib]
+    return Kernel(part, 1, {key: (v, 0) for key, v in coeffs.items()})
 
 
 def tilted_circle_kernel() -> Kernel:
@@ -108,18 +109,18 @@ def tilted_circle_kernel() -> Kernel:
     f is positive and neither even nor odd in t, so s_10 = (1+i)/8 is
     not real: the exact routes carry imaginary parts that must cancel.
     """
-    f = {0: CRat(1), 1: CRat(Fraction(1, 8), Fraction(1, 8)),
-         -1: CRat(Fraction(1, 8), Fraction(-1, 8))}
-    return Kernel(unit_partition(), 1, {(i, j, 0, 0): f[i] * f[j]
+    f = {0: (1, 0), 1: (Fraction(1, 8), Fraction(1, 8)),
+         -1: (Fraction(1, 8), Fraction(-1, 8))}
+    return Kernel(unit_partition(), 1, {(i, j, 0, 0): pair_product(f[i], f[j])
                                         for i in f for j in f})
 
 
 def coprime_kernel() -> Kernel:
     """s = 1/3 + (2/7) cos(t1 - t2): coefficient denominators 3 and 7."""
     return Kernel(unit_partition(), 1, {
-        (0, 0, 0, 0): CRat(Fraction(1, 3)),
-        (1, -1, 0, 0): CRat(Fraction(1, 7)),
-        (-1, 1, 0, 0): CRat(Fraction(1, 7))})
+        (0, 0, 0, 0): (Fraction(1, 3), 0),
+        (1, -1, 0, 0): (Fraction(1, 7), 0),
+        (-1, 1, 0, 0): (Fraction(1, 7), 0)})
 
 
 # the kernels the solver's branch test and the moment routes' integer

@@ -82,8 +82,9 @@ def test_moments_with_oracle(tmp_path):
 # seeded_two_interval_kernel(2): cut at 1/4, band 1
 TWO_INTERVAL = json.dumps({
     "type": "kernel", "breakpoints": ["0", "1/4", "1"],
-    "coeffs": [[*key, str(v.re), str(v.im)]
-               for key, v in seeded_two_interval_kernel(2).coeffs.items()]})
+    "coeffs": [[*key, f"{x}/{kern.den}", f"{y}/{kern.den}"]
+               for kern in [seeded_two_interval_kernel(2)]
+               for key, (x, y) in kern.coeffs.items()]})
 
 
 def test_moments_oracle_on_a_two_interval_kernel(tmp_path, monkeypatch):
@@ -124,7 +125,18 @@ BAD_DOCUMENTS = [  # command, flag, value, what stderr names besides them
     ("verify", "--curve", '{"x": 1}', "'coeffs'"),
     ("verify", "--curve", '{"coeffs": [[0, 0]]}', "coeffs[0]"),
     ("eliminate", "--relation", '{"coeffs": 3}', "coeffs"),
-    ("simulate", "--filter", UNIT_KERNEL, "not a filter document")]
+    ("simulate", "--filter", UNIT_KERNEL, "not a filter document"),
+    # these exited 0 with an aliased interval, or 1 with a traceback
+    ("moments", "--kernel", json.dumps({
+        "type": "kernel", "breakpoints": [0, "1/2", 1],
+        "coeffs": [[0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 1, 0],
+                   [0, 0, -1, -1, 2, 0]]}), "interval index outside 0..1"),
+    ("moments", "--filter", '{"type": "filter", "entries": [[0, 0, null]]}',
+     "None is not a rational value"),
+    ("verify", "--curve", '{"coeffs": [[0, 0, null], [0, 2, "1"]]}',
+     "None is not a rational value"),
+    ("verify", "--curve", '{"coeffs": [[true, 0, "1"], [0, 2, "1"]]}',
+     "degree True")]
 
 
 @pytest.mark.parametrize("command, flag, value, key", BAD_DOCUMENTS,
@@ -307,8 +319,8 @@ def test_crosscheck_flags_corrupted_kernel(tmp_path):
     doubled = {
         "type": "kernel",
         "breakpoints": ["0", "1"],
-        "coeffs": [[i, j, a, b, str(2 * v.re), str(2 * v.im)]
-                   for (i, j, a, b), v in kern.coeffs.items()]}
+        "coeffs": [[i, j, a, b, f"{2 * x}/{kern.den}", f"{2 * y}/{kern.den}"]
+                   for (i, j, a, b), (x, y) in kern.coeffs.items()]}
     out = tmp_path / "bad"
     rc = main(["crosscheck", "--kernel", json.dumps(doubled),
                "--filter", COMPASS, "--kmax", "4", "--N", "120",

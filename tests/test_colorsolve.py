@@ -13,12 +13,11 @@ from filtered_spectra.algebra import certificate_radius
 from filtered_spectra.colorsolve import (_GridOps, _continue_batch,
                                          circle_points, density_profile,
                                          solver_moments, stieltjes_path)
-from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (IntervalPartition, Kernel, compass_filter,
                                      constant_kernel, kernel_from_filter,
                                      phases)
 from filtered_spectra.moments import theoretical_moments
-from conftest import BRANCH_KERNELS, rank_two_kernel, \
+from conftest import BRANCH_KERNELS, pair_product, rank_two_kernel, \
     seeded_two_interval_kernel, tilted_circle_kernel, two_point_kernel
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0      # S(3) for the semicircle law
@@ -36,10 +35,10 @@ def _tilted_factor() -> dict:
     """f(x, t) = a(x) + b(x) Re((1+i) exp(it)) / 2 on the cells [0, 1/3)
     and [1/3, 1]: f[(i, x)] is the coefficient of exp(i i t) on cell x."""
     a, b = (Fraction(1), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))
-    f = {(0, x): CRat(a[x]) for x in range(2)}
+    f = {(0, x): (a[x], 0) for x in range(2)}
     for x in range(2):
-        f[(1, x)] = CRat(b[x] / 4, b[x] / 4)
-        f[(-1, x)] = CRat(b[x] / 4, -b[x] / 4)
+        f[(1, x)] = (b[x] / 4, b[x] / 4)
+        f[(-1, x)] = (b[x] / 4, -b[x] / 4)
     return f
 
 
@@ -53,7 +52,7 @@ def _tilted_kernel() -> Kernel:
     """
     part = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(1)))
     f = _tilted_factor()
-    return Kernel(part, 1, {(i, j, x, y): f[(i, x)] * f[(j, y)]
+    return Kernel(part, 1, {(i, j, x, y): pair_product(f[(i, x)], f[(j, y)])
                             for i in (-1, 0, 1) for j in (-1, 0, 1)
                             for x in range(2) for y in range(2)})
 
@@ -500,8 +499,8 @@ def test_master_identity_for_rank_one_kernels(semicircle, compass_kernel):
         (semicircle, [[1]], (3.0, 1.0 + 1.0j)),
         (compass_kernel, [[0.5, 0, 1, 0, 0.5]], (4.5,)),
         (two_point_kernel(), [[0], [2]], (5.0 + 0.5j,)),
-        (_tilted_kernel(), [[complex(tilted[(i, x)]) for i in (-1, 0, 1)]
-                            for x in range(2)],
+        (_tilted_kernel(), [[complex(*map(float, tilted[(i, x)]))
+                             for i in (-1, 0, 1)] for x in range(2)],
          (4.0, 1.0 + 0.5j, -2.0 + 1e-3j)),
     )
     for kern, f, lams in cases:

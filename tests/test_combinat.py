@@ -12,10 +12,9 @@ from filtered_spectra.combinat import (KMAX_GUARD, _dyck_paths, _forests,
                                        _partition_from_path, _plane_shape,
                                        enumerate_wigner_partitions,
                                        moments_by_enumeration, tree_integral)
-from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
-from conftest import coprime_kernel, rank_two_kernel, \
+from conftest import coprime_kernel, pair_product, rank_two_kernel, \
     seeded_two_interval_kernel, small_filters, tilted_circle_kernel, \
     two_point_kernel
 
@@ -163,24 +162,26 @@ def _labelled_sum(kern, w):
     pairs = [(i, w.sigma[i]) for i in range(1, w.k + 1) if i < w.sigma[i]]
     labels = [f for f in product(range(-K, K + 1), repeat=w.k)
               if not any(sum(f[i - 1] for i in part) for part in w.parts)]
-    total = CRat(0)
+    s = {key: (Fraction(re, kern.den), Fraction(im, kern.den))
+         for key, (re, im) in kern.coeffs.items()}
+    re = im = 0
     for cells in product(range(kern.partition.n), repeat=len(w.parts)):
         weight = prod(lengths[a] for a in cells)
         for f in labels:
-            term = CRat(weight)
+            term = (weight, 0)
             for i, j in pairs:
-                term = term * kern.coeff(f[i - 1], f[j - 1],
-                                         cells[po[i]], cells[po[j]])
-            total = total + term
-    assert total.im == 0
-    return total.re
+                term = pair_product(term, s.get(
+                    (f[i - 1], f[j - 1], cells[po[i]], cells[po[j]]), (0, 0)))
+            re, im = re + term[0], im + term[1]
+    assert im == 0
+    return re
 
 
 def _rank_one(breakpoints, f) -> Kernel:
     """s(c, c') = f(c) f(c'), f[a] the Fourier coefficients on interval a."""
     part = IntervalPartition(tuple(Fraction(x) for x in breakpoints))
     band = max(abs(i) for fa in f for i in fa)
-    return Kernel(part, band, {(i, j, a, b): CRat(fa[i] * fb[j])
+    return Kernel(part, band, {(i, j, a, b): (fa[i] * fb[j], 0)
                                for a, fa in enumerate(f) for i in fa
                                for b, fb in enumerate(f) for j in fb})
 

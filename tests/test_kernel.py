@@ -1,36 +1,21 @@
-"""Exact scalars, filter/kernel construction, symmetry checks, grids, JSON I/O."""
+"""Rational parsing, filter/kernel construction, symmetry checks, grids,
+JSON I/O."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      angular_grid, as_kernel, compass_filter,
                                      constant_kernel, kernel_from_filter,
-                                     kernel_grid_matrix, read_color_document,
-                                     unit_partition, validate_kernel)
-from conftest import rank_two_kernel, seeded_two_interval_kernel, \
-    two_point_kernel
-
-
-def test_crat_arithmetic():
-    a, b = CRat(1, 2), CRat("1/3")
-    half = Fraction(1, 2)
-    assert a + b == CRat(Fraction(4, 3), 2) and a - b == CRat(Fraction(2, 3), 2)
-    assert 1 - a == CRat(0, -2) and a - 1 == CRat(0, 2) and -a == CRat(-1, -2)
-    assert a * b == CRat(Fraction(1, 3), Fraction(2, 3))
-    assert a * a == CRat(-3, 4) and 2 * a == a + a
-    for z in (a + b, a - b, 1 - a, -a, a * b, 3 * a):
-        assert type(z.re) is Fraction and type(z.im) is Fraction
-    assert CRat(0.5, "-1/4") == CRat(half, Fraction(-1, 4))   # exact coercion
-    for bad in (True, None, 1j, a):
-        with pytest.raises(TypeError):
-            CRat(bad)
-    with pytest.raises(TypeError):
-        CRat(1, False)
+                                     kernel_grid_matrix, rat,
+                                     read_color_document, unit_partition,
+                                     validate_kernel)
+from conftest import BRANCH_KERNELS, rank_two_kernel, \
+    seeded_two_interval_kernel, two_point_kernel
 
 
 def test_interval_partition_validation():
@@ -74,11 +59,12 @@ def test_compass_kernel_coefficients():
     k = kernel_from_filter(compass_filter())
     # s = 4 cos^2(t1) cos^2(t2) = (1 + cos 2t1)(1 + cos 2t2)
     assert k.band == 2
-    assert k.coeff(0, 0, 0, 0) == CRat(1)
+    assert k.den == 4 and k.coeffs[(0, 0, 0, 0)] == (4, 0)
     for i, j, want in [(2, 0, Fraction(1, 2)), (0, -2, Fraction(1, 2)),
                        (2, 2, Fraction(1, 4)), (-2, 2, Fraction(1, 4)),
                        (1, 0, 0), (1, 1, 0)]:
-        assert k.coeff(i, j, 0, 0) == CRat(want)
+        re, im = k.coeffs.get((i, j, 0, 0), (0, 0))
+        assert Fraction(re, k.den) == want and im == 0
     assert k.l1_norm() == 1  # = ||h||_2^2
     assert k.sup_norm() == pytest.approx(4.0, abs=1e-12)
     assert k.amplitude() == pytest.approx(4.0, abs=1e-12)
@@ -103,7 +89,7 @@ def test_validate_accepts_the_house_kernels():
 
 
 def test_validate_rejects_negative_kernel():
-    bad = Kernel(unit_partition(), 0, {(0, 0, 0, 0): CRat(-1)})
+    bad = Kernel(unit_partition(), 0, {(0, 0, 0, 0): -1})
     report = validate_kernel(bad)
     assert not report.ok
     assert not report.checks["nonnegative"]
@@ -115,11 +101,11 @@ def test_validate_rejects_a_kernel_negative_between_the_grid_angles():
     # s = 19/10 + cos(t1 + pi/8) + cos(t2 + pi/8), with c = 0.462 + 0.191i
     # for e^(i pi/8)/2: its minimum is 1.9 - 4|c| = -0.100, but on the
     # 8-angle grid it is +0.052, so validate_kernel passes it today
-    c = CRat(Fraction(462, 1000), Fraction(191, 1000))
+    c, conj_c = ("0.462", "0.191"), ("0.462", "-0.191")
     k = Kernel(unit_partition(), 1, {
-        (0, 0, 0, 0): CRat(Fraction(19, 10)),
-        (1, 0, 0, 0): c, (-1, 0, 0, 0): c.conjugate(),
-        (0, 1, 0, 0): c, (0, -1, 0, 0): c.conjugate()})
+        (0, 0, 0, 0): "19/10",
+        (1, 0, 0, 0): c, (-1, 0, 0, 0): conj_c,
+        (0, 1, 0, 0): c, (0, -1, 0, 0): conj_c})
     assert float(np.min(kernel_grid_matrix(k, 256))) < -0.09
     report = validate_kernel(k)
     assert report.checks["conjugate_symmetry"]
@@ -129,8 +115,7 @@ def test_validate_rejects_a_kernel_negative_between_the_grid_angles():
 
 
 def test_validate_rejects_asymmetric_kernel():
-    bad = Kernel(unit_partition(), 1, {(1, 0, 0, 0): CRat(1),
-                                       (0, 0, 0, 0): CRat(2)})
+    bad = Kernel(unit_partition(), 1, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2})
     report = validate_kernel(bad)
     assert not report.ok
     assert not report.checks["conjugate_symmetry"]
@@ -139,8 +124,8 @@ def test_validate_rejects_asymmetric_kernel():
 def test_validate_rejects_exchange_violation():
     # real and conjugate-symmetric but s_ij != s_ji with swapped intervals
     part = IntervalPartition((0, Fraction(1, 2), 1))
-    bad = Kernel(part, 0, {(0, 0, 0, 1): CRat(1), (0, 0, 1, 0): CRat(2),
-                           (0, 0, 0, 0): CRat(3), (0, 0, 1, 1): CRat(3)})
+    bad = Kernel(part, 0, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 2,
+                           (0, 0, 0, 0): 3, (0, 0, 1, 1): 3})
     report = validate_kernel(bad)
     assert not report.checks["exchange_symmetry"]
 
@@ -183,15 +168,18 @@ def test_json_round_trip_kernel():
     k = rank_two_kernel()
     doc = {"type": "kernel",
            "breakpoints": [str(b) for b in k.partition.breakpoints],
-           "coeffs": [[i, j, a, b, str(v.re), str(v.im)]
-                      for (i, j, a, b), v in k.coeffs.items()]}
+           "coeffs": [[i, j, a, b, f"{re}/{k.den}", f"{im}/{k.den}"]
+                      for (i, j, a, b), (re, im) in k.coeffs.items()]}
     back = read_color_document(doc)
     assert back.band == k.band
-    assert back.coeffs == k.coeffs
+    assert (back.coeffs, back.den) == (k.coeffs, k.den)
     assert read_color_document('{"type": "filter", "entries": [[0, 0, 1]]}') \
         .taps == {(0, 0): Fraction(1)}
     with pytest.raises(ValueError, match="unknown"):
         read_color_document({"type": "spline"})
+
+
+TWO_HALVES = {"type": "kernel", "breakpoints": [0, "1/2", 1]}
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -203,10 +191,86 @@ def test_json_round_trip_kernel():
      r"entries\[1\] = \[1, 1\]"),
     ({"type": "kernel", "breakpoints": [0, 1],
       "coeffs": [[0, 0, 0, 0, 1, 0, 0]]}, r"coeffs\[0\]"),
-    ('{"type": "kernel", bad', "property name")])
+    ('{"type": "kernel", bad', "property name"),
+    # a negative interval index aliased to the last interval, one past
+    # the end raised a bare IndexError, fractions were truncated
+    (TWO_HALVES | {"coeffs": [[0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 1, 0],
+                              [0, 0, -1, -1, 2, 0]]},
+     r"\(0, 0, -1, -1\) has an interval index outside 0\.\.1"),
+    (TWO_HALVES | {"coeffs": [[0, 0, 0, 2, 1, 0]]},
+     r"\(0, 0, 0, 2\) has an interval index outside 0\.\.1"),
+    (TWO_HALVES | {"coeffs": [[0.5, 0, 0, 0, 1, 0]]},
+     r"\(0\.5, 0, 0, 0\) has an index that is not an integer"),
+    (TWO_HALVES | {"coeffs": [[0, 0, True, 0, 1, 0]]},
+     "index that is not an integer"),
+    (TWO_HALVES | {"coeffs": [[0, [0], 0, 0, 1, 0]]},
+     "index that is not an integer"),
+    ({"type": "filter", "entries": [[1.7, 0, 1], [0, -1, 1]]},
+     r"\(1\.7, 0\) has an index that is not an integer"),
+    # null, true and list values raised a bare TypeError
+    (TWO_HALVES | {"coeffs": [[0, 0, 0, 0, None, 0]]},
+     "None is not a rational value"),
+    (TWO_HALVES | {"coeffs": [[0, 0, 0, 0, 1, True]]},
+     "True is not a rational value"),
+    ({"type": "filter", "entries": [[0, 0, [1]]]},
+     r"\[1\] is not a rational value"),
+    ({"type": "filter", "entries": [[0, 0, True]]},
+     "True is not a rational value"),
+    ({"type": "kernel", "breakpoints": [0, None, 1], "coeffs": []},
+     "None is not a rational value")])
 def test_malformed_documents_name_the_key(doc, message):
     with pytest.raises(ValueError, match=message):
         read_color_document(doc)
+
+
+def test_rat_names_what_it_refuses():
+    assert rat(0.1) == Fraction(3602879701896397, 36028797018963968)
+    assert rat(" -3/6 ") == rat("-0.5") == Fraction(-1, 2)
+    for bad in (None, True, False, [1], 1j, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not a rational value"):
+            rat(bad)
+    with pytest.raises(ValueError, match="'1/x'"):
+        rat("1/x")
+
+
+def _canonical(kern):
+    """Zero entries dropped, den > 0 in lowest terms."""
+    parts = [x for v in kern.coeffs.values() for x in v]
+    return all(v != (0, 0) for v in kern.coeffs.values()) and kern.den > 0 \
+        and math.gcd(kern.den, *parts) == 1
+
+
+def test_kernel_table_is_canonical():
+    # one kernel in five spellings: equal tables, zeros dropped, den in
+    # lowest terms
+    part = IntervalPartition((0, Fraction(1, 4), 1))
+    keys = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
+            (1, -1, 1, 1)]
+    want = {(0, 0, 0, 0): (6, 0), (0, 0, 0, 1): (1, 0),
+            (0, 0, 1, 0): (1, 0), (0, 0, 1, 1): (16, 0)}
+    for values in ([Fraction(3, 4), Fraction(1, 8), Fraction(1, 8), 2, 0],
+                   ["3/4", "2/16", "1/8", "4/2", "0/5"],
+                   ["0.75", "0.125", " 0.125", "2", "-0.0"],
+                   [0.75, 0.125, 0.125, 2.0, 0.0],
+                   [(Fraction(3, 4), 0), ("1/8", "0"), (0.125, 0),
+                    (2, 0.0), (0, 0)]):
+        k = Kernel(part, 1, dict(zip(keys, values)))
+        assert (k.coeffs, k.den) == (want, 8) and _canonical(k)
+    k = Kernel(part, 0, {keys[0]: 3, keys[3]: 0})
+    assert (k.coeffs, k.den) == ({keys[0]: (3, 0)}, 1)
+    k = Kernel(part, 0, {keys[0]: ("2/3", "-4/3")})
+    assert (k.coeffs, k.den) == ({keys[0]: (2, -4)}, 3)
+
+
+@pytest.mark.parametrize("name", list(BRANCH_KERNELS))
+def test_coeff_array_rounds_each_part_once(name):
+    kern = BRANCH_KERNELS[name]()
+    K, arr = kern.band, kern.coeff_array()
+    want = np.zeros_like(arr)
+    for (i, j, a, b), (re, im) in kern.coeffs.items():
+        want[i + K, j + K, a, b] = complex(float(Fraction(re, kern.den)),
+                                           float(Fraction(im, kern.den)))
+    assert arr.tobytes() == want.tobytes()
 
 
 def test_text_not_starting_with_a_brace_is_a_path():
@@ -234,6 +298,7 @@ def filters(draw):
 def test_filter_kernels_always_validate(h):
     k = kernel_from_filter(h)
     assert k.band == h.K
+    assert _canonical(k)
     report = validate_kernel(k)
     assert report.ok, report.messages
     assert Fraction(k.l1_norm()) == h.l2_norm_sq()

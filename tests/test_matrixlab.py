@@ -15,7 +15,6 @@ import scipy.linalg
 
 import filtered_spectra
 from filtered_spectra import rng
-from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import Filter, IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
 from filtered_spectra.matrixlab import (ESD, SampleConfig, _site_cells,
@@ -305,7 +304,7 @@ def _piecewise_kernel(profile) -> Kernel:
     """Rank-one band-0 kernel s = f(x) f(y), f constant on equal intervals."""
     n = len(profile)
     part = IntervalPartition(tuple(Fraction(a, n) for a in range(n + 1)))
-    return Kernel(part, 0, {(0, 0, a, b): CRat(profile[a] * profile[b])
+    return Kernel(part, 0, {(0, 0, a, b): (profile[a] * profile[b], 0)
                             for a in range(n) for b in range(n)})
 
 

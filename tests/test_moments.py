@@ -1,14 +1,14 @@
 """Moment recursion against the enumeration oracle and pinned values."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from filtered_spectra import moments
 from filtered_spectra.combinat import _forests, moments_by_enumeration
-from filtered_spectra.exactnum import CRat
 from filtered_spectra.kernel import (IntervalPartition, Kernel,
                                      compass_filter, constant_kernel,
                                      kernel_from_filter, unit_partition)
@@ -21,16 +21,16 @@ from conftest import BRANCH_KERNELS, coprime_kernel, rank_two_kernel, \
 def _phi_psi(kern, nmax):
     """Phi_1..Phi_nmax and Psi_1..Psi_nmax, each as (degree, rows).
 
-    rows[a][d + degree] is the coefficient of xi^d on interval a, a CRat:
-    the recursion's rows Phi'_n and Psi'_n divided by L^((n-1)/2) and
-    L^((n+1)/2).
+    rows[a][d + degree] is the coefficient of xi^d on interval a, an
+    (re, im) pair of Fractions: the recursion's rows Phi'_n and Psi'_n
+    divided by L^((n-1)/2) and L^((n+1)/2).
     """
     L, phis, psis = moments._scaled_recursion(kern, nmax, moments.DEGREE_CAP)
 
     def unscale(f, scale):
         d, re_rows, im_rows = f
-        return d, [[CRat(Fraction(x, scale), Fraction(y, scale))
-                    for x, y in zip(rr, ir)]
+        return d, [[(Fraction(x, scale), Fraction(y, scale))
+                     for x, y in zip(rr, ir)]
                    for rr, ir in zip(re_rows, im_rows)]
 
     return ([unscale(f, L ** ((n - 1) // 2))
@@ -40,9 +40,12 @@ def _phi_psi(kern, nmax):
 
 
 def _mean(kern, f):
-    """<P, f>: the constant coefficients weighted by interval length."""
+    """<P, f>: the constant coefficients weighted by interval length, as
+    an (re, im) pair."""
     d, rows = f
-    return sum(w * row[d] for w, row in zip(kern.partition.lengths, rows))
+    return tuple(sum(w * row[d][part]
+                     for w, row in zip(kern.partition.lengths, rows))
+                 for part in (0, 1))
 
 
 def test_semicircle_moments_exact():
@@ -88,11 +91,11 @@ def test_even_moments_positive_odd_zero():
 def test_phi_psi_shapes_and_bounds():
     kern = kernel_from_filter(compass_filter())
     phis, psis = _phi_psi(kern, 6)
-    assert _mean(kern, phis[0]) == 1               # Phi_1 = 1
-    assert _mean(kern, psis[0]) == kern.l1_norm()  # <P, Psi_1> = integral of s
+    assert _mean(kern, phis[0]) == (1, 0)               # Phi_1 = 1
+    assert _mean(kern, psis[0]) == (kern.l1_norm(), 0)  # integral of s
     A = kern.amplitude()
     for n, phi in enumerate(phis, start=1):
-        assert 0 <= float(_mean(kern, phi).re) <= A ** (n - 1)
+        assert 0 <= float(_mean(kern, phi)[0]) <= A ** (n - 1)
     for degree, _ in psis:
         assert degree <= kern.band
 
@@ -104,6 +107,9 @@ def test_nice_function_algebra():
     """
     phis, psis = _phi_psi(kernel_from_filter(compass_filter()), 5)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert all(y == 0 for f in phis + psis for row in f[1] for _, y in row)
+    phis, psis = ([(d, [[x for x, _ in row] for row in rows])
+                   for d, rows in fs] for fs in (phis, psis))
     assert [d for d, _ in phis] == [0, 0, 2, 0, 4]
     assert phis[0][1] == [[1]] and phis[1][1] == [[0]]
     assert psis[0][1] == [[half, 0, 1, 0, half]]             # s_{i,0}
@@ -119,8 +125,9 @@ def test_pair_with_kernel_semicircle():
     kern = constant_kernel()
     phis, psis = _phi_psi(kern, 7)
     assert [d for d, _ in phis + psis] == [0] * 14
-    assert [_mean(kern, f) for f in phis] == [1, 0, 1, 0, 2, 0, 5]
-    assert [_mean(kern, f) for f in psis] == [1, 0, 1, 0, 2, 0, 5]
+    catalan = [(m, 0) for m in (1, 0, 1, 0, 2, 0, 5)]
+    assert [_mean(kern, f) for f in phis] == catalan
+    assert [_mean(kern, f) for f in psis] == catalan
 
 
 def test_degree_cap_refuses():
@@ -134,7 +141,7 @@ def test_degree_cap_refuses():
 
 def test_nonreal_moment_refused():
     # s = 1 + i is not a real kernel: m_2 = s_00
-    kern = Kernel(unit_partition(), 0, {(0, 0, 0, 0): CRat(1, 1)})
+    kern = Kernel(unit_partition(), 0, {(0, 0, 0, 0): (1, 1)})
     with pytest.raises(ValueError, match="m_2 has an imaginary part"):
         theoretical_moments(kern, 4)
 
@@ -164,6 +171,52 @@ def test_integer_means_match_the_fraction_means(name):
         for k in range(1, 9)]
 
 
+def _fraction_table(kern):
+    """moments._scaled_table as first written, over Fractions: L is the
+    lcm of the denominators of every len_b * s_ij(a, b), real and
+    imaginary parts, and the table holds L times each."""
+    w = kern.partition.lengths
+    scaled = [(key, w[key[3]] * Fraction(re, kern.den),
+               w[key[3]] * Fraction(im, kern.den))
+              for key, (re, im) in kern.coeffs.items()]
+    L = math.lcm(*(x.denominator for _, re, im in scaled for x in (re, im)))
+    terms = [[] for _ in range(kern.partition.n)]
+    for (i, j, a, b), re, im in scaled:
+        terms[a].append((i, j, b, L * re, L * im))
+    return L, terms
+
+
+def _check_table(kern):
+    L, terms = moments._scaled_table(kern)
+    assert (L, terms) == _fraction_table(kern)
+    assert all(type(x) is int for row in terms for t in row for x in t)
+
+
+@pytest.mark.parametrize("name", list(BRANCH_KERNELS))
+def test_integer_table_matches_the_fraction_table(name):
+    _check_table(BRANCH_KERNELS[name]())
+
+
+@st.composite
+def unlike_tables(draw):
+    """Complex tables with unlike denominators on up to four intervals of
+    unlike lengths; symmetry does not matter to the table."""
+    cuts = draw(st.sets(st.fractions(Fraction(1, 12), Fraction(11, 12),
+                                     max_denominator=12), max_size=3))
+    part = IntervalPartition((0, *sorted(cuts), 1))
+    value = st.fractions(-2, 2, max_denominator=30)
+    index = st.integers(0, part.n - 1)
+    return Kernel(part, 2, draw(st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), index, index),
+        st.tuples(value, value), max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unlike_tables())
+def test_integer_table_matches_the_fraction_table_on_unlike_denominators(kern):
+    _check_table(kern)
+
+
 def test_each_tree_must_be_real_not_only_its_level():
     # band 0 on two halves, s = [[0, 1+i], [2-i, 0]], neither real nor
     # symmetric.  m_2 = (3 + 0i)/4.  At k = 4 the path's imaginary part
@@ -171,7 +224,7 @@ def test_each_tree_must_be_real_not_only_its_level():
     # the level before it pairs, accepts m_4 = 9/8, and the oracle
     # refuses the first tree whose integral is not real
     part = IntervalPartition((Fraction(0), Fraction(1, 2), Fraction(1)))
-    kern = Kernel(part, 0, {(0, 0, 0, 1): CRat(1, 1), (0, 0, 1, 0): CRat(2, -1)})
+    kern = Kernel(part, 0, {(0, 0, 0, 1): (1, 1), (0, 0, 1, 0): (2, -1)})
     assert theoretical_moments(kern, 4) == [0, Fraction(3, 4), 0, Fraction(9, 8)]
     assert moments_by_enumeration(kern, 2) == [0, Fraction(3, 4)]
     with pytest.raises(ValueError, match="tree integral has an imaginary part"):
@@ -180,7 +233,7 @@ def test_each_tree_must_be_real_not_only_its_level():
 
 def test_recursion_matches_enumeration_nonreal_coefficients():
     kern = tilted_circle_kernel()
-    assert any(v.im != 0 for v in kern.coeffs.values())
+    assert any(im != 0 for _, im in kern.coeffs.values())
     fast = theoretical_moments(kern, 10)
     assert fast == moments_by_enumeration(kern, 10)
     assert all(isinstance(m, Fraction) for m in fast)
