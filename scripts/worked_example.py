@@ -27,8 +27,9 @@ enum = moments_by_enumeration(kern, 8)
 for k, (a, b) in enumerate(zip(rec, enum), start=1):
     print(f"  m_{k} = {a}   | {b}")
 
-# master relation between the Stieltjes transform S and the edge weight w:
-# w^2 m (m - 2) = 1 with m = lambda S, encoded as a curve in (lambda, S)
+# profile relation v^2 m (m - 2) = 1, satisfied by the Stieltjes transform
+# v = S_f(m) of the compass profile distribution, encoded in (x, y) = (m, v);
+# rank_one_eliminate turns it into the curve of lambda and S
 relation = BivariatePolynomial({(2, 2): Fraction(1), (1, 2): Fraction(-2),
                                 (0, 0): Fraction(-1)})
 curve = rank_one_eliminate(relation, kern)

@@ -16,9 +16,8 @@ from .combinat import (WignerPartition, enumerate_wigner_partitions,
 from .moments import theoretical_moments
 from .colorsolve import (ColorSolution, SpectralGrid, stieltjes_path,
                          density_profile, solver_moments)
-from .algebra import (BivariatePolynomial, resultant, auxiliary_resultant,
-                      discriminant, real_roots, verify_curve,
-                      rank_one_eliminate)
+from .algebra import (BivariatePolynomial, resultant, discriminant,
+                      real_roots, verify_curve, rank_one_eliminate)
 from .matrixlab import (SampleConfig, ESD, EsdSummary, CovarianceReport,
                         sample_filtered_wigner, covariance_check,
                         sample_colored_gaussian, eigenvalues_symmetric,
@@ -34,9 +33,8 @@ __all__ = [
     "theoretical_moments",
     "ColorSolution", "SpectralGrid", "stieltjes_path", "density_profile",
     "solver_moments",
-    "BivariatePolynomial", "resultant",
-    "auxiliary_resultant", "discriminant", "real_roots", "verify_curve",
-    "rank_one_eliminate",
+    "BivariatePolynomial", "resultant", "discriminant", "real_roots",
+    "verify_curve", "rank_one_eliminate",
     "SampleConfig", "ESD", "EsdSummary", "CovarianceReport",
     "sample_filtered_wigner", "covariance_check", "sample_colored_gaussian",
     "eigenvalues_symmetric", "esd_statistics",

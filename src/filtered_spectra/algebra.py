@@ -19,8 +19,7 @@ Z[x]) stays exact in Z[x][y].  Gcds, pseudo-remainders and exact
 divisions run on the rows directly; eliminating x instead of y
 transposes them once.  The module provides
 
-* Sylvester resultants (Bareiss fraction-free determinants over Z[x], or
-  over Z[x][y] to eliminate a third variable);
+* Sylvester resultants (Bareiss fraction-free determinants over Z[x]);
 * discriminants with the classical sign (-1)^(n(n-1)/2) res(F, F') / lc;
 * real-root isolation by Sturm sequences + bisection, on a chain of
   sign-preserving pseudo-remainders: positive multiples of the chain over Q;
@@ -29,8 +28,11 @@ transposes them once.  The module provides
 * the rank-one elimination pipeline: from a polynomial relation
   R(m, S_f(m)) = 0 for the transform of the profile distribution to the
   algebraic curve satisfied by the limit Stieltjes transform, via the
-  master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w), with
-  Yun's squarefree split in Z[lambda][S].
+  master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w).  The
+  auxiliary w is eliminated by a norm, not a determinant: 1 + w^2 -
+  lambda*S is monic and quadratic in w, so its resultant with
+  G = A(w^2) + w B(w^2) is A^2 - (lambda*S - 1) B^2.  Yun's squarefree
+  split in Z[lambda][S] follows.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "BivariatePolynomial",
     "RootInterval",
     "resultant",
-    "auxiliary_resultant",
     "discriminant",
     "real_roots",
     "verify_curve",
@@ -200,6 +201,10 @@ def _bp_scale(rows, c):
     return rows if c == 1 else _pnorm([_pscale(r, c) for r in rows])
 
 
+def _bp_dy(rows):
+    return [_pscale(r, b) for b, r in enumerate(rows)][1:]
+
+
 def _bp_divexact(p, q):
     """p / q in Z[x][y] (q nonzero); raises unless the quotient is there."""
     r = list(p)
@@ -286,10 +291,6 @@ class BivariatePolynomial:
     def from_entries(cls, entries):
         """[[degx, degy, value], ...], degrees <= MAX_DEGREE, p/q values ok."""
         return cls._of_rows(*_rows_of_terms(entries))
-
-    @classmethod
-    def constant(cls, v):
-        return cls({(0, 0): v})
 
     def terms(self):
         """The nonzero terms as a {(degx, degy): Fraction} table."""
@@ -387,23 +388,15 @@ class BivariatePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# resultants: Sylvester matrix + Bareiss over Z[x] or Z[x][y]
+# resultants: Sylvester matrix + Bareiss over Z[x]
 # ---------------------------------------------------------------------------
 
-# (one, sub, mul, divexact) of each entry ring; zero is [] in both
-_ZX = ([1], _psub, _pmul, _pdivexact)
-_ZXY = ([[1]], _bp_sub, _bp_mul, _bp_divexact)
-
-
-def _bareiss_det(m, ring):
-    """Fraction-free determinant over an integral domain."""
-    one, sub, mul, divexact = ring
+def _bareiss_det(m):
+    """Fraction-free determinant of a nonempty matrix over Z[x]."""
     n = len(m)
-    if n == 0:
-        return one
     m = [row[:] for row in m]
     sign = 1
-    prev = one
+    prev = [1]
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -415,16 +408,16 @@ def _bareiss_det(m, ring):
                 return []
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                t = sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j]))
-                m[i][j] = divexact(t, prev) if k and t else t
+                t = _psub(_pmul(m[i][j], m[k][k]), _pmul(m[i][k], m[k][j]))
+                m[i][j] = _pdivexact(t, prev) if k and t else t
             m[i][k] = []
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return sub([], det) if sign < 0 else det
+    return _pscale(det, -1) if sign < 0 else det
 
 
-def _sylvester_resultant(p, q, ring):
-    """res(p, q) of coefficient lists (ascending) over the given ring."""
+def _sylvester_resultant(p, q):
+    """res(p, q) of coefficient lists (ascending) over Z[x]."""
     p, q = _pnorm(p), _pnorm(q)
     if not p or not q:
         raise ValueError("resultant of the zero polynomial")
@@ -439,7 +432,7 @@ def _sylvester_resultant(p, q, ring):
         rows.append([[]] * i + pd + [[]] * (size - m - 1 - i))
     for i in range(m):
         rows.append([[]] * i + qd + [[]] * (size - n - 1 - i))
-    return _bareiss_det(rows, ring)
+    return _bareiss_det(rows)
 
 
 def resultant(P: BivariatePolynomial, Q: BivariatePolynomial, eliminate: str):
@@ -450,28 +443,9 @@ def resultant(P: BivariatePolynomial, Q: BivariatePolynomial, eliminate: str):
     eliminated variable or either is zero.
     """
     p, q = _rows_in(P, eliminate), _rows_in(Q, eliminate)
-    res = _sylvester_resultant(p, q, _ZX)
+    res = _sylvester_resultant(p, q)
     scale = P.den ** (len(q) - 1) * Q.den ** (len(p) - 1)
     return [Fraction(c, scale) for c in res]
-
-
-def auxiliary_resultant(p, q) -> BivariatePolynomial:
-    """res over an auxiliary variable whose coefficients are bivariate.
-
-    p, q: coefficient lists (ascending in the auxiliary variable) whose
-    entries are BivariatePolynomials or rationals.  This is the engine
-    behind the w-elimination: three variables total, one eliminated.
-    """
-    def cleared(coeffs):
-        """The integer rows of D * coeffs, and D."""
-        bps = [c if isinstance(c, BivariatePolynomial)
-               else BivariatePolynomial.constant(c) for c in coeffs]
-        den = math.lcm(*(c.den for c in bps))
-        return _pnorm(_bp_scale(c.rows, den // c.den) for c in bps), den
-
-    (p, a), (q, b) = cleared(p), cleared(q)
-    res = _sylvester_resultant(p, q, _ZXY)
-    return BivariatePolynomial._of_rows(res, a ** (len(q) - 1) * b ** (len(p) - 1))
 
 
 def discriminant(F: BivariatePolynomial, var: str = "y"):
@@ -484,8 +458,7 @@ def discriminant(F: BivariatePolynomial, var: str = "y"):
     n = len(rows) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1 in the variable")
-    deriv = [_pscale(r, i) for i, r in enumerate(rows)][1:]
-    out = _pdivexact(_sylvester_resultant(rows, deriv, _ZX), rows[-1])
+    out = _pdivexact(_sylvester_resultant(rows, _bp_dy(rows)), rows[-1])
     scale = F.den ** (2 * n - 2) * (-1) ** (n * (n - 1) // 2)
     return [Fraction(c, scale) for c in out]
 
@@ -671,10 +644,6 @@ def _bp_gcd(p, q):
     return b or a
 
 
-def _bp_dy(rows):
-    return [_pscale(r, b) for b, r in enumerate(rows)][1:]
-
-
 def _squarefree_factors(f):
     """Yun's decomposition of f in Z[x][y], deg_y f >= 1.
 
@@ -702,6 +671,27 @@ def _squarefree_factors(f):
 # rank-one elimination
 # ---------------------------------------------------------------------------
 
+_U = [[-1], [0, 1]]  # u = lambda*S - 1 as y-rows in (lambda, S)
+
+
+def _norm_over_w(g):
+    """res_w(w^2 - u, G) for G = sum_k g[k] w^k, g[k] y-rows in (lambda, S).
+
+    w^2 - u is monic with roots +-r, r^2 = u, so by the product formula
+    the resultant is G(r) G(-r).  With A = sum_j g[2j] u^j and
+    B = sum_j g[2j+1] u^j (Horner in u), G(+-r) = A +- r B, and the
+    resultant is the norm A^2 - u B^2: integer rows, no determinant.
+    """
+    def horner(coeffs):
+        acc = []
+        for c in reversed(coeffs):
+            acc = _bp_add(_bp_mul(acc, _U), c)
+        return acc
+
+    A, B = horner(g[0::2]), horner(g[1::2])
+    return _bp_sub(_bp_mul(A, A), _bp_mul(_U, _bp_mul(B, B)))
+
+
 def rank_one_eliminate(sf, kern: Kernel,
                        certificate: dict = None) -> BivariatePolynomial:
     """Algebraic curve F(lambda, S) = 0 for a rank-one kernel s = f (x) f.
@@ -713,7 +703,8 @@ def rank_one_eliminate(sf, kern: Kernel,
 
     The master identity lambda*S = 1 + w^2 = (lambda/w) S_f(lambda/w)
     turns R into a polynomial G(lambda, S, w) via m = lambda/w and
-    v = S*w; eliminating w against E = 1 + w^2 - lambda*S by resultant
+    v = S*w; eliminating w against E = 1 + w^2 - lambda*S by the norm
+    A^2 - u B^2, u = lambda*S - 1 (their resultant, see _norm_over_w),
     and splitting the result into squarefree factors in Z[lambda][S]
     yields candidate curves.  Monomials and content are stripped first;
     factors whose residual is not below CERTIFICATE_TOL are discarded;
@@ -742,16 +733,9 @@ def rank_one_eliminate(sf, kern: Kernel,
         for a, c in enumerate(row):
             if c:
                 by_w.setdefault(D - a + b, {})[(a, b)] = c
-    g_coeffs = [BivariatePolynomial(by_w.get(dw, {}))
-                for dw in range(min(by_w), max(by_w) + 1)]
-
-    if len(g_coeffs) == 1:
-        eliminated = g_coeffs[0]
-    else:
-        master = [BivariatePolynomial({(0, 0): 1, (1, 1): -1}), 0, 1]
-        eliminated = auxiliary_resultant(master, g_coeffs)  # 1 - lambda*S + w^2
-
-    stripped = eliminated.normalized()
+    g = [BivariatePolynomial(by_w.get(dw, {})).rows
+         for dw in range(min(by_w), max(by_w) + 1)]
+    stripped = BivariatePolynomial._of_rows(_norm_over_w(g)).normalized()
     if stripped.is_zero or stripped.degree("y") < 1:
         raise RuntimeError(
             "elimination collapsed: resultant reduced to "
@@ -761,10 +745,9 @@ def rank_one_eliminate(sf, kern: Kernel,
     # what the profile relation says, so the resultant routinely carries
     # powers of (lambda*S - 1) that certify nothing.  Divide them out
     # exactly; anything else spurious is caught by the certificate below.
-    phantom = [[-1], [0, 1]]  # lambda*S - 1 as y-rows
     while True:
         try:
-            quotient = _bp_divexact(stripped.rows, phantom)
+            quotient = _bp_divexact(stripped.rows, _U)
         except ArithmeticError:
             break
         if len(quotient) < 2:

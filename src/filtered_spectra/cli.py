@@ -149,24 +149,40 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
     return cfg
 
 
+def _integer(value) -> int | None:
+    """An int (not a bool) or a string of decimal digits as an int, else
+    None: 2.5, "2.5" and true are not truncated."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    return value if type(value) is int else None
+
+
 def _count(cfg: dict, key: str, default: int, cap: int | None = None) -> int:
     """cfg[key] (or the default) as an int >= 1, and <= cap if given.
 
-    Only an int (not a bool) or a string of decimal digits is a count;
-    2.5, "2.5" and true are not truncated.  Anything else raises ValueError naming --key and the value, so main
-    exits 2; commands read their inputs before making the output
-    directory.
+    Only an _integer is a count.  Anything else raises ValueError naming
+    --key and the value, so main exits 2; commands read their inputs
+    before making the output directory.
     """
     value = cfg.get(key, default)
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        count = int(value)
-    else:
-        count = value if type(value) is int else 0
-    if count < 1:
+    count = _integer(value)
+    if count is None or count < 1:
         raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
     if cap is not None and count > cap:
         raise ValueError(f"--{key} must be <= {cap}, got {value!r}")
     return count
+
+
+def _seed(cfg: dict) -> int:
+    """cfg["seed"] as an _integer Philox key in 0..2^64 - 1, raising like
+    _count; it replaces cfg["seed"], so the manifest records the seed used."""
+    value = cfg["seed"]
+    seed = _integer(value)
+    if seed is None or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"--seed must be an integer in 0..2**64 - 1, "
+                         f"got {value!r}")
+    cfg["seed"] = seed
+    return seed
 
 
 def _real(cfg: dict, key: str, default: float) -> float:
@@ -335,7 +351,7 @@ def cmd_solve(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     model = cfg.get("model", "filtered")
-    seed = int(cfg["seed"])
+    seed = _seed(cfg)
     trials = _count(cfg, "trials", 5)
     kmax = _count(cfg, "kmax", 6, ESD_KMAX)
     if model == "filtered":
@@ -422,7 +438,7 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_crosscheck(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     kmax = _count(cfg, "kmax", 6, ESD_KMAX)
-    seed = int(cfg["seed"])
+    seed = _seed(cfg)
     trials = _count(cfg, "trials", 4)
     h = _get_filter(cfg) if "filter" in cfg else None
     N = (_count(cfg, "N", 24, COLORED_N_MAX) if h is None

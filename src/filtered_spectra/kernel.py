@@ -208,8 +208,8 @@ class Kernel:
                dropped, so equal kernels have equal tables.
 
     Each given value is a rational or an (re, im) pair of rationals; a
-    bad index raises ValueError naming the entry.  Treated as immutable
-    after construction.
+    bad index, or one outside the band, raises ValueError naming the
+    entry.  Treated as immutable after construction.
     """
 
     partition: IntervalPartition
@@ -218,20 +218,23 @@ class Kernel:
     den: int = field(init=False)
 
     def __post_init__(self):
-        n = self.partition.n
+        self.band = int(self.band)
+        if self.band < 0:
+            raise ValueError("band must be >= 0")
+        n, K = self.partition.n, self.band
         pairs = {}
         for key, v in self.coeffs.items():
             re, im = v if isinstance(v, tuple) else (v, 0)
-            pairs[_checked_key(key, n)] = (rat(re), rat(im))
+            i, j, a, b = _checked_key(key, n)
+            if abs(i) > K or abs(j) > K:
+                raise ValueError(f"entry {key!r} lies outside the band {K}")
+            pairs[i, j, a, b] = (rat(re), rat(im))
         # the lcm of reduced denominators is already in lowest terms
         den = math.lcm(*(x.denominator for v in pairs.values() for x in v))
         self.coeffs = {key: (re.numerator * (den // re.denominator),
                              im.numerator * (den // im.denominator))
                        for key, (re, im) in pairs.items() if re or im}
         self.den = den
-        self.band = int(self.band)
-        if self.band < 0:
-            raise ValueError("band must be >= 0")
 
     def l1_norm(self) -> Fraction:
         """Exact L1 norm of s (s is nonnegative, so this is its integral):
@@ -314,8 +317,8 @@ class KernelReport:
 def validate_kernel(kern: Kernel) -> KernelReport:
     """Check the kernel invariants; report per-invariant pass/fail.
 
-    Checks: Fourier support within the band; conjugate symmetry
-    conj(s_ij) = s_{-i,-j}; exchange symmetry s_ji(y,x) = s_ij(x,y);
+    Checks (the Fourier band is enforced by Kernel itself): conjugate
+    symmetry conj(s_ij) = s_{-i,-j}; exchange symmetry s_ji(y,x) = s_ij(x,y);
     pointwise nonnegativity, sampled on T = max(4K + 1, 8) angles per
     circle; nondegeneracy ||s||_1 > 0.  That grid integrates a
     trigonometric polynomial of the kernel's degree exactly, but it does
@@ -328,11 +331,6 @@ def validate_kernel(kern: Kernel) -> KernelReport:
     messages = []
 
     K = kern.band
-    checks["band_bound"] = all(
-        abs(i) <= K and abs(j) <= K for (i, j, _, _) in kern.coeffs)
-    if not checks["band_bound"]:
-        messages.append("coefficients outside the declared Fourier band")
-
     bad = None
     for (i, j, a, b), (re, im) in kern.coeffs.items():
         if kern.coeffs.get((-i, -j, a, b)) != (re, -im):

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from filtered_spectra import algebra
 from filtered_spectra.algebra import (BivariatePolynomial, RootInterval,
-                                      _bisect_root, _squarefree_factors,
-                                      auxiliary_resultant, discriminant,
+                                      _bisect_root, _norm_over_w,
+                                      _squarefree_factors, discriminant,
                                       rank_one_eliminate, real_roots,
                                       resultant, verify_curve)
 from filtered_spectra import colorsolve
@@ -110,12 +110,38 @@ def test_compass_support_endpoints():
     assert edge == pytest.approx(surd, abs=1e-10)
 
 
-def test_auxiliary_resultant_worked_example():
-    lam = BP({(1, 0): 1})
-    p = [BP.constant(2), lam * -2, BP.constant(4), -lam, BP.constant(2)]
-    q = [BP({(0, 0): 1, (1, 1): -1}), BP.constant(0), BP.constant(1)]
-    res = auxiliary_resultant(p, q)
+def test_norm_over_w_worked_example():
+    # G = 2 - 2 lambda w + 4 w^2 - lambda w^3 + 2 w^4, eliminated against
+    # 1 - lambda S + w^2: the compass quartic times lambda^2
+    one, lam = BP({(0, 0): 1}), BP({(1, 0): 1})
+    g = [(one * 2).rows, (lam * -2).rows, (one * 4).rows, (-lam).rows,
+         (one * 2).rows]
+    res = BP._of_rows(_norm_over_w(g))
     assert res.proportional_to(COMPASS_QUARTIC * BP({(2, 0): 1}))
+
+
+small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.integers(-3, 3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_terms, min_size=1, max_size=5))
+def test_norm_over_w_is_the_resultant(g_terms):
+    # G = sum_k g_k(lambda, S) w^k; at each integer lambda = t the norm is
+    # res_w(1 + w^2 - t S, G(t, S, w)), taken in (x, y) = (S, w)
+    norm = _norm_over_w([BP(terms).rows for terms in g_terms])
+    for t in range(-2, 3):
+        g_t = {}
+        for k, terms in enumerate(g_terms):
+            for (a, b), c in terms.items():
+                g_t[b, k] = g_t.get((b, k), 0) + c * t ** a
+        G_t = BP(g_t)
+        if G_t.is_zero:
+            assert all(algebra._peval(r, t, 1) == 0 for r in norm)
+            continue
+        E_t = BP({(0, 0): 1, (0, 2): 1, (1, 0): -t})
+        at_t = algebra._pnorm([algebra._peval(r, t, 1) for r in norm])
+        assert at_t == resultant(E_t, G_t, "y")
 
 
 def test_eliminate_semicircle():
@@ -172,6 +198,18 @@ def test_eliminate_wrong_kernel_rejected():
                            kernel_from_filter(compass_filter()))
 
 
+@pytest.mark.parametrize("relation, named", [
+    (BP({(1, 1): 1, (0, 0): -1}), "(lambdaS - 1)^1"),
+    (BP({(2, 2): 1, (1, 1): -4, (0, 0): 1}),
+     "(lambda^2S^2 - 4*lambdaS + 1)^2")])
+def test_eliminate_single_power_of_w(relation, named):
+    # v m - 1 and v^2 m^2 - 4 v m + 1 put every term on one power of w, so
+    # G = g0 and the norm is g0^2: the w = 0 branch divides out all but
+    # one copy of lambda S - 1, and any other factor is named squared
+    with pytest.raises(RuntimeError, match=re.escape(named)):
+        rank_one_eliminate(relation, constant_kernel())
+
+
 def piecewise_rank_one_kernel(profile) -> Kernel:
     """s = f(x) f(y), f piecewise constant on equal intervals, band 0."""
     n = len(profile)
@@ -182,7 +220,7 @@ def piecewise_rank_one_kernel(profile) -> Kernel:
 
 def profile_relation(profile) -> BivariatePolynomial:
     """v den(m) - num(m) = 0 for S_f(m) = mean of 1/(m - f_i)."""
-    one = BP.constant(1)
+    one = BP({(0, 0): 1})
     lin = [BP({(1, 0): 1, (0, 0): -f}) for f in profile]
     den = math.prod(lin, start=one)
     num = sum((math.prod(lin[:i] + lin[i + 1:], start=one)

@@ -512,7 +512,10 @@ BAD_INPUTS = [  # arguments, the flag named, its value as the message shows it
     (["solve", "--kernel", UNIT_KERNEL, "--lambda", "nan,0"], "--lambda",
      "'nan,0'"),
     (["solve", "--kernel", UNIT_KERNEL, "--lambda", "abc"], "--lambda",
-     "'abc'")]
+     "'abc'"),
+    (["simulate", "--filter", COMPASS, "--seed", "-1"], "--seed", "-1"),
+    (["crosscheck", "--kernel", UNIT_KERNEL, "--seed", str(2 ** 64)],
+     "--seed", str(2 ** 64))]
 
 
 @pytest.mark.parametrize("args, flag, value", BAD_INPUTS,
@@ -526,6 +529,40 @@ def test_bad_values_exit_with_usage_error(tmp_path, capsys, args, flag,
     err = capsys.readouterr().err
     assert flag in err and value in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "colored", "--filter", COMPASS],
+    ["crosscheck", "--kernel", UNIT_KERNEL]], ids=lambda c: c[0])
+@pytest.mark.parametrize("value", [1.5, True, "x", -1, 2 ** 64, "-1"],
+                         ids=repr)
+def test_bad_config_seeds_exit_with_usage_error(tmp_path, capsys, command,
+                                                value):
+    # a seed is not truncated or wrapped into the 64-bit key: exit 2
+    # naming --seed and the value, before any output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": value}))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"--seed must be an integer in 0..2**64 - 1, got {value!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_seed_string_is_the_seed_used(tmp_path):
+    # "7" in a config runs as seed 7, and the manifest records 7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "7"}))
+    args = ["simulate", "--model", "colored", "--filter", COMPASS,
+            "--N", "8", "--trials", "1", "--kmax", "2"]
+    assert main(args + ["--config", str(cfg), "--out",
+                        str(tmp_path / "a")]) == 0
+    assert main(args + ["--seed", "7", "--out", str(tmp_path / "b")]) == 0
+    for name in ("a", "b"):
+        man = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert man["seed"] == 7
+    assert _report(tmp_path / "a")["matrix_sha256"] == \
+        _report(tmp_path / "b")["matrix_sha256"]
 
 
 def test_missing_inputs_exit_with_usage_error(tmp_path, capsys):

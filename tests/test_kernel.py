@@ -2,6 +2,7 @@
 JSON I/O."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,16 @@ def test_validate_rejects_exchange_violation():
                            (0, 0, 0, 0): 3, (0, 0, 1, 1): 3})
     report = validate_kernel(bad)
     assert not report.checks["exchange_symmetry"]
+
+
+@pytest.mark.parametrize("band, entry", [(0, (-1, 0, 0, 0)), (0, (1, 0, 0, 0)),
+                                         (1, (0, -2, 0, 0)), (1, (2, 1, 0, 0))])
+def test_kernel_refuses_entries_outside_its_band(band, entry):
+    # an out-of-band index would overwrite s_00 through numpy's negative
+    # index in coeff_array, or fall off the table
+    with pytest.raises(ValueError, match=re.escape(
+            f"entry {entry!r} lies outside the band {band}")):
+        Kernel(unit_partition(), band, {(0, 0, 0, 0): 2, entry: 1})
 
 
 @pytest.mark.parametrize("seed", range(8))
