@@ -593,16 +593,29 @@ def verify_curve(F: BivariatePolynomial, kern: Kernel, sample_lambdas) -> float:
     down from the point's cruise point x + 2A*i.  The residual at each
     point is divided by max(1, |lc_y F(lam)|) so that a curve that is
     simply wrong scores O(1) rather than being excused by a huge leading
-    coefficient.
+    coefficient.  That changes with scale, so scored_curve(F) is scored.
     Sample points must satisfy Im(lam) != 0 or |lam| > 2A.
     """
     from .colorsolve import stieltjes_path
 
+    F = scored_curve(F)
     lams = [complex(z) for z in sample_lambdas]
     if not lams:
         raise ValueError("no sample points")
     S = [sol.stieltjes for sol in stieltjes_path(kern, lams)]
     return _curve_residual(F, lams, S)
+
+
+def scored_curve(F: BivariatePolynomial) -> BivariatePolynomial:
+    """F.normalized(): its scale fixed, and its factors in lambda alone or
+    S alone, which no nonconstant S(lambda) zeroes, divided out.  Below
+    S-degree 1 it says nothing about S, and ValueError names it."""
+    G = F.normalized()
+    if G.degree("y") < 1:
+        raise ValueError(f"the curve {F.pretty('lambda', 'S')!r} normalizes "
+                         f"to {G.pretty('lambda', 'S')!r}, which does not "
+                         "involve S")
+    return G
 
 
 def certificate_radius(kern: Kernel) -> float:

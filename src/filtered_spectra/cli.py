@@ -41,7 +41,8 @@ from .combinat import KMAX_GUARD, moments_by_enumeration
 from .colorsolve import (stieltjes_path, density_profile, solver_moments,
                          circle_points, CONTOUR_RADIUS, CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
-                      certificate_radius, rank_one_eliminate, verify_curve)
+                      certificate_radius, rank_one_eliminate, scored_curve,
+                      verify_curve)
 from .matrixlab import (COLORED_N_MAX, ESD_KMAX, SampleConfig,
                         sample_filtered_wigner, sample_colored_gaussian,
                         esd_statistics)
@@ -242,14 +243,16 @@ def _get_lambda(cfg: dict) -> complex:
     return lam
 
 
-def _get_curve(cfg: dict, flag: str) -> BivariatePolynomial:
-    """The curve document {"coeffs": [[i, j, "value"], ...]} of --flag."""
+def _get_curve(cfg: dict, flag: str,
+               check=lambda curve: curve) -> BivariatePolynomial:
+    """check(the curve document {"coeffs": [[i, j, "value"], ...]} of
+    --flag); a ValueError from reading or checking names --flag."""
     if flag not in cfg:
         raise ValueError(f"this command needs --{flag} (JSON curve document)")
 
     def read(value):
-        return BivariatePolynomial.from_entries(
-            _field(json_document(value), "coeffs", 3))
+        return check(BivariatePolynomial.from_entries(
+            _field(json_document(value), "coeffs", 3)))
     return _document(flag, cfg[flag], read)
 
 
@@ -414,7 +417,7 @@ def cmd_eliminate(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    curve = _get_curve(cfg, "curve")
+    curve = _get_curve(cfg, "curve", scored_curve)
     kern = _get_kernel(cfg)
     count = _count(cfg, "samples", 20)
     radius = _real(cfg, "radius", certificate_radius(kern))

@@ -52,8 +52,9 @@ once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
 across lambda points, and converged points drop out.
 
 The law is also symmetric under x -> -x: the tree sum has no odd
-moments, and since s is real, Psi(., -conj lam) = -conj Psi(., lam)
-solves the same equations with the same Herglotz sign, so by uniqueness
+moments, and since s is real (Kernel refuses a table that breaks
+conj(s_ij) = s_(-i,-j)), Psi(., -conj lam) = -conj Psi(., lam) solves
+the same equations with the same Herglotz sign, so by uniqueness
 S(-conj lam) = -conj S(lam).  density_profile uses this: it solves only
 the distinct |x| of its grid and gives -x the density of x exactly.
 
@@ -304,7 +305,7 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     density(x) = Richardson extrapolation of -Im S(x + i*eps) / pi over
     the two heights in eps_pair; support_estimate is the smallest
     interval containing every grid point with density >= 1e-4.  The law
-    is symmetric (the odd moments vanish, and s is real, so
+    is symmetric (the odd moments vanish, and a Kernel's s is real, so
     S(-conj lam) = -conj S(lam)), hence d(-x) = d(x): the grid folds
     onto its distinct |x|, and x and -x share one solve and one density
     value, bit for bit.  Each |x| is continued once, to |x| + i*eps1,

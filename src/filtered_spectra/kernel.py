@@ -8,8 +8,8 @@ is a nonnegative symmetric function
 
 with finitely many coefficient functions s_ij, each constant on the cells
 of a fixed interval partition of [0,1].  The Fourier basis is exactly
-xi^i eta^j — no 2*pi normalization anywhere.  Because s is real and
-symmetric the coefficients satisfy
+xi^i eta^j — no 2*pi normalization anywhere.  s is real and symmetric,
+as Kernel enforces, exactly when the coefficients satisfy
 
     conj(s_ij) = s_{-i,-j}           and           s_ji(y, x) = s_ij(x, y).
 
@@ -71,9 +71,12 @@ def rat(x) -> Fraction:
     raise ValueError(f"{x!r} is not a rational value")
 
 
-def _checked_key(key, intervals=None) -> tuple:
-    """key as ints; a bool or non-integer index, or an interval index (the
-    last two) outside 0..intervals - 1, raises ValueError naming key."""
+def _checked_key(key, size, intervals=None) -> tuple:
+    """key as a tuple of size ints; a key of another length, a bool or
+    non-integer index, or an interval index (the last two) outside
+    0..intervals - 1, raises ValueError naming key."""
+    if not isinstance(key, tuple) or len(key) != size:
+        raise ValueError(f"entry {key!r} is not a tuple of {size} indices")
     if any(isinstance(x, bool) or not isinstance(x, numbers.Integral)
            for x in key):
         raise ValueError(f"entry {key!r} has an index that is not an integer")
@@ -156,8 +159,8 @@ class Filter:
 
     def __post_init__(self):
         clean = {}
-        for (i, j), v in self.taps.items():
-            key = _checked_key((i, j))
+        for key, v in self.taps.items():
+            key = _checked_key(key, 2)
             v = rat(v)
             if v != 0:
                 clean[key] = v
@@ -207,9 +210,10 @@ class Kernel:
                (re + i im) / den, den > 0 in lowest terms, zero entries
                dropped, so equal kernels have equal tables.
 
-    Each given value is a rational or an (re, im) pair of rationals; a
-    bad index, or one outside the band, raises ValueError naming the
-    entry.  Treated as immutable after construction.
+    Each given value is a rational or an (re, im) pair of rationals.  A
+    bad key, an index outside the band, an entry that breaks either
+    symmetry (named with it), or a zero table raises ValueError: s is
+    real, symmetric and nonzero by construction.  Treated as immutable.
     """
 
     partition: IntervalPartition
@@ -225,7 +229,7 @@ class Kernel:
         pairs = {}
         for key, v in self.coeffs.items():
             re, im = v if isinstance(v, tuple) else (v, 0)
-            i, j, a, b = _checked_key(key, n)
+            i, j, a, b = _checked_key(key, 4, n)
             if abs(i) > K or abs(j) > K:
                 raise ValueError(f"entry {key!r} lies outside the band {K}")
             pairs[i, j, a, b] = (rat(re), rat(im))
@@ -235,16 +239,24 @@ class Kernel:
                              im.numerator * (den // im.denominator))
                        for key, (re, im) in pairs.items() if re or im}
         self.den = den
+        if not self.coeffs:
+            raise ValueError("kernel is identically zero")
+        for (i, j, a, b), (re, im) in self.coeffs.items():
+            if self.coeffs.get((-i, -j, a, b)) != (re, -im):
+                raise ValueError(
+                    f"entry {(i, j, a, b)!r} breaks conj(s_ij) = s_(-i,-j): "
+                    f"entry {(-i, -j, a, b)!r} is not its conjugate")
+            if self.coeffs.get((j, i, b, a)) != (re, im):
+                raise ValueError(
+                    f"entry {(i, j, a, b)!r} breaks s_ji(b, a) = s_ij(a, b): "
+                    f"entry {(j, i, b, a)!r} is not equal to it")
 
     def l1_norm(self) -> Fraction:
         """Exact L1 norm of s (s is nonnegative, so this is its integral):
-        the sum of W_a W_b s_00(a, b) over D^2, one int sum per part."""
+        the sum of W_a W_b s_00(a, b) over D^2, one int sum (s_00 is real)."""
         D, W = self.partition.weights
-        re, im = (sum(W[a] * W[b] * v[part]
-                      for (i, j, a, b), v in self.coeffs.items()
-                      if i == j == 0) for part in (0, 1))
-        if im != 0:
-            raise ValueError("kernel integral came out non-real")
+        re = sum(W[a] * W[b] * v[0] for (i, j, a, b), v in self.coeffs.items()
+                 if i == j == 0)
         return Fraction(re, D * D * self.den)
 
     def coeff_array(self) -> np.ndarray:
@@ -309,52 +321,26 @@ class KernelReport:
     ok: bool
     checks: dict
     messages: list
-    sup_norm: float
-    amplitude: float
-    l1_norm: float
 
 
 def validate_kernel(kern: Kernel) -> KernelReport:
-    """Check the kernel invariants; report per-invariant pass/fail.
+    """Sample s >= 0, the one invariant Kernel cannot settle cheaply.
 
-    Checks (the Fourier band is enforced by Kernel itself): conjugate
-    symmetry conj(s_ij) = s_{-i,-j}; exchange symmetry s_ji(y,x) = s_ij(x,y);
-    pointwise nonnegativity, sampled on T = max(4K + 1, 8) angles per
-    circle; nondegeneracy ||s||_1 > 0.  That grid integrates a
-    trigonometric polynomial of the kernel's degree exactly, but it does
-    not find its minimum, which can lie between the nodes: a negative
-    sample is a real failure, not a grid artifact, yet a kernel that
-    dips below 0 only between the nodes passes.  Nonnegativity is
-    sampled, not certified.
+    Kernel owns the band, both symmetries and nonzeroness.  s is sampled
+    on T = max(4K + 1, 8) angles per circle, which integrate its degree
+    exactly but can miss its minimum between the nodes: a kernel that
+    dips below 0 only there passes.  Nonnegativity is sampled, not
+    certified.  The slack, 1e-12 min(1, sup_norm), is roundoff at a zero
+    of s; a kernel a hair below 0 everywhere fails.  Nondegeneracy
+    follows: the samples' mean is the integral of s, so a nonzero table
+    with integral 0 and every sample >= 0 would vanish at all T >= 2K + 1
+    nodes, and so would every coefficient of its degree-K polynomial.
     """
-    checks = {}
-    messages = []
-
-    K = kern.band
-    bad = None
-    for (i, j, a, b), (re, im) in kern.coeffs.items():
-        if kern.coeffs.get((-i, -j, a, b)) != (re, -im):
-            bad = (i, j, a, b)
-            break
-    checks["conjugate_symmetry"] = bad is None
-    if bad:
-        messages.append(f"conj(s_ij) != s_(-i,-j) at (i,j,a,b)={bad}")
-
-    bad = None
-    for (i, j, a, b), v in kern.coeffs.items():
-        if kern.coeffs.get((j, i, b, a)) != v:
-            bad = (i, j, a, b)
-            break
-    checks["exchange_symmetry"] = bad is None
-    if bad:
-        messages.append(f"s_ji(y,x) != s_ij(x,y) at (i,j,a,b)={bad}")
-
-    # nonnegativity sampled on T angles: exact for integrals of this
-    # degree, not for minima
-    T = max(4 * K + 1, 8)
-    grid = kernel_grid_matrix(kern, T, check_real=checks["conjugate_symmetry"])
+    T = max(4 * kern.band + 1, 8)
+    grid = kernel_grid_matrix(kern, T)
     mn = float(np.min(grid))
-    checks["nonnegative"] = mn >= -1e-12
+    checks = {"nonnegative": mn >= -1e-12 * min(1.0, kern.sup_norm())}
+    messages = []
     if not checks["nonnegative"]:
         p, q = np.unravel_index(int(np.argmin(grid)), grid.shape)
         aa, tt = divmod(int(p), T)
@@ -362,15 +348,8 @@ def validate_kernel(kern: Kernel) -> KernelReport:
         messages.append(
             f"s < 0 (= {mn:.3e}) at interval cell ({aa},{bb}), "
             f"angles ({2 * math.pi * tt / T:.4f}, {2 * math.pi * ss / T:.4f})")
-
-    l1 = float(kern.l1_norm()) if checks["conjugate_symmetry"] else float("nan")
-    checks["nondegenerate"] = l1 > 0
-    if not checks["nondegenerate"]:
-        messages.append("||s||_1 = 0 (degenerate kernel)")
-
-    return KernelReport(
-        ok=all(checks.values()), checks=checks, messages=messages,
-        sup_norm=kern.sup_norm(), amplitude=kern.amplitude(), l1_norm=l1)
+    return KernelReport(ok=checks["nonnegative"], checks=checks,
+                        messages=messages)
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +366,17 @@ def phases(K: int, T: int) -> np.ndarray:
     return np.exp(1j * np.outer(np.arange(-K, K + 1), angular_grid(T)))
 
 
-def kernel_grid_matrix(kern: Kernel, T: int, check_real: bool = True) -> np.ndarray:
+def kernel_grid_matrix(kern: Kernel, T: int) -> np.ndarray:
     """s evaluated on the product grid, shape (nI*T, nI*T), row index a*T + t.
 
-    One spatial node per interval suffices (s is constant per cell).
+    One spatial node per interval suffices (s is constant per cell).  s
+    is real by construction, so the imaginary part is roundoff, dropped.
     """
     K, nI = kern.band, kern.partition.n
     phase = phases(K, T)
     arr = kern.coeff_array()  # (2K+1, 2K+1, nI, nI)
     g = np.einsum("ijab,it,js->atbs", arr, phase, phase, optimize=True)
-    g = g.reshape(nI * T, nI * T)
-    if check_real:
-        if np.max(np.abs(g.imag)) > 1e-10 * max(1.0, np.max(np.abs(g.real))):
-            raise ValueError("kernel is not real on the evaluation grid")
-    return g.real
+    return g.reshape(nI * T, nI * T).real
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +428,12 @@ def read_color_document(doc):
     obj = json_document(doc)
     kind = _field(obj, "type")
     if kind == "filter":
-        return Filter({_checked_key((i, j)): v
+        return Filter({_checked_key((i, j), 2): v
                        for i, j, v in _field(obj, "entries", 3)})
     if kind == "kernel":
         part = IntervalPartition(
             tuple(rat(b) for b in _field(obj, "breakpoints")))
-        coeffs = {_checked_key((i, j, a, b), part.n): (re, im)
+        coeffs = {_checked_key((i, j, a, b), 4, part.n): (re, im)
                   for i, j, a, b, re, im in _field(obj, "coeffs", 6)}
         band = max((max(abs(i), abs(j)) for i, j, _, _ in coeffs), default=0)
         return Kernel(part, band, coeffs)

@@ -251,7 +251,8 @@ def sample_colored_gaussian(kern: Kernel, N: int, seed: int,
     exact zeros (they are zeros of s hit by roundoff), and tiny
     negative values with them.  The draws fill the upper triangle with
     0-based counters, the amplitudes multiply it in place, and the
-    lower triangle is mirrored from it in place.
+    lower triangle is mirrored from it in place: s is real and symmetric
+    by construction of Kernel, so the upper amplitudes are all of them.
     """
     if N > COLORED_N_MAX:
         raise ValueError(f"N = {N} exceeds the size guard {COLORED_N_MAX} "

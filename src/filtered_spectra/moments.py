@@ -179,7 +179,9 @@ def _mean(weights: list, f: tuple, what: str) -> int:
     Integrating the angle keeps only the constant Fourier mode.  Raises
     ValueError naming `what` unless the imaginary part cancels exactly:
     an int sum over the weights W_a = D len_a is zero exactly when the
-    sum over the lengths is.
+    sum over the lengths is.  A Kernel is real and symmetric by
+    construction, so its moments and tree integrals are real and this
+    guard is an internal invariant, not an input check.
     """
     d, re_rows, im_rows = f
     if sum(w * row[d] for w, row in zip(weights, im_rows)):
@@ -190,7 +192,7 @@ def _mean(weights: list, f: tuple, what: str) -> int:
 def theoretical_moments(kern: Kernel, kmax: int) -> list:
     """m_k = <P, Phi_{k+1}> for k = 1..kmax, as exact Fractions.
 
-    Raises ValueError unless every imaginary part cancels identically.
+    Every imaginary part cancels identically, as _mean checks.
     """
     L, phis, _ = _scaled_recursion(kern, kmax + 1, DEGREE_CAP)
     D, weights = kern.partition.weights

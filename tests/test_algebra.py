@@ -270,6 +270,29 @@ def test_verify_curve_flags_wrong_curve():
         verify_curve(wrong, constant_kernel(), [])
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 10 ** 12), -3, 10 ** 20])
+def test_verify_curve_scores_the_normalized_curve(scale):
+    # the residual |F| / max(1, |lc_y F|) moves with F's scale; a scaled
+    # curve is the same curve and scores the same
+    wrong = BP({(0, 2): 1, (1, 1): -1, (0, 0): 2})
+    lams = [3.0, 2 + 1j]
+    assert verify_curve(wrong * scale, constant_kernel(), lams) == \
+        verify_curve(wrong, constant_kernel(), lams)
+
+
+@pytest.mark.parametrize("curve, normal", [
+    (BP({}), "0"),
+    (BP({(0, 2): Fraction(1, 10 ** 12), (0, 0): Fraction(-2, 10 ** 12)}), "1"),
+    (BP({(0, 2): 1, (0, 0): -2}), "1"),
+    (BP({(3, 0): Fraction(1, 10 ** 38)}), "1")])
+def test_verify_curve_refuses_a_curve_that_does_not_involve_S(curve, normal):
+    # these passed with residuals 0, 2e-12 and ~1e-35; S^2 - 2 unscaled
+    # failed at 2.0: none of them says anything about S
+    with pytest.raises(ValueError, match=re.escape(
+            f"normalizes to {normal!r}, which does not involve S")):
+        verify_curve(curve, constant_kernel(), [3.0])
+
+
 def _convolve(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):

@@ -516,14 +516,39 @@ BAD_INPUTS = [  # arguments, the flag named, its value as the message shows it
     (["simulate", "--filter", COMPASS, "--seed", "-1"], "--seed", "-1"),
     (["crosscheck", "--kernel", UNIT_KERNEL, "--seed", str(2 ** 64)],
      "--seed", str(2 ** 64))]
+# curves that normalize to no S: the first, second and fourth passed,
+# with residual 0, 2e-12 and ~1e-35, and the third failed at 2.0
+BAD_INPUTS += [(VERIFY[:3] + ["--curve", curve], "--curve",
+                "which does not involve S") for curve in (
+    '{"coeffs": []}', '{"coeffs": [[0, 2, "1e-12"], [0, 0, "-2e-12"]]}',
+    '{"coeffs": [[0, 2, "1"], [0, 0, "-2"]]}',
+    '{"coeffs": [[3, 0, "1e-38"]]}')]
+# kernels Kernel refuses, under every command that reads one: these
+# exited 0 (crosscheck 1 on the first two) and wrote outputs
+NON_KERNELS = [  # a kernel document, what stderr names
+    (json.dumps({"type": "kernel", "breakpoints": [0, 1],
+                 "coeffs": [[1, 0, 0, 0, "1", "0"], [0, 0, 0, 0, "2", "0"]]}),
+     "entry (1, 0, 0, 0) breaks conj(s_ij) = s_(-i,-j)"),
+    (json.dumps({"type": "kernel", "breakpoints": [0, "1/2", 1],
+                 "coeffs": [[0, 0, 0, 0, 3, 0], [0, 0, 0, 1, 1, 0],
+                            [0, 0, 1, 0, 2, 0], [0, 0, 1, 1, 3, 0]]}),
+     "entry (0, 0, 0, 1) breaks s_ji(b, a) = s_ij(a, b)"),
+    (json.dumps({"type": "kernel", "breakpoints": [0, 1], "coeffs": []}),
+     "kernel is identically zero")]
+BAD_INPUTS += [(command + ["--kernel", doc], "--kernel", named)
+               for doc, named in NON_KERNELS for command in (
+    ["density"], ["moments"], ["solve"], ["simulate", "--model", "colored"],
+    ["eliminate", "--relation",
+     '{"coeffs": [[2, 2, "1"], [1, 2, "-2"], [0, 0, "-1"]]}'],
+    ["verify", "--curve", SEMICIRCLE_CURVE], ["crosscheck"])]
 
 
 @pytest.mark.parametrize("args, flag, value", BAD_INPUTS,
                          ids=[f"{a[0]}{f}={v}" for a, f, v in BAD_INPUTS])
 def test_bad_values_exit_with_usage_error(tmp_path, capsys, args, flag,
                                           value):
-    # caps, non-finite numbers and out-of-range heights: exit 2 naming
-    # the flag and the value, before any output
+    # caps, non-finite numbers, out-of-range heights, empty curves and
+    # non-kernels: exit 2 naming the flag and the value, before any output
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

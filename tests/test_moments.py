@@ -140,10 +140,20 @@ def test_degree_cap_refuses():
 
 
 def test_nonreal_moment_refused():
-    # s = 1 + i is not a real kernel: m_2 = s_00
-    kern = Kernel(unit_partition(), 0, {(0, 0, 0, 0): (1, 1)})
-    with pytest.raises(ValueError, match="m_2 has an imaginary part"):
-        theoretical_moments(kern, 4)
+    # s = 1 + i is not a real kernel (it would give m_2 = s_00 = 1 + i):
+    # Kernel refuses it, so no moment is ever non-real
+    with pytest.raises(ValueError, match="not its conjugate"):
+        Kernel(unit_partition(), 0, {(0, 0, 0, 0): (1, 1)})
+
+
+def test_mean_guard_fires_on_an_imaginary_part():
+    # a valid kernel cannot reach the guard; it stays as an internal
+    # invariant: on two intervals, imaginary parts +1 and -1 weighted
+    # 1 and 2 do not cancel, and weighted 1 and 1 they do
+    f = (0, [[3], [0]], [[1], [-1]])
+    with pytest.raises(ValueError, match="^m_2 has an imaginary part$"):
+        moments._mean([1, 2], f, "m_2")
+    assert moments._mean([1, 1], f, "m_2") == 3
 
 
 def _fraction_mean(kern, f):
@@ -200,15 +210,25 @@ def test_integer_table_matches_the_fraction_table(name):
 @st.composite
 def unlike_tables(draw):
     """Complex tables with unlike denominators on up to four intervals of
-    unlike lengths; symmetry does not matter to the table."""
+    unlike lengths, each drawn entry closed under both symmetries, and
+    s_00 = 1 on the first cell when every drawn entry is zero."""
     cuts = draw(st.sets(st.fractions(Fraction(1, 12), Fraction(11, 12),
                                      max_denominator=12), max_size=3))
     part = IntervalPartition((0, *sorted(cuts), 1))
     value = st.fractions(-2, 2, max_denominator=30)
     index = st.integers(0, part.n - 1)
-    return Kernel(part, 2, draw(st.dictionaries(
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2), index, index),
-        st.tuples(value, value), max_size=8)))
+    table = {}
+    for (i, j, a, b), (re, im) in draw(st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2), index, index),
+            st.tuples(value, value), max_size=8)).items():
+        same = {(i, j, a, b), (j, i, b, a)}
+        conj = {(-i, -j, a, b), (-j, -i, b, a)}
+        if same & conj:             # an entry its own conjugate is real
+            im = 0
+        table |= dict.fromkeys(same, (re, im)) | dict.fromkeys(conj, (re, -im))
+    if not any(re or im for re, im in table.values()):
+        table[0, 0, 0, 0] = (1, 0)
+    return Kernel(part, 2, table)
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,16 +239,15 @@ def test_integer_table_matches_the_fraction_table_on_unlike_denominators(kern):
 
 def test_each_tree_must_be_real_not_only_its_level():
     # band 0 on two halves, s = [[0, 1+i], [2-i, 0]], neither real nor
-    # symmetric.  m_2 = (3 + 0i)/4.  At k = 4 the path's imaginary part
-    # (1/4) and the cherry's (-1/4) cancel: the recursion, which sums
-    # the level before it pairs, accepts m_4 = 9/8, and the oracle
-    # refuses the first tree whose integral is not real
+    # symmetric.  At k = 4 the path's imaginary part (1/4) and the
+    # cherry's (-1/4) would cancel, so the recursion, which sums the
+    # level before it pairs, would accept m_4 = 9/8, and only the
+    # oracle's per-tree check would refuse it.  Kernel refuses the table
+    # first, and test_mean_guard_fires_on_an_imaginary_part keeps the
+    # per-tree check honest
     part = IntervalPartition((Fraction(0), Fraction(1, 2), Fraction(1)))
-    kern = Kernel(part, 0, {(0, 0, 0, 1): (1, 1), (0, 0, 1, 0): (2, -1)})
-    assert theoretical_moments(kern, 4) == [0, Fraction(3, 4), 0, Fraction(9, 8)]
-    assert moments_by_enumeration(kern, 2) == [0, Fraction(3, 4)]
-    with pytest.raises(ValueError, match="tree integral has an imaginary part"):
-        moments_by_enumeration(kern, 4)
+    with pytest.raises(ValueError, match=r"entry \(0, 0, 0, 1\) breaks"):
+        Kernel(part, 0, {(0, 0, 0, 1): (1, 1), (0, 0, 1, 0): (2, -1)})
 
 
 def test_recursion_matches_enumeration_nonreal_coefficients():
