@@ -705,6 +705,16 @@ def _norm_over_w(g):
     return _bp_sub(_bp_mul(A, A), _bp_mul(_U, _bp_mul(B, B)))
 
 
+def checked_relation(sf) -> BivariatePolynomial:
+    """sf, if it is a relation R(m, v) that involves v = S_f; else
+    TypeError, or ValueError naming what it lacks."""
+    if not isinstance(sf, BivariatePolynomial):
+        raise TypeError("sf must be a BivariatePolynomial relation R(m, v)")
+    if sf.degree("y") < 1:
+        raise ValueError("the relation does not involve S_f")
+    return sf
+
+
 def rank_one_eliminate(sf, kern: Kernel,
                        certificate: dict = None) -> BivariatePolynomial:
     """Algebraic curve F(lambda, S) = 0 for a rank-one kernel s = f (x) f.
@@ -731,10 +741,7 @@ def rank_one_eliminate(sf, kern: Kernel,
     receives the returned curve's residual and the circle ("residual",
     "samples", "radius").
     """
-    if not isinstance(sf, BivariatePolynomial):
-        raise TypeError("sf must be a BivariatePolynomial relation R(m, v)")
-    if sf.degree("y") < 1:
-        raise ValueError("the relation does not involve S_f")
+    checked_relation(sf)
 
     # m = lambda/w, cleared by w^deg_m; then v = S*w:
     # m^a v^b  ->  lambda^a * S^b * w^(D - a + b).  The lowest power of w

@@ -5,8 +5,9 @@
 Commands: moments, density, solve, simulate, eliminate, verify,
 crosscheck.  Kernel/filter inputs are JSON documents (inline
 or a path); every run writes its outputs plus a manifest.json recording
-the command, a config hash, the seed, library versions, wall time, the
-BLAS thread variables, and a sha256 per output file — identical config
+the command, a config hash, the seed, library versions (scipy's where
+the process loaded its LAPACK), wall time, the BLAS thread variables,
+and a sha256 per output file — identical config
 and seed reproduce identical hashes for the deterministic commands.
 
 crosscheck holds the exact moments to the solver's contour moments
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field, asdict
 from functools import cache, partial
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .kernel import (read_color_document, json_document, as_kernel,
@@ -41,8 +41,8 @@ from .combinat import KMAX_GUARD, moments_by_enumeration
 from .colorsolve import (stieltjes_path, density_profile, solver_moments,
                          circle_points, CONTOUR_RADIUS, CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
-                      certificate_radius, rank_one_eliminate, scored_curve,
-                      verify_curve)
+                      certificate_radius, checked_relation,
+                      rank_one_eliminate, scored_curve, verify_curve)
 from .matrixlab import (COLORED_N_MAX, ESD_KMAX, SampleConfig,
                         sample_filtered_wigner, sample_colored_gaussian,
                         esd_statistics)
@@ -117,12 +117,13 @@ class _Run:
             with open(p, "rb") as fh:
                 outputs.append({"path": os.path.basename(p),
                                 "sha256": hashlib.sha256(fh.read()).hexdigest()})
+        versions = {"filtered-spectra": __version__,
+                    "numpy": np.__version__,
+                    "python": sys.version.split()[0]}
+        if "scipy.linalg" in sys.modules:   # loaded by the eigensolve only
+            versions["scipy"] = sys.modules["scipy"].__version__
         man = RunManifest(command=self.command, config_hash=digest,
-                          seed=self.cfg.get("seed"),
-                          versions={"filtered-spectra": __version__,
-                                    "numpy": np.__version__,
-                                    "scipy": scipy.__version__,
-                                    "python": sys.version.split()[0]},
+                          seed=self.cfg.get("seed"), versions=versions,
                           wall_time_s=time.time() - self.t0,
                           blas_threads={v: os.environ.get(v)
                                         for v in BLAS_THREAD_VARS},
@@ -400,7 +401,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_eliminate(cfg: dict) -> int:
-    rel = _get_curve(cfg, "relation")
+    rel = _get_curve(cfg, "relation", checked_relation)
     kern = _get_kernel(cfg)
     run = _Run("eliminate", cfg, cfg["out"])
     cert = {}

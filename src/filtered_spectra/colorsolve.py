@@ -34,19 +34,49 @@ the first step is at most (16/15)(A/8), and J is Lipschitz with
 constant 2 (A^2/4)/(3A/2)^3 = 4/(27A) on the ball, so
 h = beta L eta <= 0.022 < 1/2 (Rump, Acta Numerica 2010).  So a target
 with |lam| >= 2A is its own cruise point: Newton converges there cold,
-for every x.  Every other target starts at the cruise point x + 2A*i.
-From there a geometric descent at ratio 0.7 reaches the target's
-height, and a real target hops from height 1e-8 to the axis, so a real
-lam gets the boundary value from above.  Newton converges only where
-its answer is used, at the cruise point and at the target.  Each
-waypoint in between takes exactly one Newton step from the previous
-waypoint's table: one corrector step per waypoint, which keeps the
-iterate in Newton's basin along the path (Allgower-Georg, Numerical
-Continuation Methods, 1990).  On every grid the tests and the
-benchmark use, the cold solve and the target solve each take at most 3
-Newton steps.  A point fails at the division guard |lam - Psi| < 1e-14,
-anywhere on its path, or after NEWTON_STEPS steps of a converging solve
-(Newton that slow is diverging).  Lower half-plane
+for every x.  Every other target starts at the cruise point x + 2A*i,
+where Newton converges, and jumps from there: one Newton solve at the
+target, warm-started from the cruise table.  A target below height
+HOP = 1e-8, a real one among them, jumps to 1e-8 and hops from there to
+its own height, so a real lam gets the boundary value from above.
+
+A landing is certified by its sign.  At a fixed point c = F(c), Psi on
+the nI*T grid nodes is the sum over nodes of g times the kernel's
+values at the pair of nodes, with weights len_b / T that sum to 1: a
+quadratic vector equation -1/m = lam + S m for m = -g, with S
+symmetric (Kernel makes s real and symmetric).  Where s >= 0 on the
+nodes and Im lam > 0, its solution with Im m > 0 is unique
+(Ajanki-Erdos-Kruger, Mem. AMS 2019, Thm 2.1), so a converged table
+with Im g < 0 on every node is the Herglotz solution and no other
+branch.  Nonnegativity is the kernel's to supply: validate_kernel
+samples it, and Kernel does not check it.  The test runs on every
+jump's landing, all at heights >= HOP, and on density_profile's second
+height.  It does not run where Kantorovich already certifies the
+branch, at the cruise points and the targets solved in place, nor on
+the hop below HOP, which starts from a certified landing: there Im lam
+can be below the rounding of Psi = c @ phase, about eps |Psi| at band
+K > 0, and the test would refuse the right solution (rank-two at
+3A + 1e-20i, compass at 8.04 + 1e-25i).
+
+A point whose landing fails (the division guard |lam - Psi| < 1e-14,
+a non-finite value, NEWTON_STEPS steps without converging, or the
+sign) halves its step in log-height and tries again from its last
+accepted table; it keeps the halved step after a landing, and it
+fails after HALVINGS halvings.  Each step is the whole log-height drop
+over a power of two, so the landings reach the target's height
+exactly.  On the benchmark's density grids and the default one every
+jump lands at the first try, in 4 to 8 Newton steps.  Without the sign
+test the jump reached another branch at 8 of 42 372 points tried (44
+kernels, 321 x across +-1.1A, heights 1e-2, 1e-5 and 1e-8): the
+conjugate solution, Im S > 0, on seeded kernels 6 and 31 at 1e-5 and
+1e-8.  The test refuses all 8.
+
+The solve at the target, and the hop of a target below HOP, takes one
+Newton step past TOL.  A jump converges from farther away than a
+descent's waypoints did, and TOL alone leaves S 5.6e-12 from the
+closed form at the semicircle edge x = 2, height 1e-5; the extra step
+squares that error, to 2.8e-14.  Cruise points, intermediate landings
+and targets solved in place take no extra step.  Lower half-plane
 targets fold onto their conjugates and each distinct point is solved
 once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
 across lambda points, and converged points drop out.
@@ -82,9 +112,11 @@ __all__ = [
 
 T = 128              # angular nodes per circle at band K > 0
 TOL = 1e-13          # convergence: max |F(Psi) - Psi| on the grid
-NEWTON_STEPS = 30    # cap per converging solve; they need at most 4
+NEWTON_STEPS = 30    # cap per converging solve; a jump needs at most 8
 GUARD = 1e-14        # division guard on |lam - Psi|
 CRUISE = 2.0         # |lam| / A from which Newton converges cold
+HALVINGS = 10        # cap per point on halvings of its jump
+HOP = 1e-8           # targets below this height land here, then hop down
 DENSITY_FLOOR = 1e-4  # support_estimate threshold on the extrapolated density
 CONTOUR_RADIUS = 1.5  # R / A in solver_moments (at 1.2, m_k loses 1.5e-6)
 CONTOUR_POINTS = 64   # M, the points on that circle
@@ -163,11 +195,25 @@ class _GridOps:
 
 
 def _newton_batch(ops: _GridOps, lams, c0):
+    """Newton to TOL from the tables c0 at lams with Im lam > 0, with the
+    sign test and no step past it: density_profile's second height."""
+    return _newton(ops, lams, c0, False, True)
+
+
+def _newton(ops: _GridOps, lams, c0, polish, certify):
     """Newton on a batch of coefficient tables, (I - J) delta = F(c) - c.
 
+    A point converges when its residual is at most TOL and, where
+    certify is True, Im g < 0 on every grid node: the Herglotz sign,
+    which only the law's solution has where Im lam > 0.  Where polish
+    is True, a point takes one Newton step past TOL and is evaluated
+    once more, and S and the residual are read there; NEWTON_STEPS caps
+    the steps before that one.
+
     Returns (c, S, residual, ok): ok is False where a point hit the
-    division guard, went non-finite or ran out of steps.  Points leave
-    the working set as they finish or fail.
+    division guard, went non-finite, ran out of steps or converged
+    without the sign.  Points leave the working set as they finish or
+    fail.
     """
     lams = np.asarray(lams, dtype=complex)
     n = len(lams)
@@ -175,18 +221,25 @@ def _newton_batch(ops: _GridOps, lams, c0):
     S = np.full(n, np.nan, dtype=complex)
     residual = np.full(n, np.inf)
     ok = np.zeros(n, dtype=bool)
+    need = np.ones(n, dtype=int) + polish   # evaluations at <= TOL to go
     alive = np.arange(n)
     with np.errstate(all="ignore"):
-        for step in range(NEWTON_STEPS + 1):
+        for step in range(NEWTON_STEPS + 2):
             g, r = ops.residual(lams[alive], c[alive])
             sane = _sane(g)
             res = np.max(np.abs(r @ ops.phase), axis=(1, 2))
             S[alive] = g.mean(axis=2) @ ops.wts
             residual[alive] = np.where(sane, res, np.inf)
-            ok[alive[sane & (res <= TOL)]] = True
-            go = sane & (res > TOL)
+            small = sane & (res <= TOL)
+            need[alive[small]] -= 1
+            done = need[alive] == 0
+            ok[alive[done]] = ((g[done].imag < 0).all(axis=(1, 2))
+                               if certify else True)
+            go = sane & ~done
+            if step >= NEWTON_STEPS:        # only a step past TOL is left
+                go &= small
             alive, g, r = alive[go], g[go], r[go]
-            if not alive.size or step == NEWTON_STEPS:
+            if not alive.size:
                 break
             _newton_update(ops, c, alive, g, r)
     return c, S, residual, ok
@@ -209,14 +262,17 @@ def _newton_update(ops: _GridOps, c, alive, g, r):
 
 
 def _continue_batch(kern: Kernel, targets):
-    """Continuation from each target's cruise point; vectorized.
+    """Certified jumps from each target's cruise point; vectorized.
 
     A target with |lam| >= CRUISE * A is its own cruise point, and
     Newton converges there cold.  Every other target's cruise point is
-    x + 2A*i: Newton converges there, takes one step at each waypoint of
-    the geometric descent to the target's height, and converges again at
-    the target (a real target hops there from 1e-8).  A point that fails
-    the division guard on the way leaves the batch.  Returns (S, tables,
+    x + 2A*i: Newton converges there, then a full Newton solve jumps to
+    the target's height (a target below HOP jumps to HOP and hops from
+    there to its own height).  A landing counts only where _newton
+    accepts it, converged with Im g < 0 on every node; a point whose
+    landing fails halves its step in log-height and retries from its
+    last accepted table, HALVINGS times at most.  The target's solve,
+    or its hop, takes one Newton step past TOL.  Returns (S, tables,
     residuals, ok) aligned with targets; a target and its conjugate, or
     a repeated target, share one solve.
     """
@@ -233,23 +289,33 @@ def _continue_batch(kern: Kernel, targets):
     direct = np.abs(work) >= height
     c = np.zeros((len(work), ops.nI, 2 * ops.K + 1), dtype=complex)
     start = np.where(direct, work, xs + 1j * height)
-    c, S, res, ok = _newton_batch(ops, start, c)
-    alive = np.flatnonzero(ok & ~direct)
+    c, S, res, ok = _newton(ops, start, c, False, False)
+    todo = np.flatnonzero(ok & ~direct)
     S[~direct], res[~direct], ok[~direct] = np.nan, np.inf, False
-    if alive.size:
-        hs = np.maximum(work.imag, 1e-8)
-        n2 = max(math.ceil(math.log(height / hs[alive].min())
-                           / math.log(1 / 0.7)), 1)
-        with np.errstate(all="ignore"):
-            for k in range(1, n2 + 1):
-                lam = xs[alive] + 1j * height * (hs[alive] / height) ** (k / n2)
-                g, r = ops.residual(lam, c[alive])
-                sane = _sane(g)
-                alive, g, r = alive[sane], g[sane], r[sane]
-                _newton_update(ops, c, alive, g, r)
-                del g, r    # freed before the next residual allocates its g
-        c[alive], S[alive], res[alive], ok[alive] = _newton_batch(
-            ops, work[alive], c[alive])
+    # log-heights below the cruise point: where each point stands and
+    # where it goes; a point tries the step goal / 2^halved, so sums of
+    # its steps reach the goal exactly
+    low = work.imag < HOP
+    floor = np.maximum(work.imag, HOP)
+    goal = np.log(floor / height)
+    at, halved = np.zeros(len(work)), np.zeros(len(work), dtype=int)
+    while todo.size:
+        to = np.maximum(at[todo] + goal[todo] * 0.5 ** halved[todo],
+                        goal[todo])
+        last = to == goal[todo]
+        lam = xs[todo] + 1j * np.where(last, floor[todo], height * np.exp(to))
+        c1, S1, res1, ok1 = _newton(ops, lam, c[todo], last & ~low[todo],
+                                    True)
+        landed = ok1 & last
+        won, end, lost = todo[ok1], todo[landed], todo[~ok1]
+        c[won], at[won] = c1[ok1], to[ok1]
+        S[end], res[end], ok[end] = S1[landed], res1[landed], True
+        halved[lost] += 1
+        todo = todo[~landed & (halved[todo] <= HALVINGS)]
+    down = np.flatnonzero(ok & ~direct & low)
+    if down.size:
+        c[down], S[down], res[down], ok[down] = _newton(
+            ops, work[down], c[down], True, False)
 
     S, c, res, ok = S[back], c[back], res[back], ok[back]
     S = np.where(flip, np.conj(S), S)
@@ -282,13 +348,16 @@ def stieltjes_path(kern: Kernel, targets) -> list:
     """Continue S(lambda) to each target from its cruise point.
 
     A target with |lambda| >= 2A is its own cruise point: Newton
-    converges there from Psi = 0.  Any other target is reached by path
-    following with warm starts: Newton converged from Psi = 0 at the
-    cruise point x + 2A*i, one Newton step at each waypoint of the
-    geometric vertical descent, then Newton converged at the target (a
-    real target hops there from height 1e-8).  This is the one way to
-    solve: a single point is stieltjes_path(kern, [lam])[0].  Raises if
-    any target fails.
+    converges there from Psi = 0.  Any other target is reached by a
+    certified jump: Newton converged from Psi = 0 at the cruise point
+    x + 2A*i, then Newton converged at the target from that table, and
+    accepted only with Im g < 0 on every grid node, which by uniqueness
+    is the Herglotz solution.  A target below height 1e-8, a real one
+    among them, lands at 1e-8 and hops from there to its own height.  A
+    failed landing halves its step in log-height and retries, at most
+    HALVINGS times; the target's solve, or its hop, takes one Newton
+    step past TOL.  This is the one way to solve: a single point is
+    stieltjes_path(kern, [lam])[0].  Raises if any target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
     S, cs, res, ok = _continue_batch(kern, targets)
@@ -354,11 +423,13 @@ def solver_moments(kern: Kernel, kmax: int):
     tol_k = c eps R^k + 2 A^k (A/R)^M bounds its error.  The second term
     bounds the aliased m_(k+jM) R^(-jM), j >= 1, as |m_n| <= A^n.  The
     first is rounding, c = ROUNDOFF = 3 * 256: |S| <= 1/(R - A) = 3/R, so
-    |lam^(k+1) S| <= 3 R^k, and each term is good to 256 eps (S to
-    Newton's TOL: within 166 eps of Newton run on to roundoff on the
-    test kernels and eight seeded ones, and within 196 eps after a
-    restart from tables perturbed by 1e-6; the power and the mean about
-    k eps).  Raises if a point fails.
+    |lam^(k+1) S| <= 3 R^k, and each term is good to 256 eps (S stopped
+    at Newton's TOL was within 166 eps of Newton run on to roundoff on
+    the test kernels and eight seeded ones, and within 196 eps after a
+    restart from tables perturbed by 1e-6; with the step past TOL that
+    every point below 2A now takes, within 1.9 eps on the 12 branch-test
+    kernels; the power and the mean about k eps).  Raises if a point
+    fails.
     """
     M = CONTOUR_POINTS
     if not 1 <= kmax < M:

@@ -211,9 +211,10 @@ class Kernel:
                dropped, so equal kernels have equal tables.
 
     Each given value is a rational or an (re, im) pair of rationals.  A
-    bad key, an index outside the band, an entry that breaks either
-    symmetry (named with it), or a zero table raises ValueError: s is
-    real, symmetric and nonzero by construction.  Treated as immutable.
+    bad key or value, an index outside the band, an entry that breaks
+    either symmetry (named with it), or a zero table raises ValueError:
+    s is real, symmetric and nonzero by construction.  Treated as
+    immutable.
     """
 
     partition: IntervalPartition
@@ -228,8 +229,11 @@ class Kernel:
         n, K = self.partition.n, self.band
         pairs = {}
         for key, v in self.coeffs.items():
-            re, im = v if isinstance(v, tuple) else (v, 0)
             i, j, a, b = _checked_key(key, 4, n)
+            if isinstance(v, tuple) and len(v) != 2:
+                raise ValueError(f"entry {key!r} has value {v!r}, not a "
+                                 "rational or an (re, im) pair")
+            re, im = v if isinstance(v, tuple) else (v, 0)
             if abs(i) > K or abs(j) > K:
                 raise ValueError(f"entry {key!r} lies outside the band {K}")
             pairs[i, j, a, b] = (rat(re), rat(im))

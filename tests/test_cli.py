@@ -523,6 +523,11 @@ BAD_INPUTS += [(VERIFY[:3] + ["--curve", curve], "--curve",
     '{"coeffs": []}', '{"coeffs": [[0, 2, "1e-12"], [0, 0, "-2e-12"]]}',
     '{"coeffs": [[0, 2, "1"], [0, 0, "-2"]]}',
     '{"coeffs": [[3, 0, "1e-38"]]}')]
+# a relation without S_f exited 2 only after making --out, not naming
+# --relation
+BAD_INPUTS += [(["eliminate", "--filter", COMPASS, "--relation",
+                 '{"coeffs": [[1, 0, "1"]]}'], "--relation",
+                "the relation does not involve S_f")]
 # kernels Kernel refuses, under every command that reads one: these
 # exited 0 (crosscheck 1 on the first two) and wrote outputs
 NON_KERNELS = [  # a kernel document, what stderr names
@@ -643,7 +648,7 @@ _IMPORT_BOUNDARY_SCRIPT = """
 import json, sys
 from pathlib import Path
 import filtered_spectra
-seen = {"import": "scipy.linalg" in sys.modules}
+seen = {"import": "scipy" in sys.modules}
 from filtered_spectra.cli import main
 out, compass = Path(sys.argv[1]), sys.argv[2]
 relation = json.dumps({"coeffs": [[2, 2, "1"], [1, 2, "-2"], [0, 0, "-1"]]})
@@ -654,16 +659,21 @@ codes = [main(argv + ["--out", str(out / argv[0])]) for argv in (
     ["eliminate", "--filter", compass, "--relation", relation],
     ["verify", "--filter", compass, "--curve",
      str(out / "eliminate" / "curve.json")])]
-seen["commands"] = "scipy.linalg" in sys.modules
+seen["commands"] = "scipy" in sys.modules
 codes.append(main(["simulate", "--filter", compass, "--N", "20",
                    "--kmax", "2", "--out", str(out / "simulate")]))
 seen["simulate"] = "scipy.linalg" in sys.modules
+seen["recorded"] = ["scipy" in json.loads((out / argv[0] / "manifest.json")
+                    .read_text())["versions"] for argv in (["density"],
+                                                         ["simulate"])]
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
 def test_only_the_eigensolve_loads_scipy_linalg(tmp_path):
-    # a fresh interpreter, so the suite's own scipy imports hide nothing
+    # a fresh interpreter, so the suite's own scipy imports hide nothing:
+    # no scipy at all before simulate, and its version in the manifest
+    # only of the run that loaded it
     src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -674,4 +684,4 @@ def test_only_the_eigensolve_loads_scipy_linalg(tmp_path):
     got = json.loads(run.stdout.splitlines()[-1])
     assert got["codes"] == [0] * 6
     assert got["seen"] == {"import": False, "commands": False,
-                           "simulate": True}
+                           "simulate": True, "recorded": [False, True]}

@@ -190,6 +190,56 @@ def test_one_step_descent_lands_on_the_converged_branch(name, height):
     assert np.all(np.abs(S - S_ref) <= bound)
 
 
+def test_the_sign_test_rejects_a_wrong_branch_landing(monkeypatch):
+    # seeded kernel 6 at x = +-0.37125A: the jump from the cruise point
+    # converges to a table with Im g > 0 somewhere, the conjugate
+    # solution.  _newton_batch refuses it, and the point halves its jump
+    # and lands on the branch of the converged descent.
+    kern = seeded_two_interval_kernel(6)
+    A = kern.amplitude()
+    ops = _GridOps(kern)
+    for height in (1e-5, 1e-8):
+        targets = np.array([-0.37125 * A, 0.37125 * A]) + 1j * height
+        cold = np.zeros((2, ops.nI, 2 * ops.K + 1), dtype=complex)
+        c, _, _, ok = colorsolve._newton_batch(
+            ops, targets.real + 1j * colorsolve.CRUISE * A, cold)
+        assert ok.all()
+        c, S_bare, res, ok = colorsolve._newton_batch(ops, targets, c)
+        assert np.all(res <= colorsolve.TOL) and not ok.any()
+        seen = _spy_residual(monkeypatch)
+        S, _, _, ok = _continue_batch(kern, targets)
+        monkeypatch.undo()
+        assert ok.all()
+        between = [lams for lams in seen
+                   if height < lams.imag.max() < colorsolve.CRUISE * A]
+        assert between                              # a halved jump
+        S_ref, ok_ref = _converged_descent(kern, targets)
+        assert ok_ref.all()
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(S - S_ref)
+                      <= 10 * colorsolve.TOL + 4 * eps * np.abs(S))
+        assert np.all(S_bare.imag > 0)
+
+
+@pytest.mark.parametrize("height", [1e-2, 1e-5, 1e-8])
+@pytest.mark.parametrize("seed", [4, 6, 23, 31])
+def test_jumps_land_on_the_converged_branch(seed, height):
+    """The certified jump against the descent converged at every
+    waypoint, on 161 points across +-1.1A of seeded kernels, two of
+    which (6 and 31) the jump without the sign test gets wrong; the
+    bound is the branch test's."""
+    kern = seeded_two_interval_kernel(seed)
+    A = kern.amplitude()
+    xs = np.linspace(-1.1 * A, 1.1 * A, 161)
+    S, _, _, ok = _continue_batch(kern, xs + 1j * height)
+    S_ref, ok_ref = _converged_descent(kern, xs + 1j * height)
+    assert ok.all() and ok_ref.all()
+    assert np.all(S.imag < 0)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(S - S_ref)
+                  <= 10 * colorsolve.TOL + 4 * eps * np.abs(S))
+
+
 def test_psi_representation(compass_kernel):
     sol = stieltjes_path(compass_kernel, [4.0 + 1.0j])[0]
     assert sol.psi.shape == (1, 2 * compass_kernel.band + 1)
@@ -233,6 +283,51 @@ def test_cold_start_far_from_the_imaginary_axis(semicircle):
     for lam, sol in zip(lams, stieltjes_path(semicircle, lams)):
         want = (lam - cmath.sqrt(lam - 2) * cmath.sqrt(lam + 2)) / 2
         assert abs(sol.stieltjes - want) < 1e-12, lam
+
+
+def test_far_targets_at_tiny_heights_keep_their_sign(semicircle,
+                                                    compass_kernel):
+    # solved in place, where Kantorovich certifies the branch and no sign
+    # test runs: Im g = -Im lam / |lam|^2 underflows here, and at band
+    # K > 0 rounding in Psi = c @ phase swamps an Im lam below about
+    # eps |Psi| (rank-two at 3A + 1e-20i, compass at 8.04 + 1e-25i), so
+    # S is the value at the real point, to rounding
+    for kern, lams in ((semicircle, [1e200 + 1e-200j, 1e20 + 1e-300j]),
+                       (rank_two_kernel(), [3 * 5 ** 0.5 + 1e-20j]),
+                       (compass_kernel, [8.04 + 1e-25j])):
+        S, _, _, ok = _continue_batch(kern, lams + [lam.real for lam in lams])
+        assert ok.all()
+        half = len(lams)
+        assert np.all(np.abs(S[:half] - S[half:])
+                      <= 4 * np.finfo(float).eps * np.abs(S[half:]))
+        assert stieltjes_path(kern, lams)[0].stieltjes == S[0]
+    lams = [1e200 + 1e-200j, 1e20 + 1e-300j]
+    for lam, sol in zip(lams, stieltjes_path(semicircle, lams)):
+        assert sol.stieltjes == pytest.approx(1 / lam, rel=1e-15)
+
+
+@pytest.mark.parametrize("height", [1e-10, -1e-12])
+def test_targets_below_the_hop_are_solved_at_their_own_height(
+        semicircle, compass_kernel, height):
+    # below 1e-8 a target lands at 1e-8 and hops to its own height, as a
+    # real target hops to the axis; S(x + 1e-8i) differs from it by
+    # about 1e-8 |S'|
+    xs = np.linspace(-2.5, 2.5, 11) + 0.013
+    lams = xs + 1j * height
+    S, _, res, ok = _continue_batch(semicircle, lams)
+    want = [(lam - cmath.sqrt(lam - 2) * cmath.sqrt(lam + 2)) / 2
+            for lam in lams]
+    assert ok.all() and np.all(res <= colorsolve.TOL)
+    assert np.max(np.abs(S - want)) <= 1e-13
+    xs = np.linspace(0.06, 2.7, 23)
+    S, _, _, ok = _continue_batch(compass_kernel, xs + 1j * height)
+    S_ref, ok_ref = _converged_descent(compass_kernel, xs + 1j * abs(height))
+    if height < 0:
+        S_ref = np.conj(S_ref)
+    assert ok.all() and ok_ref.all()
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(S - S_ref)
+                  <= 10 * colorsolve.TOL + 4 * eps * np.abs(S))
 
 
 BAND_ZERO_CUTS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
@@ -324,31 +419,51 @@ def test_certificate_points_are_solved_in_place(compass_kernel, monkeypatch):
     assert max(sol.residual for sol in sols) <= colorsolve.TOL
 
 
+def _spy_evaluations(monkeypatch) -> list:
+    """(lambdas, residual per point) of every _GridOps.residual call."""
+    seen = []
+    residual = _GridOps.residual
+
+    def spy(self, lams, c):
+        g, r = residual(self, lams, c)
+        seen.append((np.array(lams),
+                     np.max(np.abs(r @ self.phase), axis=(1, 2))))
+        return g, r
+
+    monkeypatch.setattr(_GridOps, "residual", spy)
+    return seen
+
+
 @pytest.mark.parametrize("height", [1e-2, 1e-5, 0.0])
-def test_each_descent_waypoint_costs_one_evaluation(compass_kernel,
-                                                    monkeypatch, height):
-    # Newton converges at the cruise point, takes exactly one step at each
-    # of the n2 descent heights, and converges again at the targets (off
-    # x = 0, where the axis value is the density's 1/sqrt|x| pole)
+def test_a_certified_target_costs_the_cruise_solve_one_jump_and_one_step(
+        compass_kernel, monkeypatch, height):
+    # Newton converges at the cruise point, then every point jumps to its
+    # target in one solve (a real target to 1e-8, then to the axis) and
+    # is evaluated exactly once more after its residual reaches TOL: one
+    # Newton step past TOL at the target, none at 1e-8.  Off x = 0, where
+    # the axis value is the density's 1/sqrt|x| pole.
     xs = np.linspace(0.06, 2.7, 45)
-    seen = _spy_residual(monkeypatch)
-    _, _, _, ok = _continue_batch(compass_kernel, xs + 1j * height)
-    assert ok.all()
+    seen = _spy_evaluations(monkeypatch)
+    _, _, res, ok = _continue_batch(compass_kernel, xs + 1j * height)
+    assert ok.all() and np.all(res <= colorsolve.TOL)
     top = colorsolve.CRUISE * compass_kernel.amplitude()
-    h = max(height, 1e-8)
-    n2 = math.ceil(math.log(top / h) / math.log(1 / 0.7))
-    heights = [batch.imag.max() for batch in seen]
+    heights = [lams.imag.max() for lams, _ in seen]
     cruise = heights.count(top)
     assert heights[:cruise] == [top] * cruise and 2 <= cruise <= 4
-    descent = seen[cruise:cruise + n2]
-    want = [top * (h / top) ** (k / n2) for k in range(1, n2 + 1)]
-    assert [batch.imag.max() for batch in descent] == pytest.approx(
-        want, rel=1e-15)
-    assert all(np.array_equal(batch.real, xs) for batch in descent)
-    target = seen[cruise + n2:]
-    assert np.array_equal(target[0], xs + 1j * height)
-    assert all(np.isin(batch, target[0]).all() for batch in target)
-    assert 1 <= len(target) <= 4
+    stops = [xs + 1j * height] if height else [xs + 1e-8j, xs + 0j]
+    rest = seen[cruise:]
+    for stop in stops:
+        n = next((k for k, (lams, _) in enumerate(rest)
+                  if not np.isin(lams, stop).all()), len(rest))
+        batches, rest = rest[:n], rest[n:]
+        assert np.array_equal(batches[0][0], stop)     # no halved jump
+        past = stop is stops[-1]
+        for x in stop:
+            small = [r[lams == x][0] <= colorsolve.TOL
+                     for lams, r in batches if x in lams]
+            assert small == ([False] * (len(small) - 1 - past)
+                             + [True] * (1 + past))
+    assert not rest
 
 
 def test_density_descends_once_per_point(compass_kernel, monkeypatch):
@@ -413,38 +528,42 @@ def test_density_fold_mirrors_failures(compass_kernel, monkeypatch):
     assert np.array_equal(dens[flags], dens[::-1][flags])
 
 
-def test_density_survives_guard_failures_in_the_descent(compass_kernel,
-                                                       monkeypatch):
-    # |lam - Psi| >= 0.3 fails the compass centre, where |S(x + 0.01i)| is
-    # large, during the descent: those points leave the batch before the
-    # target solve, and the rest of the grid goes on
+def test_guard_failures_flag_only_their_own_points(compass_kernel,
+                                                   monkeypatch):
+    # |lam - Psi| >= 0.3 fails near the compass centre, where |S(x +
+    # 0.01i)| is large: those points halve their jumps up to the cap and
+    # fail, and every other point lands as it does unperturbed, bit for
+    # bit, since a point's Newton iterates do not depend on its batch
     xs = _mirror_grid(2.7, 41)
     ref = np.array(density_profile(compass_kernel, xs).density)
-    batches = []
-    newton = colorsolve._newton_batch
+    conts, newtons = [], []
+    cont, newton = colorsolve._continue_batch, colorsolve._newton_batch
 
-    def spy(ops, lams, c0):
-        out = newton(ops, lams, c0)
-        batches.append((np.array(lams), out[3]))
+    def spy_cont(kern, targets):
+        out = cont(kern, targets)
+        conts.append(out[3])
         return out
 
-    monkeypatch.setattr(colorsolve, "_newton_batch", spy)
+    def spy_newton(ops, lams, c0):
+        newtons.append(np.array(lams))
+        return newton(ops, lams, c0)
+
+    monkeypatch.setattr(colorsolve, "_continue_batch", spy_cont)
+    monkeypatch.setattr(colorsolve, "_newton_batch", spy_newton)
     monkeypatch.setattr(colorsolve, "GUARD", 0.3)
     grid = density_profile(compass_kernel, xs)
-    sizes = [len(lams) for lams, _ in batches]
-    assert sizes[0] == 21 and sizes[1] < 21     # cruise, then the targets
-    # the eps2 solve starts only from the |x| whose eps1 target converged
-    (eps1, ok1), (eps2, _) = batches[-2], batches[-1]
-    assert len(eps2) < 21
-    assert np.array_equal(eps2, eps1[ok1].real + 5e-3j)
     flags = np.array(grid.flags)
     assert flags.any() and not flags.all()
     assert np.array_equal(flags, flags[::-1])
     assert not flags[20]                        # x = 0
     dens = np.array(grid.density)
     assert np.array_equal(np.isnan(dens), ~flags)
-    # a point's Newton iterates do not depend on the rest of its batch
     assert np.array_equal(dens[flags], ref[flags])
+    # the eps2 solve starts only from the |x| whose eps1 target landed
+    (ok1,) = conts
+    fold = np.unique(np.abs(xs))
+    assert not ok1.all()
+    assert np.array_equal(newtons[-1], fold[ok1] + 5e-3j)
 
 
 def test_semicircle_density_values(semicircle):

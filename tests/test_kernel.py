@@ -160,6 +160,15 @@ def test_malformed_keys_name_the_entry(make, key, size):
         make(key)
 
 
+@pytest.mark.parametrize("value", [(1,), (1, 0, 0)])
+def test_kernel_values_of_the_wrong_length_name_the_entry(value):
+    # these raised a bare "not enough values to unpack" or "too many"
+    with pytest.raises(ValueError, match=re.escape(
+            f"entry (0, 0, 0, 0) has value {value!r}, not a rational or "
+            "an (re, im) pair")):
+        Kernel(unit_partition(), 0, {(0, 0, 0, 0): value})
+
+
 @pytest.mark.parametrize("band, entry", [(0, (-1, 0, 0, 0)), (0, (1, 0, 0, 0)),
                                          (1, (0, -2, 0, 0)), (1, (2, 1, 0, 0))])
 def test_kernel_refuses_entries_outside_its_band(band, entry):

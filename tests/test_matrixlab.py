@@ -463,6 +463,32 @@ def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
     assert calls == [5]
 
 
+@pytest.mark.parametrize("n", [17, 64, 640])
+def test_back_transform_reads_the_reflectors_in_place(monkeypatch, n):
+    # dormqr gets dsytrd's own buffer, leading dimension n, not a copy of
+    # the reflector block, and its vectors match the copying route's
+    real_dormqr = scipy.linalg.lapack.dormqr
+    gaps = []
+
+    def spy(side, trans, a, tau, c, lwork):
+        out = real_dormqr(side, trans, a, tau, c, lwork=lwork)
+        if lwork > 0:
+            assert a.shape == (n, n - 1) and a.base is not None
+            assert not a[-1].any()
+            ref = real_dormqr(side, trans, np.asfortranarray(a[:-1]), tau, c,
+                              lwork=lwork)
+            gaps.append(np.max(np.abs(out[0] - ref[0])))
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", spy)
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    cert = {}
+    eigenvalues_symmetric(m + m.T, certificate=cert)
+    assert len(gaps) == 1 and gaps[0] <= 4 * np.finfo(float).eps
+    assert cert["residual"] <= 1e-13
+
+
 def _agrees_with_references(m, cert=None):
     # eigvalsh runs the same reduction and QR iteration; eigh with
     # vectors runs divide and conquer, an independent algorithm
