@@ -39,7 +39,8 @@ from .kernel import (read_color_document, json_document, as_kernel,
 from .moments import theoretical_moments
 from .combinat import KMAX_GUARD, moments_by_enumeration
 from .colorsolve import (stieltjes_path, density_profile, solver_moments,
-                         circle_points, CONTOUR_RADIUS, CONTOUR_POINTS)
+                         circle_points, angular_fold, CONTOUR_RADIUS,
+                         CONTOUR_POINTS)
 from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
                       certificate_radius, checked_relation,
                       rank_one_eliminate, scored_curve, verify_curve)
@@ -326,9 +327,11 @@ def cmd_density(cfg: dict) -> int:
             for x, d, f in zip(grid.xs, grid.density, grid.flags)]
     run.write_csv("density.csv", ["x", "density", "residual_flag"], rows)
     lo, hi = grid.support_estimate
+    q, _, nodes = angular_fold(kern)
     run.write_json("report.json", {
         "support_estimate": [lo, hi], "eps_pair": [eps1, eps2],
-        "failed_points": int(sum(not f for f in grid.flags))})
+        "failed_points": int(sum(not f for f in grid.flags)),
+        "fold": q, "angular_nodes": nodes})
     run.finish()
     print(f"density on [{xmin}, {xmax}] ({n} pts); "
           f"support approx [{lo:.4f}, {hi:.4f}]")
@@ -344,10 +347,11 @@ def cmd_solve(cfg: dict) -> int:
                                 "residual"],
                   [[lam.real, lam.imag, sol.stieltjes.real,
                     sol.stieltjes.imag, sol.residual]])
+    q, _, nodes = angular_fold(kern)
     run.write_json("report.json", {
         "lambda": [lam.real, lam.imag],
         "S": [sol.stieltjes.real, sol.stieltjes.imag],
-        "residual": sol.residual})
+        "residual": sol.residual, "fold": q, "angular_nodes": nodes})
     run.finish()
     print(f"S({lam}) = {sol.stieltjes} (residual {sol.residual:.2e})")
     return 0

@@ -8,16 +8,21 @@ The limit Stieltjes transform solves the coupled system
 with the convention S(lam) = integral mu(dx) / (lam - x), so
 Im S(x + i*eps) <= 0 and density(x) = -Im S(x + i*eps) / pi.
 
-Psi(., lam) inherits the kernel's Fourier band: one application of the
-map F pairs with s, which truncates the circle spectrum to |i| <= K, so
-the solver state is exactly an (interval, Fourier mode) coefficient
-table c of shape (nI, 2K+1).  The system is a quadratic vector equation
-(Ajanki-Erdos-Kruger), and Newton runs on that table with the exact
-dense Jacobian, solving (I - J) delta = F(c) - c, a system of size
-nI*(2K+1) (5 for the compass kernel).  F and J come from g = 1/(lam -
-Psi) on T = 128 angular nodes per circle; g is analytic, so the node
-count controls an exponentially small aliasing error, not a truncation.
-At band 0, Psi and g do not depend on the angle, and one node is exact.
+Psi(., lam) inherits the kernel's Fourier modes: one application of the
+map F pairs with s, which truncates the circle spectrum to them.  They
+lie in qZ, q the gcd of the table's mode indices, so the solver folds
+the angle: phi = q theta is uniform when theta is, so it solves the
+kernel s(., phi/q; ., psi/q), of band K = (largest |mode|) / q, on an
+(interval, Fourier mode) table c of shape (nI, 2K+1).  This is a
+quadratic vector equation (Ajanki-Erdos-Kruger), and Newton runs on c
+with the exact dense Jacobian, solving (I - J) delta = F(c) - c, of
+size nI*(2K+1) (3 for the compass: modes -2, 0, 2, so q = 2, K = 1).
+F and J come from g = 1/(lam - Psi) on T = ceil(128 / q) nodes of phi;
+g is analytic, so T sets an aliasing error rho^(-T) (Trefethen-Weideman,
+SIAM Review 2014).  The fold takes rho to rho^q, so T nodes of phi alias
+no worse than 128 of theta; where q divides 128 the systems are the
+same, each value computed once, not q times.  At band 0 g does not
+depend on the angle, and one node is exact.
 
 Newton converges only from a nearby start (from Psi = 0 near the
 spectrum it can land on a non-Herglotz branch), so every solve runs
@@ -108,6 +113,7 @@ __all__ = [
     "density_profile",
     "solver_moments",
     "circle_points",
+    "angular_fold",
 ]
 
 T = 128              # angular nodes per circle at band K > 0
@@ -153,29 +159,40 @@ class SpectralGrid:
 # ---------------------------------------------------------------------------
 
 class _GridOps:
-    """The map F and its Jacobian on (n, nI, 2K+1) coefficient tables.
+    """The map F and its Jacobian on (n, nI, 2K+1) tables of the folded kernel.
 
-    F(c)[a, i] = sum_{j,b} s_ij(a,b) len_b ghat[b, j], with ghat the grid
-    Fourier coefficients of g = 1/(lam - Psi) against exp(i j theta).
-    Differentiating g in c[b, m] multiplies it by g^2 exp(i m theta), so
+    F's DFT of g against exp(i j phi) and its pairing with s are one
+    operator: F(c)[a, i] = sum_{b,t} g[b, t] op[(b, t), (a, i)], with
+    op[(b, t), (a, i)] = sum_j s_(qi,qj)(a,b) len_b exp(i j phi_t) / T.
+    Differentiating g in c[b, m] multiplies it by g^2 exp(i m phi), so
 
-        J[(a,i), (b,m)] = sum_j s_ij(a,b) len_b g2hat[b, j+m],
+        J[(a,i), (b,m)] = sum_j s_(qi,qj)(a,b) len_b g2hat[b, j+m],
 
-    with g2hat the coefficients of g^2 at modes -2K..2K.
+    with g2hat the coefficients of g^2 at modes -2K..2K, so J's operator
+    jop has nI^2 (4K+1) (2K+1)^2 entries, whatever T.  Every product is
+    stacked per point, (n, 1, .) @ op, as is S's sum in _newton, so a
+    point's S does not depend on its batch.
     """
 
     def __init__(self, kern: Kernel):
-        self.K = K = kern.band
-        self.T = T if K else 1                  # g is constant at band 0
-        self.nI = kern.partition.n
-        self.dim = self.nI * (2 * K + 1)
+        self.q, self.K, self.T = angular_fold(kern)
+        K, nI = self.K, kern.partition.n
+        self.nI, self.dim = nI, nI * (2 * K + 1)
         self.wts = np.array([float(l) for l in kern.partition.lengths])
-        # s_ij(a, b) * length_b, indexed [i+K, j+K, a, b]
-        self.pair = kern.coeff_array() * self.wts
+        self.width = 2 * kern.band + 1  # the kernel's table, modes its columns
+        self.modes = kern.band + self.q * np.arange(-K, K + 1)
+        # s_(qi,qj)(a, b) * length_b, indexed [i+K, j+K, a, b]
+        pair = kern.coeff_array()[np.ix_(self.modes, self.modes)] * self.wts
         self.phase = phases(K, self.T)          # (2K+1, T)
-        self.phase2 = phases(2 * K, self.T)     # (4K+1, T), the modes of g^2
+        op = np.einsum("ijab,jt->btai", pair, self.phase / self.T)
+        self.op = op.reshape(nI * self.T, self.dim)
+        # J's: g^2's DFT at modes -2K..2K, (T, 4K+1), and per interval b
+        # the pairing over mode j + m (offset by 2K), [b, j + m, (a, i, m)]
+        self.dft2 = phases(2 * K, self.T).T / self.T
         d = np.arange(2 * K + 1)
-        self.hankel = d[:, None] + d[None, :]   # mode j + m, offset by 2K
+        hankel = d[:, None, None] + d[None, :, None] == np.arange(4 * K + 1)
+        jop = np.einsum("ijab,jmd->bdaim", pair, hankel)
+        self.jop = jop.reshape(nI, 4 * K + 1, -1)
 
     def residual(self, lams, c):
         """g on the grid and r = F(c) - c, for (n,) lams."""
@@ -184,20 +201,31 @@ class _GridOps:
         g = c @ self.phase
         np.subtract(lams[:, None, None], g, out=g)
         np.divide(1.0, g, out=g)
-        r = np.einsum("ijab,nbj->nai", self.pair, g @ self.phase.T / self.T) - c
+        r = (g.reshape(len(g), 1, -1) @ self.op).reshape(c.shape) - c
         return g, r
 
     def jacobian(self, g):
         """J = dF/dc, (n, dim, dim), at the tables whose grid values gave g."""
-        g2hat = (g * g) @ self.phase2.T / self.T
-        jac = np.einsum("ijab,nbjm->naibm", self.pair, g2hat[:, :, self.hankel])
-        return jac.reshape(-1, self.dim, self.dim)
+        n, nI, _ = g.shape
+        g2hat = (g * g)[:, :, None, :] @ self.dft2      # [n, b, 0, j + m]
+        jac = (g2hat @ self.jop).reshape(n, nI, self.dim, -1)
+        return jac.transpose(0, 2, 1, 3).reshape(n, self.dim, self.dim)
+
+    def unfold(self, c):
+        """Tables (n, nI, 2K+1) in the kernel's layout, zero off qZ."""
+        out = np.zeros(c.shape[:2] + (self.width,), dtype=complex)
+        out[:, :, self.modes] = c
+        return out
 
 
-def _newton_batch(ops: _GridOps, lams, c0):
-    """Newton to TOL from the tables c0 at lams with Im lam > 0, with the
-    sign test and no step past it: density_profile's second height."""
-    return _newton(ops, lams, c0, False, True)
+def angular_fold(kern: Kernel) -> tuple:
+    """(q, K, T): q the gcd of the table's mode indices, by which the
+    solver folds the angle, K = (largest |mode|) / q the folded band,
+    and T the nodes of phi = q theta it solves on."""
+    index = [m for key in kern.coeffs for m in key[:2]]
+    q = math.gcd(*index) or 1
+    K = max(map(abs, index)) // q
+    return q, K, (-(-T // q) if K else 1)   # g is constant at band 0
 
 
 def _newton(ops: _GridOps, lams, c0, polish, certify):
@@ -228,7 +256,7 @@ def _newton(ops: _GridOps, lams, c0, polish, certify):
             g, r = ops.residual(lams[alive], c[alive])
             sane = _sane(g)
             res = np.max(np.abs(r @ ops.phase), axis=(1, 2))
-            S[alive] = g.mean(axis=2) @ ops.wts
+            S[alive] = (g.mean(axis=2)[:, None] @ ops.wts)[:, 0]
             residual[alive] = np.where(sane, res, np.inf)
             small = sane & (res <= TOL)
             need[alive[small]] -= 1
@@ -261,7 +289,7 @@ def _newton_update(ops: _GridOps, c, alive, g, r):
     c[alive] += delta.reshape(r.shape)
 
 
-def _continue_batch(kern: Kernel, targets):
+def _continue_batch(kern: Kernel, targets, ops=None):
     """Certified jumps from each target's cruise point; vectorized.
 
     A target with |lam| >= CRUISE * A is its own cruise point, and
@@ -273,13 +301,14 @@ def _continue_batch(kern: Kernel, targets):
     landing fails halves its step in log-height and retries from its
     last accepted table, HALVINGS times at most.  The target's solve,
     or its hop, takes one Newton step past TOL.  Returns (S, tables,
-    residuals, ok) aligned with targets; a target and its conjugate, or
-    a repeated target, share one solve.
+    residuals, ok) aligned with targets, the tables (n, nI, 2K+1) on
+    the folded modes of ops, _GridOps(kern) unless given; a target and
+    its conjugate, or a repeated target, share one solve.
     """
     targets = np.asarray([complex(t) for t in targets], dtype=complex)
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite complex numbers")
-    ops = _GridOps(kern)
+    ops = ops or _GridOps(kern)
     flip = targets.imag < 0
     work, back = np.unique(np.where(flip, np.conj(targets), targets),
                            return_inverse=True)
@@ -357,15 +386,17 @@ def stieltjes_path(kern: Kernel, targets) -> list:
     failed landing halves its step in log-height and retries, at most
     HALVINGS times; the target's solve, or its hop, takes one Newton
     step past TOL.  This is the one way to solve: a single point is
-    stieltjes_path(kern, [lam])[0].  Raises if any target fails.
+    stieltjes_path(kern, [lam])[0].  Each psi is in the kernel's
+    (nI, 2*band+1) layout, zero off qZ.  Raises if any target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
-    S, cs, res, ok = _continue_batch(kern, targets)
+    ops = _GridOps(kern)
+    S, cs, res, ok = _continue_batch(kern, targets, ops)
     if not ok.all():
         bad = [t for t, o in zip(targets, ok) if not o]
         raise RuntimeError(f"continuation failed at lambda = {bad}")
-    return [_solution(t, c, s, r)
-            for t, c, s, r in zip(targets, cs, S, res)]
+    return [_solution(t, c, s, r) for t, c, s, r
+            in zip(targets, ops.unfold(cs), S, res)]
 
 
 def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
@@ -378,20 +409,22 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     S(-conj lam) = -conj S(lam)), hence d(-x) = d(x): the grid folds
     onto its distinct |x|, and x and -x share one solve and one density
     value, bit for bit.  Each |x| is continued once, to |x| + i*eps1,
-    and one batched Newton solve, warm-started from those tables, takes
-    each |x| that converged there to |x| + i*eps2.  Solver failures flag
-    their point (density NaN) instead of aborting the grid.
+    and one batched Newton solve on the same grid operators,
+    warm-started from those tables, takes each |x| that converged there
+    to |x| + i*eps2.  Solver failures flag their point (density NaN)
+    instead of aborting the grid.
     """
     e1, e2 = float(eps_pair[0]), float(eps_pair[1])
     if not (0 < e2 < e1):
         raise ValueError("eps_pair must satisfy 0 < eps2 < eps1")
     xs = [float(x) for x in xs]
     fold, back = np.unique(np.abs(xs), return_inverse=True)
-    S1, c1, _, ok1 = _continue_batch(kern, fold + 1j * e1)
+    ops = _GridOps(kern)
+    S1, c1, _, ok1 = _continue_batch(kern, fold + 1j * e1, ops)
     S2 = np.full(len(fold), np.nan, dtype=complex)
     ok2 = np.zeros(len(fold), dtype=bool)
-    _, S2[ok1], _, ok2[ok1] = _newton_batch(_GridOps(kern),
-                                            fold[ok1] + 1j * e2, c1[ok1])
+    _, S2[ok1], _, ok2[ok1] = _newton(ops, fold[ok1] + 1j * e2, c1[ok1],
+                                      False, True)
     d1 = -S1.imag / math.pi
     d2 = -S2.imag / math.pi
     r = e1 / e2

@@ -303,7 +303,9 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
 
     The eigenpairs at indices 0, n/4, n/2, 3n/4 and n-1 are checked on
     m itself.  If certificate is a dict, "residual" is set to the worst
-    ||m v - lambda v|| / ||m||_F of those pairs.
+    ||m v - lambda v|| / ||m||_F of those pairs.  dsytrd works on its own
+    copy of m, never with overwrite_a: the check reads m @ z after it, so
+    overwriting the sample would destroy what the check is made against.
     """
     # imported here, not at module load: scipy.linalg is most of the
     # package's import time, and no other function needs it

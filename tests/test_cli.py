@@ -162,6 +162,12 @@ def test_solve_reports_golden_value(tmp_path):
     assert rep["S"][0] == pytest.approx(golden, abs=1e-10)
     assert abs(rep["S"][1]) < 1e-12
     assert rep["residual"] < 1e-12
+    assert (rep["fold"], rep["angular_nodes"]) == (1, 1)
+    # the compass table holds modes -2, 0 and 2: folded by 2, on 64 nodes
+    rc = main(["solve", "--filter", COMPASS, "--lambda", "3,1",
+               "--out", str(out)])
+    assert rc == 0
+    assert (_report(out)["fold"], _report(out)["angular_nodes"]) == (2, 64)
 
 
 def test_density_csv_columns(tmp_path):
@@ -177,6 +183,10 @@ def test_density_csv_columns(tmp_path):
     assert float(mid["density"]) == pytest.approx(1 / math.pi, abs=1e-3)
     assert all(r["residual_flag"] == "0" for r in rows)
     assert len(_report(out)["support_estimate"]) == 2
+    assert (_report(out)["fold"], _report(out)["angular_nodes"]) == (1, 1)
+    rc = main(["density", "--filter", COMPASS, "--n", "5", "--out", str(out)])
+    assert rc == 0
+    assert (_report(out)["fold"], _report(out)["angular_nodes"]) == (2, 64)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 181])
