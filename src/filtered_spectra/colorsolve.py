@@ -26,9 +26,10 @@ depend on the angle, and one node is exact.
 
 Newton converges only from a nearby start (from Psi = 0 near the
 spectrum it can land on a non-Herglotz branch), so every solve runs
-through stieltjes_path, and each target's path begins where Newton is
-certified.  Kernel.sup_norm certifies ||s||_inf <= A^2/4, with
-A = 2 sqrt(sup_norm) the amplitude, and the spectrum lies in [-A, A].
+through stieltjes_path, and each target is solved where Newton from
+Psi = 0 is certified or reached by a jump whose landing is certified.
+Kernel.sup_norm certifies ||s||_inf <= A^2/4, with A = 2 sqrt(sup_norm)
+the amplitude, and the spectrum lies in [-A, A].
 When |lam| >= CRUISE * A = 2A, F maps the ball |Psi| <= A/2 into
 itself, since |lam - Psi| >= 3A/2 gives |F| <= (A^2/4)/(3A/2) = A/6,
 and it is a contraction there with constant at most
@@ -38,12 +39,17 @@ Kantorovich's condition with room to spare: ||(I - J(0))^-1|| <= 16/15,
 the first step is at most (16/15)(A/8), and J is Lipschitz with
 constant 2 (A^2/4)/(3A/2)^3 = 4/(27A) on the ball, so
 h = beta L eta <= 0.022 < 1/2 (Rump, Acta Numerica 2010).  So a target
-with |lam| >= 2A is its own cruise point: Newton converges there cold,
-for every x.  Every other target starts at the cruise point x + 2A*i,
-where Newton converges, and jumps from there: one Newton solve at the
-target, warm-started from the cruise table.  A target below height
-HOP = 1e-8, a real one among them, jumps to 1e-8 and hops from there to
-its own height, so a real lam gets the boundary value from above.
+with |lam| >= 2A is solved in place: Newton converges there cold, for
+every x.  Every other target jumps from its cruise point x + 2A*i, and
+Newton does not solve there: the jump starts from the far-field table
+F(0) = <s>/lam, sum_b s_(qi,0)(a, b) len_b / lam, which costs no
+evaluation.  It is the first term of Psi's large-lam expansion
+Psi = <s>/lam + <s Psi>/lam^2 + ..., and misses the cruise solution by
+the next, O(A^4/|lam|^3).  A start need only be good, not a solution,
+since the landing is certified by its sign (below): one Newton solve
+at the target.  A target below height HOP = 1e-8, a real one among
+them, jumps to 1e-8 and hops from there to its own height, so a real
+lam gets the boundary value from above.
 
 A landing is certified by its sign.  At a fixed point c = F(c), Psi on
 the nI*T grid nodes is the sum over nodes of g times the kernel's
@@ -56,9 +62,9 @@ with Im g < 0 on every node is the Herglotz solution and no other
 branch.  Nonnegativity is the kernel's to supply: validate_kernel
 samples it, and Kernel does not check it.  The test runs on every
 jump's landing, all at heights >= HOP, and on density_profile's second
-height.  It does not run where Kantorovich already certifies the
-branch, at the cruise points and the targets solved in place, nor on
-the hop below HOP, which starts from a certified landing: there Im lam
+height under the same rule.  It does not run where Kantorovich already
+certifies the branch, at the targets solved in place, nor on the hop
+below HOP, which starts from a certified landing: there Im lam
 can be below the rounding of Psi = c @ phase, about eps |Psi| at band
 K > 0, and the test would refuse the right solution (rank-two at
 3A + 1e-20i, compass at 8.04 + 1e-25i).
@@ -70,21 +76,22 @@ accepted table; it keeps the halved step after a landing, and it
 fails after HALVINGS halvings.  Each step is the whole log-height drop
 over a power of two, so the landings reach the target's height
 exactly.  On the benchmark's density grids and the default one every
-jump lands at the first try, in 4 to 8 Newton steps.  Without the sign
-test the jump reached another branch at 8 of 42 372 points tried (44
-kernels, 321 x across +-1.1A, heights 1e-2, 1e-5 and 1e-8): the
-conjugate solution, Im S > 0, on seeded kernels 6 and 31 at 1e-5 and
-1e-8.  The test refuses all 8.
+jump lands at the first try, in 3 to 8 Newton steps from the far-field
+table, plus the step past TOL.  Without the sign test the jump reached
+another branch at 8 of 43 335 points tried (45 kernels, 321 x across
++-1.1A, heights 1e-2, 1e-5 and 1e-8), from the far-field table as from
+a converged cruise table: the conjugate solution, Im S > 0, on seeded
+kernels 6 and 31 at 1e-5 and 1e-8.  The test refuses all 8.
 
 The solve at the target, and the hop of a target below HOP, takes one
 Newton step past TOL.  A jump converges from farther away than a
 descent's waypoints did, and TOL alone leaves S 5.6e-12 from the
 closed form at the semicircle edge x = 2, height 1e-5; the extra step
-squares that error, to 2.8e-14.  Cruise points, intermediate landings
-and targets solved in place take no extra step.  Lower half-plane
-targets fold onto their conjugates and each distinct point is solved
-once, so S(conj lam) = conj S(lam) exactly.  Everything is vectorized
-across lambda points, and converged points drop out.
+squares that error, to 2.8e-14.  Intermediate landings and targets
+solved in place take no extra step.  Lower half-plane targets fold onto
+their conjugates and each distinct point is solved once, so
+S(conj lam) = conj S(lam) exactly.  Everything is vectorized across
+lambda points, and converged points drop out.
 
 The law is also symmetric under x -> -x: the tree sum has no odd
 moments, and since s is real (Kernel refuses a table that breaks
@@ -171,7 +178,9 @@ class _GridOps:
     with g2hat the coefficients of g^2 at modes -2K..2K, so J's operator
     jop has nI^2 (4K+1) (2K+1)^2 entries, whatever T.  Every product is
     stacked per point, (n, 1, .) @ op, as is S's sum in _newton, so a
-    point's S does not depend on its batch.
+    point's S does not depend on its batch.  far is lam F(0): at c = 0,
+    g = 1/lam on every node, so F(0)[a, i] = sum_b s_(qi,0)(a,b) len_b /
+    lam, the far-field start of a jump.
     """
 
     def __init__(self, kern: Kernel):
@@ -184,6 +193,7 @@ class _GridOps:
         # s_(qi,qj)(a, b) * length_b, indexed [i+K, j+K, a, b]
         pair = kern.coeff_array()[np.ix_(self.modes, self.modes)] * self.wts
         self.phase = phases(K, self.T)          # (2K+1, T)
+        self.far = pair[:, K].sum(axis=-1).T   # the DFT of 1/lam keeps j = 0
         op = np.einsum("ijab,jt->btai", pair, self.phase / self.T)
         self.op = op.reshape(nI * self.T, self.dim)
         # J's: g^2's DFT at modes -2K..2K, (T, 4K+1), and per interval b
@@ -232,70 +242,63 @@ def _newton(ops: _GridOps, lams, c0, polish, certify):
     """Newton on a batch of coefficient tables, (I - J) delta = F(c) - c.
 
     A point converges when its residual is at most TOL and, where
-    certify is True, Im g < 0 on every grid node: the Herglotz sign,
-    which only the law's solution has where Im lam > 0.  Where polish
-    is True, a point takes one Newton step past TOL and is evaluated
-    once more, and S and the residual are read there; NEWTON_STEPS caps
-    the steps before that one.
+    certify (a bool, or one per point) is True, Im g < 0 on every grid
+    node: the Herglotz sign, which only the law's solution has where
+    Im lam > 0.  Where polish is True, a point takes one Newton step
+    past TOL and is evaluated once more, and S and the residual are read
+    there; NEWTON_STEPS caps the steps before that one.
 
     Returns (c, S, residual, ok): ok is False where a point hit the
     division guard, went non-finite, ran out of steps or converged
-    without the sign.  Points leave the working set as they finish or
-    fail.
+    without the sign, and S is NaN there.  The working lams, tables and
+    grid values stay compact, reindexed only when a point finishes or
+    fails, and S is summed only for the points that finish.
     """
     lams = np.asarray(lams, dtype=complex)
     n = len(lams)
     c = np.array(c0, dtype=complex, copy=True)
-    S = np.full(n, np.nan, dtype=complex)
-    residual = np.full(n, np.inf)
-    ok = np.zeros(n, dtype=bool)
+    S, residual, ok = [np.full(n, v) for v in (np.nan + 0j, np.inf, False)]
+    certify = np.broadcast_to(certify, n)
     need = np.ones(n, dtype=int) + polish   # evaluations at <= TOL to go
-    alive = np.arange(n)
+    alive, lam, cw = np.arange(n), lams, c  # the working set, compact
     with np.errstate(all="ignore"):
         for step in range(NEWTON_STEPS + 2):
-            g, r = ops.residual(lams[alive], c[alive])
-            sane = _sane(g)
-            res = np.max(np.abs(r @ ops.phase), axis=(1, 2))
-            S[alive] = (g.mean(axis=2)[:, None] @ ops.wts)[:, 0]
-            residual[alive] = np.where(sane, res, np.inf)
-            small = sane & (res <= TOL)
-            need[alive[small]] -= 1
-            done = need[alive] == 0
-            ok[alive[done]] = ((g[done].imag < 0).all(axis=(1, 2))
-                               if certify else True)
+            if not alive.size:
+                break
+            g, r = ops.residual(lam, cw)
+            # the guard |lam - Psi| >= GUARD everywhere; False on NaN
+            sane = np.abs(g).max(axis=(1, 2)) <= 1.0 / GUARD
+            res = np.where(sane, np.abs(r @ ops.phase).max(axis=(1, 2)),
+                           np.inf)
+            small = res <= TOL
+            need -= small
+            done = need == 0
+            if done.any():
+                fin, gd = alive[done], g[done]
+                S[fin] = (gd.mean(axis=2)[:, None] @ ops.wts)[:, 0]
+                ok[fin] = ~certify[fin] | (gd.imag < 0).all(axis=(1, 2))
             go = sane & ~done
             if step >= NEWTON_STEPS:        # only a step past TOL is left
                 go &= small
-            alive, g, r = alive[go], g[go], r[go]
-            if not alive.size:
-                break
-            _newton_update(ops, c, alive, g, r)
+            if not go.all():
+                c[alive[~go]], residual[alive[~go]] = cw[~go], res[~go]
+                alive, lam, cw, need = alive[go], lam[go], cw[go], need[go]
+                g, r = g[go], r[go]
+            if alive.size:   # every g left passed the guard, so J is finite
+                cw += np.linalg.solve(np.eye(ops.dim) - ops.jacobian(g),
+                                      r.reshape(-1, ops.dim, 1)
+                                      ).reshape(r.shape)
     return c, S, residual, ok
-
-
-def _sane(g):
-    """|lam - Psi| >= GUARD everywhere, per point; False on NaN."""
-    return np.max(np.abs(g), axis=(1, 2)) <= 1.0 / GUARD
-
-
-def _newton_update(ops: _GridOps, c, alive, g, r):
-    """The Newton step c[alive] += (I - J)^-1 (F(c) - c), in place.
-
-    g and r are ops.residual at the tables c[alive]; every g passed _sane,
-    so J is finite and no point can spoil the batched solve.
-    """
-    delta = np.linalg.solve(np.eye(ops.dim) - ops.jacobian(g),
-                            r.reshape(-1, ops.dim, 1))
-    c[alive] += delta.reshape(r.shape)
 
 
 def _continue_batch(kern: Kernel, targets, ops=None):
     """Certified jumps from each target's cruise point; vectorized.
 
-    A target with |lam| >= CRUISE * A is its own cruise point, and
-    Newton converges there cold.  Every other target's cruise point is
-    x + 2A*i: Newton converges there, then a full Newton solve jumps to
-    the target's height (a target below HOP jumps to HOP and hops from
+    A target with |lam| >= CRUISE * A is solved in place, and Newton
+    converges there cold.  Every other target's cruise point is
+    x + 2A*i, where it takes the far-field table ops.far / lam with no
+    evaluation, and a full Newton solve jumps from there to the
+    target's height (a target below HOP jumps to HOP and hops from
     there to its own height).  A landing counts only where _newton
     accepts it, converged with Im g < 0 on every node; a point whose
     landing fails halves its step in log-height and retries from its
@@ -316,11 +319,11 @@ def _continue_batch(kern: Kernel, targets, ops=None):
     height = CRUISE * kern.amplitude()
     xs = work.real
     direct = np.abs(work) >= height
-    c = np.zeros((len(work), ops.nI, 2 * ops.K + 1), dtype=complex)
-    start = np.where(direct, work, xs + 1j * height)
-    c, S, res, ok = _newton(ops, start, c, False, False)
-    todo = np.flatnonzero(ok & ~direct)
-    S[~direct], res[~direct], ok[~direct] = np.nan, np.inf, False
+    c = ops.far / (xs + 1j * height)[:, None, None]
+    S, res, ok = [np.full(len(work), v) for v in (np.nan + 0j, np.inf, False)]
+    c[direct], S[direct], res[direct], ok[direct] = _newton(
+        ops, work[direct], np.zeros_like(c[direct]), False, False)
+    todo = np.flatnonzero(~direct)
     # log-heights below the cruise point: where each point stands and
     # where it goes; a point tries the step goal / 2^halved, so sums of
     # its steps reach the goal exactly
@@ -376,18 +379,19 @@ def _assert_herglotz(lam, S, slack=1e-9):
 def stieltjes_path(kern: Kernel, targets) -> list:
     """Continue S(lambda) to each target from its cruise point.
 
-    A target with |lambda| >= 2A is its own cruise point: Newton
-    converges there from Psi = 0.  Any other target is reached by a
-    certified jump: Newton converged from Psi = 0 at the cruise point
-    x + 2A*i, then Newton converged at the target from that table, and
-    accepted only with Im g < 0 on every grid node, which by uniqueness
-    is the Herglotz solution.  A target below height 1e-8, a real one
-    among them, lands at 1e-8 and hops from there to its own height.  A
-    failed landing halves its step in log-height and retries, at most
-    HALVINGS times; the target's solve, or its hop, takes one Newton
-    step past TOL.  This is the one way to solve: a single point is
-    stieltjes_path(kern, [lam])[0].  Each psi is in the kernel's
-    (nI, 2*band+1) layout, zero off qZ.  Raises if any target fails.
+    A target with |lambda| >= 2A is solved in place: Newton converges
+    there from Psi = 0.  Any other target is reached by a certified
+    jump: Newton starts from the far-field table F(0) = <s>/lambda at
+    the cruise point x + 2A*i, with no solve there, converges at the
+    target, and is accepted only with Im g < 0 on every grid node, which
+    by uniqueness is the Herglotz solution.  A target below height 1e-8,
+    a real one among them, lands at 1e-8 and hops from there to its own
+    height.  A failed landing halves its step in log-height and retries,
+    at most HALVINGS times; the target's solve, or its hop, takes one
+    Newton step past TOL.  This is the one way to solve: a single point
+    is stieltjes_path(kern, [lam])[0].  Each psi is in the kernel's
+    (nI, 2*band+1) layout, zero off qZ.  No targets give [].  Raises if
+    any target fails.
     """
     targets = [complex(t) for t in targets]      # iterated twice below
     ops = _GridOps(kern)
@@ -411,8 +415,11 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     value, bit for bit.  Each |x| is continued once, to |x| + i*eps1,
     and one batched Newton solve on the same grid operators,
     warm-started from those tables, takes each |x| that converged there
-    to |x| + i*eps2.  Solver failures flag their point (density NaN)
-    instead of aborting the grid.
+    to |x| + i*eps2.  That solve tests the sign where _continue_batch
+    would: below 2A and at or above HOP, not at a point solved in place
+    nor below the hop.  Solver failures flag their point (density NaN)
+    instead of aborting the grid; an empty grid gives empty lists and
+    support (nan, nan).
     """
     e1, e2 = float(eps_pair[0]), float(eps_pair[1])
     if not (0 < e2 < e1):
@@ -421,12 +428,11 @@ def density_profile(kern: Kernel, xs, eps_pair=(1e-2, 5e-3)) -> SpectralGrid:
     fold, back = np.unique(np.abs(xs), return_inverse=True)
     ops = _GridOps(kern)
     S1, c1, _, ok1 = _continue_batch(kern, fold + 1j * e1, ops)
-    S2 = np.full(len(fold), np.nan, dtype=complex)
-    ok2 = np.zeros(len(fold), dtype=bool)
-    _, S2[ok1], _, ok2[ok1] = _newton(ops, fold[ok1] + 1j * e2, c1[ok1],
-                                      False, True)
-    d1 = -S1.imag / math.pi
-    d2 = -S2.imag / math.pi
+    S2, ok2 = [np.full(len(fold), v) for v in (np.nan + 0j, False)]
+    lam2 = fold[ok1] + 1j * e2
+    sign = (np.abs(lam2) < CRUISE * kern.amplitude()) & (e2 >= HOP)
+    _, S2[ok1], _, ok2[ok1] = _newton(ops, lam2, c1[ok1], False, sign)
+    d1, d2 = -S1.imag / math.pi, -S2.imag / math.pi
     r = e1 / e2
     dens = (r * d2 - d1) / (r - 1.0)
     flags = (ok1 & ok2)[back]

@@ -189,6 +189,20 @@ def test_density_csv_columns(tmp_path):
     assert (_report(out)["fold"], _report(out)["angular_nodes"]) == (2, 64)
 
 
+def test_density_below_the_hop_flags_no_point(tmp_path):
+    # eps2 = 1e-30 is below the hop height 1e-8, where Im g can round to
+    # either sign: the second height runs no sign test there, as the hop
+    # does, so x = +-3 outside the support converge and are not flagged
+    out = tmp_path / "d"
+    rc = main(["density", "--kernel", UNIT_KERNEL, "--xmin", "-3",
+               "--xmax", "3", "--n", "13", "--eps1", "1e-2",
+               "--eps2", "1e-30", "--out", str(out)])
+    assert rc == 0
+    rows = _rows(out / "density.csv")
+    assert all(r["residual_flag"] == "0" for r in rows)
+    assert _report(out)["failed_points"] == 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 181])
 @pytest.mark.parametrize("a", ["2.7", "3", "0.1", "-2.7"])
 def test_symmetric_density_grid_is_a_bitwise_mirror(tmp_path, monkeypatch,

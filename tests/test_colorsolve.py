@@ -57,6 +57,19 @@ def _tilted_kernel() -> Kernel:
                             for x in range(2) for y in range(2)})
 
 
+def _three_interval_kernel() -> Kernel:
+    """s = f (x) f on three intervals, band 3 with q = 1:
+    f(x, t) = a(x) (1 + cos(t) / 2 + cos(3t) / 4) >= a(x) / 4 > 0."""
+    part = IntervalPartition((Fraction(0), Fraction(1, 4), Fraction(3, 5),
+                              Fraction(1)))
+    a = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+    f = {0: Fraction(1), 1: Fraction(1, 4), -1: Fraction(1, 4),
+         3: Fraction(1, 8), -3: Fraction(1, 8)}
+    return Kernel(part, 3, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
+                            for i in f for j in f
+                            for x in range(3) for y in range(3)})
+
+
 def test_semicircle_value_at_three(semicircle):
     sol = stieltjes_path(semicircle, [3.0])[0]
     assert sol.stieltjes.real == pytest.approx(GOLDEN, abs=1e-10)
@@ -551,23 +564,22 @@ def _spy_evaluations(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("height", [1e-2, 1e-5, 0.0])
-def test_a_certified_target_costs_the_cruise_solve_one_jump_and_one_step(
+def test_a_certified_target_costs_one_jump_and_one_step(
         compass_kernel, monkeypatch, height):
-    # Newton converges at the cruise point, then every point jumps to its
-    # target in one solve (a real target to 1e-8, then to the axis) and
-    # is evaluated exactly once more after its residual reaches TOL: one
-    # Newton step past TOL at the target, none at 1e-8.  Off x = 0, where
-    # the axis value is the density's 1/sqrt|x| pole.
+    # No evaluation at the cruise height: every point jumps from the far
+    # field table there to its target in one solve (a real target to
+    # 1e-8, then to the axis) and is evaluated exactly once more after
+    # its residual reaches TOL: one Newton step past TOL at the target,
+    # none at 1e-8.  Off x = 0, where the axis value is the density's
+    # 1/sqrt|x| pole.
     xs = np.linspace(0.06, 2.7, 45)
     seen = _spy_evaluations(monkeypatch)
     _, _, res, ok = _continue_batch(compass_kernel, xs + 1j * height)
     assert ok.all() and np.all(res <= colorsolve.TOL)
     top = colorsolve.CRUISE * compass_kernel.amplitude()
-    heights = [lams.imag.max() for lams, _ in seen]
-    cruise = heights.count(top)
-    assert heights[:cruise] == [top] * cruise and 2 <= cruise <= 4
+    assert all(lams.imag.max() < top for lams, _ in seen)
     stops = [xs + 1j * height] if height else [xs + 1e-8j, xs + 0j]
-    rest = seen[cruise:]
+    rest = seen
     for stop in stops:
         n = next((k for k, (lams, _) in enumerate(rest)
                   if not np.isin(lams, stop).all()), len(rest))
@@ -580,6 +592,31 @@ def test_a_certified_target_costs_the_cruise_solve_one_jump_and_one_step(
             assert small == ([False] * (len(small) - 1 - past)
                              + [True] * (1 + past))
     assert not rest
+
+
+def test_the_compass_benchmark_grid_costs_15_evaluations(compass_kernel,
+                                                          monkeypatch):
+    # np.linspace on the density workload's compass range, 133 distinct
+    # |x|, all below 2A: no solve at the cruise height, so 15 residual
+    # evaluations per call (19 when Newton converged there first)
+    seen = _spy_residual(monkeypatch)
+    grid = density_profile(compass_kernel, np.linspace(-2.7, 2.7, 181))
+    assert all(grid.flags) and len(seen) == 15
+
+
+def test_the_far_field_table_is_F_at_zero():
+    # lam F(0)[a, i] = sum_b s_(qi,0)(a, b) len_b, with no evaluation
+    kerns = [kernel_from_filter(compass_filter()), rank_two_kernel(),
+             _tilted_kernel(), _three_interval_kernel()]
+    eps = np.finfo(float).eps
+    for kern in kerns:
+        ops = _GridOps(kern)
+        lams = np.array([0.3 + 2j, -1.7 + 0.01j, 5.0 + 1e-8j])
+        zero = np.zeros((3, ops.nI, 2 * ops.K + 1), dtype=complex)
+        _, F0 = ops.residual(lams, zero)
+        far = ops.far / lams[:, None, None]
+        assert far.shape == F0.shape and np.abs(far).max() > 0
+        assert np.all(np.abs(far - F0) <= 4 * eps * np.abs(F0).max())
 
 
 def test_density_descends_once_per_point(compass_kernel, monkeypatch):
@@ -680,6 +717,21 @@ def test_guard_failures_flag_only_their_own_points(compass_kernel,
     fold = np.unique(np.abs(xs))
     assert not ok1.all()
     assert np.array_equal(newtons[-1], fold[ok1] + 5e-3j)
+
+
+def test_density_far_out_is_solved_in_place_without_the_sign(semicircle):
+    # |lam| >= 2A at both heights: Kantorovich certifies the branch, and
+    # Im g underflows to -0.0 at 1e300, which a sign test would refuse
+    grid = density_profile(semicircle, [1e300, -1e300])
+    assert grid.flags == [True, True] and grid.density == [0.0, 0.0]
+
+
+def test_empty_input_gives_empty_output(semicircle, compass_kernel):
+    for kern in (semicircle, compass_kernel):
+        assert stieltjes_path(kern, []) == []
+        grid = density_profile(kern, [])
+        assert grid.xs == grid.density == grid.flags == []
+        assert all(math.isnan(v) for v in grid.support_estimate)
 
 
 def test_semicircle_density_values(semicircle):
