@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import hashlib
 import json
 import math
@@ -92,13 +91,25 @@ class _Run:
         return p
 
     def write_csv(self, name: str, header, rows) -> str:
+        """Write header and rows as csv.writer would, floats as FMT.
+
+        Each row is formatted by one % template, made once per sequence
+        of value types: a float takes FMT, anything else str.  No value
+        here holds a comma, a quote or a line break, so csv would quote
+        none of them.
+        """
         p = self.path(name)
+        templates = {}
+        lines = [",".join(header) + "\r\n"]
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join(
+                    FMT if issubclass(k, float) else "%s" for k in kinds
+                ) + "\r\n"
+            lines.append(templates[kinds] % tuple(row))
         with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([FMT % v if isinstance(v, float) else v
-                            for v in row])
+            fh.write("".join(lines))
         return p
 
     def write_json(self, name: str, payload) -> str:
@@ -110,8 +121,10 @@ class _Run:
         return p
 
     def finish(self) -> None:
+        # the inputs alone: the same run into another --out hashes alike
+        inputs = {k: v for k, v in self.cfg.items() if k != "out"}
         digest = hashlib.sha256(
-            json.dumps(self.cfg, sort_keys=True, default=str).encode()
+            json.dumps(inputs, sort_keys=True, default=str).encode()
         ).hexdigest()
         outputs = []
         for p in self.paths:
@@ -327,11 +340,11 @@ def cmd_density(cfg: dict) -> int:
             for x, d, f in zip(grid.xs, grid.density, grid.flags)]
     run.write_csv("density.csv", ["x", "density", "residual_flag"], rows)
     lo, hi = grid.support_estimate
-    q, _, nodes = angular_fold(kern)
+    q, _, nodes, reflected = angular_fold(kern)
     run.write_json("report.json", {
         "support_estimate": [lo, hi], "eps_pair": [eps1, eps2],
         "failed_points": int(sum(not f for f in grid.flags)),
-        "fold": q, "angular_nodes": nodes})
+        "fold": q, "angular_nodes": nodes, "reflected": reflected})
     run.finish()
     print(f"density on [{xmin}, {xmax}] ({n} pts); "
           f"support approx [{lo:.4f}, {hi:.4f}]")
@@ -347,11 +360,12 @@ def cmd_solve(cfg: dict) -> int:
                                 "residual"],
                   [[lam.real, lam.imag, sol.stieltjes.real,
                     sol.stieltjes.imag, sol.residual]])
-    q, _, nodes = angular_fold(kern)
+    q, _, nodes, reflected = angular_fold(kern)
     run.write_json("report.json", {
         "lambda": [lam.real, lam.imag],
         "S": [sol.stieltjes.real, sol.stieltjes.imag],
-        "residual": sol.residual, "fold": q, "angular_nodes": nodes})
+        "residual": sol.residual, "fold": q, "angular_nodes": nodes,
+        "reflected": reflected})
     run.finish()
     print(f"S({lam}) = {sol.stieltjes} (residual {sol.residual:.2e})")
     return 0

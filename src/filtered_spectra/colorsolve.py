@@ -13,16 +13,31 @@ map F pairs with s, which truncates the circle spectrum to them.  They
 lie in qZ, q the gcd of the table's mode indices, so the solver folds
 the angle: phi = q theta is uniform when theta is, so it solves the
 kernel s(., phi/q; ., psi/q), of band K = (largest |mode|) / q, on an
-(interval, Fourier mode) table c of shape (nI, 2K+1).  This is a
-quadratic vector equation (Ajanki-Erdos-Kruger), and Newton runs on c
-with the exact dense Jacobian, solving (I - J) delta = F(c) - c, of
-size nI*(2K+1) (3 for the compass: modes -2, 0, 2, so q = 2, K = 1).
-F and J come from g = 1/(lam - Psi) on T = ceil(128 / q) nodes of phi;
+(interval, Fourier mode) table c of modes -K..K.  This is a quadratic
+vector equation (Ajanki-Erdos-Kruger), and Newton runs on c with the
+exact dense Jacobian, solving (I - J) delta = F(c) - c.  F and J come
+from g = 1/(lam - Psi) on T = ceil(128 / q) nodes phi_t = 2 pi t / T;
 g is analytic, so T sets an aliasing error rho^(-T) (Trefethen-Weideman,
 SIAM Review 2014).  The fold takes rho to rho^q, so T nodes of phi alias
 no worse than 128 of theta; where q divides 128 the systems are the
 same, each value computed once, not q times.  At band 0 g does not
 depend on the angle, and one node is exact.
+
+Where the table is real the solver folds the angle once more, by
+phi -> -phi.  Kernel makes conj(s_ij) = s_(-i,-j), so a real table has
+s_ij = s_(-i,-j): s(theta, phi) = s(-theta, -phi), and the node set
+{phi_t} is its own mirror image (t -> T - t).  The discretized
+equations are then invariant under the mirror, which keeps the
+Herglotz sign, so their Herglotz solution, being unique (below), is
+even: c_-i = c_i, and g takes one value on t and T - t.  F maps the
+even tables to themselves, so Newton runs on them alone: c_0..c_K per
+interval, K+1 unknowns, and g on the floor(T/2) + 1 distinct nodes
+t = 0..floor(T/2), weighted 1 or 2 over T as they stand for one node or
+two.  F, J and S there are the full system's, restricted and summed
+exactly, not approximated.  The Newton system has size nI*(K+1) for a
+real table and nI*(2K+1) for a complex one: 2 for the compass (modes
+-2, 0, 2, so q = 2, K = 1), on 33 of its 64 nodes.  A complex table
+keeps modes -K..K and all T nodes.
 
 Newton converges only from a nearby start (from Psi = 0 near the
 spectrum it can land on a non-Herglotz branch), so every solve runs
@@ -38,10 +53,13 @@ and it is a contraction there with constant at most
 Kantorovich's condition with room to spare: ||(I - J(0))^-1|| <= 16/15,
 the first step is at most (16/15)(A/8), and J is Lipschitz with
 constant 2 (A^2/4)/(3A/2)^3 = 4/(27A) on the ball, so
-h = beta L eta <= 0.022 < 1/2 (Rump, Acta Numerica 2010).  So a target
-with |lam| >= 2A is solved in place: Newton converges there cold, for
-every x.  Every other target jumps from its cruise point x + 2A*i, and
-Newton does not solve there: the jump starts from the far-field table
+h = beta L eta <= 0.022 < 1/2 (Rump, Acta Numerica 2010).  On the even
+tables of a real table the argument is the same: F maps the ball's even
+part into itself, and the norms and constants are those of the full
+system restricted, so none grows.  So a target with |lam| >= 2A is
+solved in place: Newton converges there cold, for every x.  Every
+other target jumps from its cruise point x + 2A*i, and Newton does not
+solve there: the jump starts from the far-field table
 F(0) = <s>/lam, sum_b s_(qi,0)(a, b) len_b / lam, which costs no
 evaluation.  It is the first term of Psi's large-lam expansion
 Psi = <s>/lam + <s Psi>/lam^2 + ..., and misses the cruise solution by
@@ -59,8 +77,10 @@ symmetric (Kernel makes s real and symmetric).  Where s >= 0 on the
 nodes and Im lam > 0, its solution with Im m > 0 is unique
 (Ajanki-Erdos-Kruger, Mem. AMS 2019, Thm 2.1), so a converged table
 with Im g < 0 on every node is the Herglotz solution and no other
-branch.  Nonnegativity is the kernel's to supply: validate_kernel
-samples it, and Kernel does not check it.  The test runs on every
+branch.  For a real table the test reads the distinct nodes, which hold
+every value g takes on the grid, since an even table gives an even g.
+Nonnegativity is the kernel's to supply: validate_kernel samples it,
+and Kernel does not check it.  The test runs on every
 jump's landing, all at heights >= HOP, and on density_profile's second
 height under the same rule.  It does not run where Kantorovich already
 certifies the branch, at the targets solved in place, nor on the hop
@@ -108,6 +128,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,49 +187,63 @@ class SpectralGrid:
 # ---------------------------------------------------------------------------
 
 class _GridOps:
-    """The map F and its Jacobian on (n, nI, 2K+1) tables of the folded kernel.
+    """The map F and its Jacobian on (n, nI, k) tables of the folded kernel.
+
+    A table's unknowns are the modes 0..K where the kernel is reflected
+    (c_-d = c_d, k = K+1) and -K..K where it is not (k = 2K+1), and g is
+    taken on the distinct nodes t = 0..floor(T/2), or on all T.  The
+    orbits of the mirror d -> -d and t -> T - t are 0/1 matrices
+    [member, orbit], each member its own orbit for a complex table, and
+    every operator below is the full one with its inputs summed and its
+    outputs read over those orbits, exact on the even tables.  mult
+    counts the nodes each grid value stands for, 1 or 2.  The tables
+    that depend on K, T and the mirror alone come from _angular, which
+    keeps them for the last 16 such triples.
 
     F's DFT of g against exp(i j phi) and its pairing with s are one
-    operator: F(c)[a, i] = sum_{b,t} g[b, t] op[(b, t), (a, i)], with
-    op[(b, t), (a, i)] = sum_j s_(qi,qj)(a,b) len_b exp(i j phi_t) / T.
-    Differentiating g in c[b, m] multiplies it by g^2 exp(i m phi), so
+    operator: F(c)[a, u] = sum_{b,t} g[b, t] op[(b, t), (a, u)], with
+    op[(b, t), (a, u)] the sum of s_(qu,qj)(a,b) len_b exp(i j phi) / T
+    over j and over the nodes phi of t's orbit.  Differentiating g in
+    c[b, m] multiplies it by g^2 exp(i d phi) summed over the modes d of
+    m's orbit, so
 
-        J[(a,i), (b,m)] = sum_j s_(qi,qj)(a,b) len_b g2hat[b, j+m],
+        J[(a,u), (b,m)] = sum_(j, d in m) s_(qu,qj)(a,b) len_b g2hat[b, j+d],
 
-    with g2hat the coefficients of g^2 at modes -2K..2K, so J's operator
-    jop has nI^2 (4K+1) (2K+1)^2 entries, whatever T.  Every product is
-    stacked per point, (n, 1, .) @ op, as is S's sum in _newton, so a
-    point's S does not depend on its batch.  far is lam F(0): at c = 0,
-    g = 1/lam on every node, so F(0)[a, i] = sum_b s_(qi,0)(a,b) len_b /
-    lam, the far-field start of a jump.
+    with g2hat the coefficients of g^2 at modes -2K..2K, one per orbit
+    (g^2 is even where g is), so J's operator jop has at most
+    nI^2 (4K+1) (2K+1)^2 entries, whatever T.  Every product is stacked
+    per row, (n, ., 1, .) @, as is S's sum in _newton, so a point's S
+    does not depend on its batch.  far is lam F(0): at c = 0, g = 1/lam
+    on every node, so F(0)[a, u] = sum_b s_(qu,0)(a,b) len_b / lam, the
+    far-field start of a jump.
     """
 
     def __init__(self, kern: Kernel):
-        self.q, self.K, self.T = angular_fold(kern)
+        self.q, self.K, self.T, self.reflected = angular_fold(kern)
         K, nI = self.K, kern.partition.n
-        self.nI, self.dim = nI, nI * (2 * K + 1)
         self.wts = np.array([float(l) for l in kern.partition.lengths])
         self.width = 2 * kern.band + 1  # the kernel's table, modes its columns
         self.modes = kern.band + self.q * np.arange(-K, K + 1)
-        # s_(qi,qj)(a, b) * length_b, indexed [i+K, j+K, a, b]
-        pair = kern.coeff_array()[np.ix_(self.modes, self.modes)] * self.wts
-        self.phase = phases(K, self.T)          # (2K+1, T)
+        (us, self.orbit, self.mirror, self.mult, self.phase, dft, self.dft2,
+         hankel) = _angular(K, self.T, self.reflected)
+        self.shape = nI, len(us)
+        self.dim = nI * len(us)
+        # s_(qu,qj)(a, b) * length_b, indexed [u, j+K, a, b]
+        pair = kern.coeff_array()[np.ix_(self.modes[us + K], self.modes)]
+        pair *= self.wts
         self.far = pair[:, K].sum(axis=-1).T   # the DFT of 1/lam keeps j = 0
-        op = np.einsum("ijab,jt->btai", pair, self.phase / self.T)
-        self.op = op.reshape(nI * self.T, self.dim)
-        # J's: g^2's DFT at modes -2K..2K, (T, 4K+1), and per interval b
-        # the pairing over mode j + m (offset by 2K), [b, j + m, (a, i, m)]
-        self.dft2 = phases(2 * K, self.T).T / self.T
-        d = np.arange(2 * K + 1)
-        hankel = d[:, None, None] + d[None, :, None] == np.arange(4 * K + 1)
-        jop = np.einsum("ijab,jmd->bdaim", pair, hankel)
-        self.jop = jop.reshape(nI, 4 * K + 1, -1)
+        op = np.einsum("ijab,jt->btai", pair, dft)
+        self.op = op.reshape(-1, self.dim)
+        # J's: per interval b the pairing over the orbit of j + d,
+        # [b, j + d, (a, u, m)], summed over the modes d of m's orbit
+        jop = np.einsum("ijab,jml->blaim", pair, hankel)
+        self.jop = jop.reshape(nI, hankel.shape[2], -1)
 
     def residual(self, lams, c):
         """g on the grid and r = F(c) - c, for (n,) lams."""
         # in place: an (n, nI, T) array can pass malloc's mmap threshold,
         # and three per step made the heap shrink and fault back each step
-        g = c @ self.phase
+        g = (c[:, :, None] @ self.phase)[:, :, 0]
         np.subtract(lams[:, None, None], g, out=g)
         np.divide(1.0, g, out=g)
         r = (g.reshape(len(g), 1, -1) @ self.op).reshape(c.shape) - c
@@ -217,25 +252,74 @@ class _GridOps:
     def jacobian(self, g):
         """J = dF/dc, (n, dim, dim), at the tables whose grid values gave g."""
         n, nI, _ = g.shape
-        g2hat = (g * g)[:, :, None, :] @ self.dft2      # [n, b, 0, j + m]
+        g2hat = (g * g)[:, :, None, :] @ self.dft2      # [n, b, 0, j + d]
         jac = (g2hat @ self.jop).reshape(n, nI, self.dim, -1)
         return jac.transpose(0, 2, 1, 3).reshape(n, self.dim, self.dim)
 
     def unfold(self, c):
-        """Tables (n, nI, 2K+1) in the kernel's layout, zero off qZ."""
+        """Tables (n, nI, 2*band+1) in the kernel's layout, zero off qZ."""
         out = np.zeros(c.shape[:2] + (self.width,), dtype=complex)
-        out[:, :, self.modes] = c
+        out[:, :, self.modes] = c[:, :, self.orbit]
         return out
 
 
+# built per call, these cost a band-0 kernel's certificate circle more
+# than its solve saved
+@lru_cache(maxsize=16)
+def _angular(K: int, T: int, reflected: bool) -> tuple:
+    """The tables of _GridOps that depend on K, T and the mirror alone,
+    shared and read-only: (us, orbit, mirror, mult, phase, dft, dft2,
+    hankel).
+
+    us are the unknowns' modes, orbit[d + K] the unknown of mode d and
+    mirror[u] that of -us[u]; mult counts the nodes each distinct node
+    stands for; phase maps a table to Psi on the distinct nodes; dft is
+    exp(i j phi) / T, j = -K..K, summed over each node orbit, and dft2
+    g^2's DFT at one mode of each orbit of -2K..2K, (T', k2); hankel[j,
+    m, l] counts the modes d of m's orbit whose j + d lies in orbit l.
+    """
+    # the mirror's orbits of the modes -K..K, of g^2's -2K..2K and of
+    # the nodes; without the mirror each is its own orbit
+    d, d2 = np.arange(-K, K + 1), np.arange(-2 * K, 2 * K + 1)
+    t = np.arange(T)
+    if reflected:
+        d, d2, t = abs(d), abs(d2), np.minimum(t, T - t)
+    us, mode = _orbits(d)
+    us2, mode2 = _orbits(d2)
+    ts, node = _orbits(t)
+    orbit = mode.argmax(axis=1)
+    wide = phases(2 * K, T)                                # (4K+1, T)
+    dft = wide @ node / T
+    e = np.arange(2 * K + 1)
+    hankel = e[:, None, None] + e[None, :, None] == np.arange(4 * K + 1)
+    tables = (us, orbit, orbit[K - us], node.sum(axis=0),
+              mode.T @ wide[K:3 * K + 1, ts], dft[K:3 * K + 1],
+              dft[us2 + 2 * K].T,
+              np.einsum("jdk,dm,kl->jml", hankel, mode, mode2))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _orbits(key):
+    """(labels, member) for integer labels key that take every value from
+    their least to their largest: those labels in increasing order, and
+    the 0/1 matrix [x, o] that is 1 where key[x] is label o."""
+    labels = np.arange(key.min(), key.max() + 1)
+    return labels, (key[:, None] == labels).astype(int)
+
+
 def angular_fold(kern: Kernel) -> tuple:
-    """(q, K, T): q the gcd of the table's mode indices, by which the
-    solver folds the angle, K = (largest |mode|) / q the folded band,
-    and T the nodes of phi = q theta it solves on."""
+    """(q, K, T, reflected): q the gcd of the table's mode indices, by
+    which the solver folds the angle, K = (largest |mode|) / q the folded
+    band, T the nodes of phi = q theta, and reflected whether the table
+    is real, s(theta, phi) = s(-theta, -phi), so the solver also folds
+    phi -> -phi: modes 0..K and the floor(T/2) + 1 distinct nodes."""
     index = [m for key in kern.coeffs for m in key[:2]]
     q = math.gcd(*index) or 1
     K = max(map(abs, index)) // q
-    return q, K, (-(-T // q) if K else 1)   # g is constant at band 0
+    reflected = not any(im for _, im in kern.coeffs.values())
+    return q, K, (-(-T // q) if K else 1), reflected  # g is constant at band 0
 
 
 def _newton(ops: _GridOps, lams, c0, polish, certify):
@@ -268,14 +352,15 @@ def _newton(ops: _GridOps, lams, c0, polish, certify):
             g, r = ops.residual(lam, cw)
             # the guard |lam - Psi| >= GUARD everywhere; False on NaN
             sane = np.abs(g).max(axis=(1, 2)) <= 1.0 / GUARD
-            res = np.where(sane, np.abs(r @ ops.phase).max(axis=(1, 2)),
-                           np.inf)
+            res = np.abs(r[:, :, None] @ ops.phase).max(axis=(1, 2, 3))
+            res = np.where(sane, res, np.inf)
             small = res <= TOL
             need -= small
             done = need == 0
             if done.any():
                 fin, gd = alive[done], g[done]
-                S[fin] = (gd.mean(axis=2)[:, None] @ ops.wts)[:, 0]
+                mean = (gd * ops.mult).sum(axis=2) / ops.T  # over T nodes
+                S[fin] = (mean[:, None] @ ops.wts)[:, 0]
                 ok[fin] = ~certify[fin] | (gd.imag < 0).all(axis=(1, 2))
             go = sane & ~done
             if step >= NEWTON_STEPS:        # only a step past TOL is left
@@ -304,8 +389,8 @@ def _continue_batch(kern: Kernel, targets, ops=None):
     landing fails halves its step in log-height and retries from its
     last accepted table, HALVINGS times at most.  The target's solve,
     or its hop, takes one Newton step past TOL.  Returns (S, tables,
-    residuals, ok) aligned with targets, the tables (n, nI, 2K+1) on
-    the folded modes of ops, _GridOps(kern) unless given; a target and
+    residuals, ok) aligned with targets, the tables (n,) + ops.shape on
+    the unknown modes of ops, _GridOps(kern) unless given; a target and
     its conjugate, or a repeated target, share one solve.
     """
     targets = np.asarray([complex(t) for t in targets], dtype=complex)
@@ -351,7 +436,7 @@ def _continue_batch(kern: Kernel, targets, ops=None):
 
     S, c, res, ok = S[back], c[back], res[back], ok[back]
     S = np.where(flip, np.conj(S), S)
-    c = np.where(flip[:, None, None], np.conj(c[:, :, ::-1]), c)
+    c = np.where(flip[:, None, None], np.conj(c[:, :, ops.mirror]), c)
     return S, c, res, ok
 
 

@@ -189,6 +189,59 @@ def test_density_csv_columns(tmp_path):
     assert (_report(out)["fold"], _report(out)["angular_nodes"]) == (2, 64)
 
 
+# s = 1 - (sin theta + sin phi) / 4 >= 1/2: a complex table, as
+# conj(s_10) = s_-10 = -i/8, so the solver takes no reflection
+SINE_KERNEL = json.dumps({
+    "type": "kernel", "breakpoints": ["0", "1"],
+    "coeffs": [[0, 0, 0, 0, "1", "0"],
+               [1, 0, 0, 0, "0", "1/8"], [-1, 0, 0, 0, "0", "-1/8"],
+               [0, 1, 0, 0, "0", "1/8"], [0, -1, 0, 0, "0", "-1/8"]]})
+
+
+@pytest.mark.parametrize("command", [
+    ["density", "--n", "5"], ["solve", "--lambda", "0.5,0.1"]])
+def test_reports_say_whether_the_solver_reflects(tmp_path, command):
+    # angular_nodes stays T; reflected says g is taken on its distinct
+    # nodes, floor(T/2) + 1 of them, the table being real
+    cases = ((["--kernel", UNIT_KERNEL], 1, 1, True),
+             (["--filter", COMPASS], 2, 64, True),
+             (["--kernel", SINE_KERNEL], 1, 128, False))
+    for source, fold, nodes, reflected in cases:
+        out = tmp_path / str(nodes)
+        assert main(command + source + ["--out", str(out)]) == 0
+        rep = _report(out)
+        assert (rep["fold"], rep["angular_nodes"], rep["reflected"]) == (
+            fold, nodes, reflected)
+
+
+def test_config_hash_ignores_the_output_directory(tmp_path):
+    args = ["moments", "--kernel", UNIT_KERNEL, "--kmax", "4"]
+    for name in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+    assert main(args[:-1] + ["5", "--out", str(tmp_path / "c")]) == 0
+    a, b, c = (_manifest(tmp_path / name)["config_hash"] for name in "abc")
+    assert a == b != c
+
+
+def test_write_csv_writes_what_csv_writer_wrote(tmp_path):
+    # one % template per sequence of types, against csv.writer fed the
+    # floats as FMT and everything else as is
+    header = ["k", "x", "y", "flag"]
+    rows = [[1, 0.1, -0.0, 0], [np.int64(2), np.float64(1 / 3), 1e300, 1],
+            [3, math.nan, -math.inf, ""], [4, 2.0, 5e-324, True],
+            [5, "", 7, ""]]
+    run = cli._Run("test", {}, str(tmp_path))
+    got = Path(run.write_csv("t.csv", header, rows)).read_bytes()
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([cli.FMT % v if isinstance(v, float) else v
+                        for v in row])
+    assert got == want.read_bytes()
+
+
 def test_density_below_the_hop_flags_no_point(tmp_path):
     # eps2 = 1e-30 is below the hop height 1e-8, where Im g can round to
     # either sign: the second height runs no sign test there, as the hop

@@ -163,7 +163,7 @@ def _converged_descent(kern, targets):
     ops = _GridOps(kern)
     top, h = 4.0 * kern.amplitude(), targets.imag
     n2 = math.ceil(math.log(top / h.min()) / math.log(1 / 0.7))
-    c = np.zeros((len(targets), ops.nI, 2 * ops.K + 1), dtype=complex)
+    c = np.zeros((len(targets),) + ops.shape, dtype=complex)
     ok = np.ones(len(targets), dtype=bool)
     for k in range(n2 + 2):
         lam = (targets if k > n2
@@ -210,7 +210,7 @@ def test_the_sign_test_rejects_a_wrong_branch_landing(monkeypatch):
     ops = _GridOps(kern)
     for height in (1e-5, 1e-8):
         targets = np.array([-0.37125 * A, 0.37125 * A]) + 1j * height
-        cold = np.zeros((2, ops.nI, 2 * ops.K + 1), dtype=complex)
+        cold = np.zeros((2,) + ops.shape, dtype=complex)
         c, _, _, ok = colorsolve._newton(
             ops, targets.real + 1j * colorsolve.CRUISE * A, cold, False, True)
         assert ok.all()
@@ -259,10 +259,28 @@ def test_psi_representation(compass_kernel):
     assert grid.imag.max() < 1e-12
 
 
+@pytest.mark.parametrize("make", [
+    lambda: kernel_from_filter(compass_filter()), rank_two_kernel,
+    seeded_two_interval_kernel, _three_interval_kernel],
+    ids=["compass", "rank-two", "seeded", "three-interval"])
+def test_a_reflected_psi_is_even(make):
+    # a real table is solved on modes 0..K, and unfold mirrors them: the
+    # returned psi has c_-i = c_i exactly, at every height
+    kern = make()
+    assert _GridOps(kern).reflected
+    A = kern.amplitude()
+    xs = np.linspace(-1.1 * A, 1.1 * A, 9)
+    lams = list(xs + 1e-2j) + list(xs - 1e-5j) + [3 * A, 0.3 + 2j * A]
+    for sol in stieltjes_path(kern, lams):
+        assert np.array_equal(sol.psi, sol.psi[:, ::-1])
+
+
 def test_newton_jacobian_matches_finite_differences():
+    # the tilted table is complex, so its unknowns are the modes -K..K
     ops = _GridOps(_tilted_kernel())
+    assert not ops.reflected and ops.shape == (2, 3)
     rng = np.random.default_rng(7)
-    shape = (1, ops.nI, 2 * ops.K + 1)
+    shape = (1,) + ops.shape
     c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     lam, h = np.array([0.7 + 1.5j]), 1e-5
@@ -274,22 +292,28 @@ def test_newton_jacobian_matches_finite_differences():
     assert np.max(np.abs(dF.reshape(-1) - want)) < 1e-8 * np.max(np.abs(want))
 
 
-def test_the_folded_jacobian_matches_finite_differences():
-    # s = f (x) f on three intervals with modes 0, +-3 and +-6: folded by
-    # q = 3 it is band 2 on 43 nodes, so g^2 carries modes -4..4 and J
-    # pairs every interval with every other
+def _folded_kernel() -> Kernel:
+    """s = f (x) f on three intervals with modes 0, +-3 and +-6, real."""
     part = IntervalPartition((Fraction(0), Fraction(1, 4), Fraction(3, 5),
                               Fraction(1)))
     a = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
     f = {0: Fraction(1), 3: Fraction(1, 5), -3: Fraction(1, 5),
          6: Fraction(1, 10), -6: Fraction(1, 10)}
-    kern = Kernel(part, 6, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
+    return Kernel(part, 6, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
                             for i in f for j in f
                             for x in range(3) for y in range(3)})
-    ops = _GridOps(kern)
-    assert (ops.q, ops.K, ops.T, ops.nI) == (3, 2, 43, 3)
+
+
+def test_the_folded_jacobian_matches_finite_differences():
+    # folded by q = 3 the kernel is band 2 on 43 nodes, and its table is
+    # real, so the unknowns are the modes 0..2 on the 22 distinct nodes;
+    # g^2 carries modes 0..4 and J pairs every interval with every other.
+    # The differences are taken in those coordinates, off any solution
+    ops = _GridOps(_folded_kernel())
+    assert (ops.q, ops.K, ops.T, ops.reflected) == (3, 2, 43, True)
+    assert ops.shape == (3, 3) and ops.phase.shape == (3, 22)
     rng = np.random.default_rng(11)
-    shape = (2, ops.nI, 2 * ops.K + 1)
+    shape = (2,) + ops.shape
     c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     lam, h = np.array([0.7 + 1.5j, -2.0 + 0.5j]), 1e-5
@@ -299,6 +323,28 @@ def test_the_folded_jacobian_matches_finite_differences():
     dF = ((r_plus - r_minus) / (2 * h) + v).reshape(2, -1)
     want = (ops.jacobian(g) @ v.reshape(2, -1, 1))[:, :, 0]
     assert np.max(np.abs(dF - want)) < 1e-8 * np.max(np.abs(want))
+
+
+def test_the_reflected_map_is_the_full_map_on_even_tables():
+    # F on the 22 distinct nodes of phi, unfolded, against F summed on all
+    # 129 nodes of theta from the kernel's own table, at even tables that
+    # solve nothing
+    kern = _folded_kernel()
+    ops = _GridOps(kern)
+    rng = np.random.default_rng(5)
+    c = 0.3 * (rng.standard_normal((2,) + ops.shape)
+               + 1j * rng.standard_normal((2,) + ops.shape))
+    lam = np.array([0.7 + 1.5j, -2.0 + 0.5j])
+    _, r = ops.residual(lam, c)
+    psi, F = ops.unfold(c), ops.unfold(r + c)
+    T = 3 * ops.T
+    ph = phases(kern.band, T)
+    s = np.einsum("ijab,it,js->atbs", kern.coeff_array(), ph, ph)
+    ell = np.array([float(l) for l in kern.partition.lengths])
+    for k in range(2):
+        g = 1 / (lam[k] - psi[k] @ ph)
+        want = np.einsum("atbs,bs->at", s, g * ell[:, None]) / T
+        assert np.max(np.abs(F[k] @ ph - want)) <= 1e-14 * np.abs(want).max()
 
 
 def test_path_accepts_any_iterable(semicircle):
@@ -344,8 +390,8 @@ def test_far_targets_at_tiny_heights_keep_their_sign(semicircle,
 
 
 @pytest.mark.parametrize("make", [
-    rank_two_kernel, lambda: kernel_from_filter(compass_filter())],
-    ids=["rank-two", "compass"])
+    rank_two_kernel, lambda: kernel_from_filter(compass_filter()),
+    _tilted_kernel], ids=["rank-two", "compass", "tilted"])
 def test_a_point_does_not_depend_on_its_batch(make):
     # a point solved alone reads, bit for bit, the S it reads in a batch:
     # every product in Newton, and S's sum over the intervals, is stacked
@@ -403,15 +449,28 @@ def test_grid_nodes_follow_the_band(semicircle, compass_kernel):
     for kern in (semicircle, _band_zero_kernel()):
         assert _GridOps(kern).T == 1
         assert _GridOps(kern).phase.shape == (1, 1)
-    for kern in (_tilted_kernel(), rank_two_kernel()):
-        ops = _GridOps(kern)
-        assert ops.q == 1 and ops.T == 128
-        assert ops.phase.shape == (2 * kern.band + 1, 128)
+    # the tilted table is complex: modes -1..1 on all T nodes
+    ops = _GridOps(_tilted_kernel())
+    assert (ops.q, ops.T, ops.reflected) == (1, 128, False)
+    assert ops.phase.shape == (3, 128) and np.array_equal(ops.mult, [1] * 128)
+    # the rank-two table is real: modes 0 and 1 on the 65 distinct nodes,
+    # 0 and 64 alone and the others standing for their mirror too
+    ops = _GridOps(rank_two_kernel())
+    assert (ops.q, ops.T, ops.reflected) == (1, 128, True)
+    assert ops.phase.shape == (2, 65)
+    assert np.array_equal(ops.mult, [1] + [2] * 63 + [1])
     # the compass has modes -2, 0 and 2 alone: folded by q = 2, it is band
-    # 1 on T / 2 nodes
+    # 1 on T / 2 nodes, and its real table takes it to modes 0 and 1 on 33
     ops = _GridOps(compass_kernel)
-    assert (ops.q, ops.K, ops.T) == (2, 1, 64)
-    assert ops.phase.shape == (2 * compass_kernel.band // 2 + 1, 64)
+    assert (ops.q, ops.K, ops.T, ops.reflected) == (2, 1, 64, True)
+    assert ops.phase.shape == (2, 33) and ops.dim == 2
+    assert ops.mult.sum() == 64
+    # the grid's tables depend on K, T and the mirror alone: one shared,
+    # read-only copy serves every kernel with those three
+    again = _GridOps(kernel_from_filter(compass_filter()))
+    assert again.phase is ops.phase and again.dft2 is ops.dft2
+    with pytest.raises(ValueError):
+        ops.phase[0, 0] = 0
 
 
 def _dilated(kern: Kernel, q: int) -> Kernel:
@@ -493,6 +552,26 @@ def test_semicircle_closed_form_near_the_axis(semicircle):
         assert abs(sol.stieltjes - want) <= 1e-13, lam
 
 
+# |P(S)| / max |term of P| for the compass's certified curve
+# P = 4 lam^2 S^4 - lam^3 S^3 - lam^2 S^2 + lam S + 1 at x + 0.01i, solved
+# on all 64 nodes of 2 theta before the reflection fold: aliasing near
+# the density's spike at 0, rounding from x = 0.5 on
+QUARTIC_ON_64_NODES = {0.05: 9.5e-7, 0.1: 4.2e-9, 0.5: 6.0e-16,
+                       1.0: 2.4e-16, 2.0: 3.3e-16}
+
+
+def test_the_compass_on_33_nodes_is_as_exact_as_on_64(compass_kernel):
+    # the 33 distinct nodes hold the same samples of g, so the aliasing
+    # error does not grow; rounding may move, within 8 eps
+    lams = [x + 1e-2j for x in QUARTIC_ON_64_NODES]
+    for lam, sol in zip(lams, stieltjes_path(compass_kernel, lams)):
+        S = sol.stieltjes
+        terms = [4 * lam**2 * S**4, -lam**3 * S**3, -lam**2 * S**2, lam * S, 1]
+        rel = abs(sum(terms)) / max(map(abs, terms))
+        bound = max(QUARTIC_ON_64_NODES[lam.real], 8 * np.finfo(float).eps)
+        assert rel <= bound, lam
+
+
 def test_band_zero_psi_solves_the_color_equations():
     # Psi_a = sum_b s_ab len_b / (lam - Psi_b) and S = sum_b len_b /
     # (lam - Psi_b), checked on the solver's own output
@@ -521,15 +600,21 @@ def _spy_residual(monkeypatch) -> list:
 
 
 def test_conjugate_pairs_are_solved_once(compass_kernel, monkeypatch):
+    # Psi(conj lam) has the coefficients conj(c_-d): the reflected
+    # compass conjugates its modes 0..K in place, the tilted kernel
+    # reverses its modes -K..K too
     seen = _spy_residual(monkeypatch)
     lams = circle_points(4.0, 6)
     assert np.array_equal(lams[3:], np.conj(lams[2::-1]))
-    S, c, _, ok = _continue_batch(compass_kernel, list(lams) + [lams[1]])
-    assert ok.all()
-    assert max(len(batch) for batch in seen) == 3   # 3 pairs, one repeat
-    assert np.array_equal(S[3:6], np.conj(S[2::-1]))
-    assert S[6] == S[1]
-    assert np.array_equal(c[5], np.conj(c[0, :, ::-1]))
+    for kern in (compass_kernel, _tilted_kernel()):
+        seen.clear()
+        S, c, _, ok = _continue_batch(kern, list(lams) + [lams[1]])
+        assert ok.all()
+        assert max(len(batch) for batch in seen) == 3  # 3 pairs, one repeat
+        assert np.array_equal(S[3:6], np.conj(S[2::-1]))
+        assert S[6] == S[1]
+        c = _GridOps(kern).unfold(c)
+        assert np.array_equal(c[5], np.conj(c[0, :, ::-1]))
 
 
 def test_certificate_points_are_solved_in_place(compass_kernel, monkeypatch):
@@ -612,7 +697,7 @@ def test_the_far_field_table_is_F_at_zero():
     for kern in kerns:
         ops = _GridOps(kern)
         lams = np.array([0.3 + 2j, -1.7 + 0.01j, 5.0 + 1e-8j])
-        zero = np.zeros((3, ops.nI, 2 * ops.K + 1), dtype=complex)
+        zero = np.zeros((3,) + ops.shape, dtype=complex)
         _, F0 = ops.residual(lams, zero)
         far = ops.far / lams[:, None, None]
         assert far.shape == F0.shape and np.abs(far).max() > 0
