@@ -6,7 +6,7 @@ Commands: moments, density, solve, simulate, eliminate, verify,
 crosscheck.  Kernel/filter inputs are JSON documents (inline
 or a path); every run writes its outputs plus a manifest.json recording
 the command, a config hash, the seed, library versions (scipy's where
-the process loaded its LAPACK), wall time, the BLAS thread variables,
+the run eigensolved), wall time, the BLAS thread variables,
 and a sha256 per output file — identical config
 and seed reproduce identical hashes for the deterministic commands.
 
@@ -83,7 +83,18 @@ class _Run:
         self.outdir = outdir
         self.t0 = time.time()
         self.paths: list[str] = []
+        self.versions = {"filtered-spectra": __version__,
+                         "numpy": np.__version__,
+                         "python": sys.version.split()[0]}
         os.makedirs(outdir, exist_ok=True)
+
+    def esd_statistics(self, samples, kmax: int):
+        """esd_statistics(samples, kmax), and scipy's version in the
+        manifest: a run records it if and only if it eigensolved."""
+        summary = esd_statistics(samples, kmax=kmax)
+        import scipy        # loaded by the eigensolve
+        self.versions["scipy"] = scipy.__version__
+        return summary
 
     def path(self, name: str) -> str:
         p = os.path.join(self.outdir, name)
@@ -131,13 +142,8 @@ class _Run:
             with open(p, "rb") as fh:
                 outputs.append({"path": os.path.basename(p),
                                 "sha256": hashlib.sha256(fh.read()).hexdigest()})
-        versions = {"filtered-spectra": __version__,
-                    "numpy": np.__version__,
-                    "python": sys.version.split()[0]}
-        if "scipy.linalg" in sys.modules:   # loaded by the eigensolve only
-            versions["scipy"] = sys.modules["scipy"].__version__
         man = RunManifest(command=self.command, config_hash=digest,
-                          seed=self.cfg.get("seed"), versions=versions,
+                          seed=self.cfg.get("seed"), versions=self.versions,
                           wall_time_s=time.time() - self.t0,
                           blas_threads={v: os.environ.get(v)
                                         for v in BLAS_THREAD_VARS},
@@ -396,7 +402,7 @@ def cmd_simulate(cfg: dict) -> int:
         return m
 
     # one matrix alive at a time: drawn, hashed, eigensolved, released
-    summary = esd_statistics(map(hashed, range(trials)), kmax=kmax)
+    summary = run.esd_statistics(map(hashed, range(trials)), kmax)
     run.write_csv("moments.csv", ["k", "mean", "stderr"],
                   [[k + 1, summary.moment_mean[k], summary.moment_stderr[k]]
                    for k in range(kmax)])
@@ -483,7 +489,7 @@ def cmd_crosscheck(cfg: dict) -> int:
                          SampleConfig(N=N, seed=seed, trials=trials), h)
     else:
         sample = partial(sample_colored_gaussian, kern, N, seed)
-    summary = esd_statistics(map(sample, range(trials)), kmax=kmax)
+    summary = run.esd_statistics(map(sample, range(trials)), kmax)
 
     rows, all_ok = [], True
     for k in range(kmax):

@@ -34,14 +34,19 @@ not from a Fortran copy of their block, takes the traced peak of an
 N = 640 eigensolve from 2.05 to 1.06 matrices.  The vectors, and so
 eigenpair_residual, may move by a few eps against the copy (bit for
 bit at N = 17-640 with OpenBLAS 0.3.31, up to 1.7e-16 in an earlier
-measurement); the tests allow 4 eps.  scipy's LAPACK is loaded at the
-first eigensolve, not with the module.
+measurement); the tests allow 4 eps.  The LAPACK and BLAS wrappers are
+loaded at the first eigensolve, straight from scipy's two extension
+files: scipy.linalg itself is never imported (see _lapack_modules).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
+from functools import cache
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -298,6 +303,35 @@ def _lapack(name, *outputs):
     return values[0] if len(values) == 1 else values
 
 
+@cache
+def _lapack_modules():
+    """scipy's f2py wrappers of LAPACK and BLAS, the extension modules
+    scipy.linalg._flapack and scipy.linalg._fblas, loaded from their
+    files without running scipy.linalg's package.
+
+    Importing anything under scipy.linalg first runs its __init__, which
+    imports the whole of scipy.linalg and, through scipy._lib._array_api,
+    numpy.f2py and numpy.testing: about 320 modules and 0.2 s, of which
+    the eigensolve calls five Fortran wrappers.  A bare `import scipy`
+    (about 12 ms) gives the directory; each extension is then loaded
+    under its own name, so its wrappers are the objects that
+    scipy.linalg.lapack and scipy.linalg.blas hand out, and a later
+    import of scipy.linalg takes these modules as its own.  A missing
+    file raises ImportError naming the directory searched.
+    """
+    import scipy
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    modules = []
+    for name in ("_flapack", "_fblas"):
+        spec = PathFinder.find_spec(f"scipy.linalg.{name}", [folder])
+        if spec is None:
+            raise ImportError(f"scipy.linalg.{name} is not in {folder}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return tuple(modules)
+
+
 def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
     """Full spectrum of a symmetric matrix, ascending, with a residual check.
 
@@ -306,20 +340,28 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
     ||m v - lambda v|| / ||m||_F of those pairs.  dsytrd works on its own
     copy of m, never with overwrite_a: the check reads m @ z after it, so
     overwriting the sample would destroy what the check is made against.
+    A non-finite entry raises ValueError and an asymmetric pair
+    AssertionError, each naming the entry.
     """
-    # imported here, not at module load: scipy.linalg is most of the
-    # package's import time, and no other function needs it
-    from scipy.linalg import lapack
-    from scipy.linalg.blas import dnrm2
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input is not square")
     n = m.shape[0]
     if n == 0:
         raise ValueError(f"input has shape {m.shape}: no eigenvalues")
+    lapack, blas = _lapack_modules()
+    scale = float(blas.dnrm2(m.ravel()))   # ||m||_F, free of over/underflow
+    if not math.isfinite(scale):    # NaN or inf in m, or a norm past 1.8e308
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"input entry ({i}, {j}) is {m[i, j]}, "
+                             "not finite")
     if not np.array_equal(m, m.T):
-        raise AssertionError("input matrix is not symmetric")
-    scale = float(dnrm2(m.ravel()))    # ||m||_F, free of over/underflow
+        i, j = np.argwhere(m != m.T)[0]
+        raise AssertionError(
+            f"input matrix is not symmetric: entry ({i}, {j}) is "
+            f"{float(m[i, j])!r} but ({j}, {i}) is {float(m[j, i])!r}")
     if n == 1 or scale == 0.0:  # already diagonal (and dsterf refuses n = 1)
         if certificate is not None:
             certificate["residual"] = 0.0
@@ -353,7 +395,7 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
     z[1:], _ = _lapack("dormqr", *lapack.dormqr("L", "N", v, tau, z[1:],
                                                 lwork=int(work[0])))
 
-    resid = [float(dnrm2(r)) for r in (m @ z - z * vals[idx]).T]
+    resid = [float(blas.dnrm2(r)) for r in (m @ z - z * vals[idx]).T]
     for i, r in zip(idx, resid):
         if not r <= 1e-8 * scale:       # a NaN residual fails too
             raise RuntimeError(
@@ -395,13 +437,14 @@ class EsdSummary:
 def esd_statistics(samples, kmax: int = 6) -> EsdSummary:
     """Aggregate empirical moments (with standard errors) and a histogram.
 
-    samples: any iterable of symmetric matrices (possibly of different
-    sizes), read once, in order; each matrix is released before the next
-    is drawn, so a generator keeps one sample alive at a time.  Moments
-    are averaged across samples; the standard error is the across-sample
-    deviation of the per-sample moment (for a single sample, a
-    within-sample plug-in estimate so z-scores stay usable).  Histogram
-    bins are Freedman-Diaconis on the pooled normalized eigenvalues.
+    samples: any nonempty iterable of symmetric matrices (possibly of
+    different sizes), read once, in order; each matrix is released before
+    the next is drawn, so a generator keeps one sample alive at a time.
+    Moments are averaged across samples; the standard error is the
+    across-sample deviation of the per-sample moment (for a single
+    sample, a within-sample plug-in estimate so z-scores stay usable).
+    Histogram bins are Freedman-Diaconis on the pooled normalized
+    eigenvalues.
     """
     if kmax > ESD_KMAX:
         raise ValueError(f"kmax must be <= {ESD_KMAX}")
@@ -409,6 +452,8 @@ def esd_statistics(samples, kmax: int = 6) -> EsdSummary:
     for m in samples:
         esds.append(ESD.from_matrix(np.asarray(m), kmax))
         del m
+    if not esds:
+        raise ValueError("esd_statistics needs at least one sample")
     per_k = np.array([e.empirical_moments for e in esds])  # (trials, kmax)
     mean = per_k.mean(axis=0)
     t = len(esds)

@@ -364,6 +364,7 @@ def test_crosscheck_passes(tmp_path):
     assert len(rows) == 6
     assert all(r["solver_ok"] == "1" and r["sim_ok"] == "1" for r in rows)
     assert _report(out)["pass"] is True
+    assert "scipy" in _manifest(out)["versions"]      # it eigensolved
 
 
 @pytest.mark.parametrize("shift, flagged", [(0.5, False), (2.0, True)])
@@ -418,6 +419,7 @@ def test_crosscheck_rejects_invalid_kernel(tmp_path):
     rep = _report(out)
     assert rep["kernel_valid"] is False
     assert rep["failures"]
+    assert "scipy" not in _manifest(out)["versions"]  # it never sampled
 
 
 def test_simulate_reproducible_hashes(tmp_path):
@@ -721,6 +723,20 @@ def test_readme_command_lines_match_the_parser():
     assert {argv[0] for argv in listed} == set(sub.choices)
 
 
+def _fresh_python(script, *args):
+    """The last stdout line of script, run as JSON in a fresh interpreter
+    (so the suite's own imports hide nothing) with this package on the
+    path; the script gets args as sys.argv[1:]."""
+    src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 _IMPORT_BOUNDARY_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -739,26 +755,44 @@ codes = [main(argv + ["--out", str(out / argv[0])]) for argv in (
 seen["commands"] = "scipy" in sys.modules
 codes.append(main(["simulate", "--filter", compass, "--N", "20",
                    "--kmax", "2", "--out", str(out / "simulate")]))
-seen["simulate"] = "scipy.linalg" in sys.modules
-seen["recorded"] = ["scipy" in json.loads((out / argv[0] / "manifest.json")
-                    .read_text())["versions"] for argv in (["density"],
-                                                         ["simulate"])]
+seen["simulate"] = {name: name in sys.modules for name in (
+    "scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py")}
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
-def test_only_the_eigensolve_loads_scipy_linalg(tmp_path):
-    # a fresh interpreter, so the suite's own scipy imports hide nothing:
-    # no scipy at all before simulate, and its version in the manifest
-    # only of the run that loaded it
-    src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, str(tmp_path),
-         COMPASS], env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout.splitlines()[-1])
+def test_simulate_loads_lapack_but_not_scipy_linalg(tmp_path):
+    # no scipy at all before simulate; simulate loads scipy's top-level
+    # package and LAPACK extensions only, not scipy.linalg's package and
+    # the array-API and f2py modules it drags in
+    got = _fresh_python(_IMPORT_BOUNDARY_SCRIPT, tmp_path, COMPASS)
     assert got["codes"] == [0] * 6
     assert got["seen"] == {"import": False, "commands": False,
-                           "simulate": True, "recorded": [False, True]}
+                           "simulate": {"scipy": True, "scipy.linalg": False,
+                                        "scipy._lib._array_api": False,
+                                        "numpy.f2py": False}}
+
+
+_MANIFEST_VERSIONS_SCRIPT = """
+import json, sys
+from pathlib import Path
+from filtered_spectra.cli import main
+out, compass = Path(sys.argv[1]), sys.argv[2]
+runs = (["density", "--n", "9"], ["simulate", "--N", "20", "--kmax", "2"],
+        ["density", "--n", "9"])
+codes = [main(argv + ["--filter", compass, "--out", str(out / str(i))])
+         for i, argv in enumerate(runs)]
+print(json.dumps({"codes": codes, "versions": [
+    json.loads((out / str(i) / "manifest.json").read_text())["versions"]
+    for i in range(len(runs))]}))
+"""
+
+
+def test_only_a_run_that_eigensolves_records_scipy(tmp_path):
+    # density, simulate, density in one process: the second density run
+    # comes after scipy is loaded and still records no scipy version
+    got = _fresh_python(_MANIFEST_VERSIONS_SCRIPT, tmp_path, COMPASS)
+    assert got["codes"] == [0, 0, 0]
+    import scipy
+    assert ["scipy" in v for v in got["versions"]] == [False, True, False]
+    assert got["versions"][1]["scipy"] == scipy.__version__

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,8 +18,8 @@ import filtered_spectra
 from filtered_spectra import rng
 from filtered_spectra.kernel import Filter, IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
-from filtered_spectra.matrixlab import (ESD, SampleConfig, _site_cells,
-                                        covariance_check,
+from filtered_spectra.matrixlab import (ESD, SampleConfig, _lapack_modules,
+                                        _site_cells, covariance_check,
                                         eigenvalues_symmetric, esd_statistics,
                                         sample_colored_gaussian,
                                         sample_filtered_wigner)
@@ -446,7 +447,8 @@ def test_samplers_allocate_little_beyond_their_matrix(compass):
 
 
 def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
-    real_dstein = scipy.linalg.lapack.dstein
+    lapack, _ = _lapack_modules()
+    real_dstein = lapack.dstein
     calls = []
 
     def perturbed(d, e, w, iblock, isplit):
@@ -455,7 +457,7 @@ def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
         z[0, 2] += 1e-3     # columns follow the indices 0, 10, 20, 30, 39
         return z, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstein", perturbed)
+    monkeypatch.setattr(lapack, "dstein", perturbed)
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 40))
     with pytest.raises(RuntimeError, match="eigenpair 20 residual"):
@@ -467,7 +469,8 @@ def test_residual_check_catches_a_bad_eigenvector(monkeypatch):
 def test_back_transform_reads_the_reflectors_in_place(monkeypatch, n):
     # dormqr gets dsytrd's own buffer, leading dimension n, not a copy of
     # the reflector block, and its vectors match the copying route's
-    real_dormqr = scipy.linalg.lapack.dormqr
+    lapack, _ = _lapack_modules()
+    real_dormqr = lapack.dormqr
     gaps = []
 
     def spy(side, trans, a, tau, c, lwork):
@@ -480,13 +483,72 @@ def test_back_transform_reads_the_reflectors_in_place(monkeypatch, n):
             gaps.append(np.max(np.abs(out[0] - ref[0])))
         return out
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", spy)
+    monkeypatch.setattr(lapack, "dormqr", spy)
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n))
     cert = {}
     eigenvalues_symmetric(m + m.T, certificate=cert)
     assert len(gaps) == 1 and gaps[0] <= 4 * np.finfo(float).eps
     assert cert["residual"] <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 17, 640])
+def test_loaded_lapack_is_scipy_linalgs(n):
+    # the eigensolve's wrappers, loaded without scipy.linalg's package,
+    # are scipy.linalg's own: the same file, the same bits out
+    from scipy.linalg import _flapack
+    loaded, _ = _lapack_modules()
+    assert loaded.__file__ == _flapack.__file__
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a = np.asfortranarray(a + a.T)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    outs = []
+    for mod in (loaded, _flapack):
+        lwork = mod.dsytrd_lwork(n, lower=1)[0]
+        c, d, e, tau, _info = mod.dsytrd(a, lower=1, lwork=int(lwork))
+        w, _info = mod.dsterf(d, e)
+        z, _info = mod.dstein(d, e, w[[0, n - 1]],
+                              np.ones(n, dtype=np.int32), isplit)
+        q, _work, _info = mod.dormqr("L", "N", np.asfortranarray(
+            c[1:, :n - 1]), tau, z[1:], lwork=n)
+        outs.append([c, d, e, tau, w, z, q])
+    for one, two in zip(*outs):
+        assert one.tobytes() == two.tobytes()
+
+
+def test_a_missing_extension_names_the_directory(monkeypatch, tmp_path):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    folder = re.escape(str(tmp_path / "linalg"))
+    with pytest.raises(ImportError, match=folder):
+        _lapack_modules.__wrapped__()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_is_refused_by_name(monkeypatch, bad):
+    # refused before the symmetry test and before dsytrd runs
+    lapack, _ = _lapack_modules()
+    monkeypatch.setattr(lapack, "dsytrd", None)
+    m = np.ones((6, 6))
+    m[4, 2] = bad
+    with pytest.raises(ValueError,
+                       match=rf"entry \(4, 2\) is {bad}, not finite"):
+        eigenvalues_symmetric(m)
+
+
+def test_an_asymmetric_pair_is_named_with_both_values():
+    m = np.eye(5)
+    m[1, 3], m[3, 1] = 0.25, 0.5
+    m[2, 4] = 7.0
+    with pytest.raises(AssertionError, match=r"not symmetric: entry "
+                       r"\(1, 3\) is 0.25 but \(3, 1\) is 0.5$"):
+        eigenvalues_symmetric(m)
+
+
+def test_an_empty_sample_stream_is_refused():
+    with pytest.raises(ValueError, match="at least one sample"):
+        esd_statistics(iter([]))
 
 
 def _agrees_with_references(m, cert=None):

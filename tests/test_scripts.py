@@ -14,8 +14,9 @@ SMALL = {"model_comparison.py": ["--N-filtered", "60", "--N-colored", "6",
 
 def test_scripts_run():
     # the scripts start side by side: each spends most of its time
-    # importing, numpy in both and scipy's LAPACK in model_comparison.py,
-    # the one that samples and eigensolves
+    # importing numpy; model_comparison.py, the one that samples and
+    # eigensolves, also loads scipy's two LAPACK and BLAS extensions,
+    # not scipy.linalg's package
     src = os.path.dirname(os.path.dirname(filtered_spectra.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
