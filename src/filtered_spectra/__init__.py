@@ -18,10 +18,9 @@ from .colorsolve import (ColorSolution, SpectralGrid, stieltjes_path,
                          density_profile, solver_moments)
 from .algebra import (BivariatePolynomial, resultant, discriminant,
                       real_roots, verify_curve, rank_one_eliminate)
-from .matrixlab import (SampleConfig, ESD, EsdSummary, CovarianceReport,
-                        sample_filtered_wigner, covariance_check,
-                        sample_colored_gaussian, eigenvalues_symmetric,
-                        esd_statistics)
+from .matrixlab import (SampleConfig, ESD, EsdSummary,
+                        sample_filtered_wigner, sample_colored_gaussian,
+                        eigenvalues_symmetric, esd_statistics)
 
 __all__ = [
     "__version__",
@@ -35,7 +34,6 @@ __all__ = [
     "solver_moments",
     "BivariatePolynomial", "resultant", "discriminant", "real_roots",
     "verify_curve", "rank_one_eliminate",
-    "SampleConfig", "ESD", "EsdSummary", "CovarianceReport",
-    "sample_filtered_wigner", "covariance_check", "sample_colored_gaussian",
-    "eigenvalues_symmetric", "esd_statistics",
+    "SampleConfig", "ESD", "EsdSummary", "sample_filtered_wigner",
+    "sample_colored_gaussian", "eigenvalues_symmetric", "esd_statistics",
 ]

@@ -15,11 +15,11 @@ the engines run on ints and undo the scale through
     disc(cF) = c^(2n - 2) * disc(F),   n = deg F.
 
 By Gauss's lemma every division by a primitive divisor (content 1 in
-Z[x]) stays exact in Z[x][y].  Gcds, pseudo-remainders and exact
-divisions run on the rows directly; eliminating x instead of y
-transposes them once.  The module provides
+Z[x]) stays exact in Z[x][y].  Resultants, discriminants and gcds come
+off one subresultant PRS on the rows, whose divisions are exact too;
+eliminating x instead of y transposes the rows once.  The module provides
 
-* Sylvester resultants (Bareiss fraction-free determinants over Z[x]);
+* resultants from the subresultant PRS over Z[x], no determinant;
 * discriminants with the classical sign (-1)^(n(n-1)/2) res(F, F') / lc;
 * real-root isolation by Sturm sequences + bisection, on a chain of
   sign-preserving pseudo-remainders: positive multiples of the chain over Q;
@@ -388,51 +388,66 @@ class BivariatePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# resultants: Sylvester matrix + Bareiss over Z[x]
+# resultants and gcds: one subresultant PRS over Z[x]
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(m):
-    """Fraction-free determinant of a nonempty matrix over Z[x]."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = _psub(_pmul(m[i][j], m[k][k]), _pmul(m[i][k], m[k][j]))
-                m[i][j] = _pdivexact(t, prev) if k and t else t
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return _pscale(det, -1) if sign < 0 else det
+def _ppow(p, k):
+    out = [1]
+    for _ in range(k):
+        out = _pmul(out, p)
+    return out
 
 
-def _sylvester_resultant(p, q):
-    """res(p, q) of coefficient lists (ascending) over Z[x]."""
-    p, q = _pnorm(p), _pnorm(q)
+def _prem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b for y-rows over Z[x], deg a >=
+    deg b: each pass scales by lc(b), a pass whose top row is zero too."""
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > n:
+        c, d = r.pop(), len(r) - n
+        r = [_pmul(s, lead) for s in r]
+        if c:
+            for i, s in enumerate(b[:-1]):
+                r[i + d] = _psub(r[i + d], _pmul(c, s))
+    return _pnorm(r)
+
+
+def _subresultants(p, q):
+    """(a, b, h, sign): the last two members of the subresultant PRS of
+    y-rows p, q over Z[x] (Collins, J. ACM 1967; Brown-Traub, J. ACM
+    1971), b the first of y-degree <= 0, a the last nonzero one if b is 0.
+
+    Larger degree first; each step divides prem(a, b) by g h^delta
+    (g = lc a, delta = deg a - deg b), exactly, and h becomes
+    g^delta / h^(delta - 1) (delta = 0 only at the first step, h = 1).
+    sign is (-1)^(mn) for swapped operands, flipped at each step where
+    both degrees are odd: res = sign lc(b)^k / h^(k - 1), k = deg a.
+    """
+    m, n = len(p) - 1, len(q) - 1
+    a, b, sign = (p, q, 1) if m >= n else (q, p, (-1) ** (m * n % 2))
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        div = _pmul(g, _ppow(h, delta))
+        a, b = b, [_pdivexact(r, div) for r in _prem(a, b)]
+        g = a[-1]
+        h = _pdivexact(_ppow(g, delta), _ppow(h, delta - 1))
+    return a, b, h, sign
+
+
+def _resultant(p, q):
+    """res(p, q) of y-rows over Z[x], read off their subresultant PRS."""
     if not p or not q:
         raise ValueError("resultant of the zero polynomial")
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0 and n == 0:
+    if len(p) == 1 and len(q) == 1:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    size = m + n
-    rows = []
-    pd = list(reversed(p))  # descending
-    qd = list(reversed(q))
-    for i in range(n):
-        rows.append([[]] * i + pd + [[]] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([[]] * i + qd + [[]] * (size - n - 1 - i))
-    return _bareiss_det(rows)
+    a, b, h, sign = _subresultants(p, q)
+    if not b:
+        return []
+    k = len(a) - 1
+    return _pscale(_pdivexact(_ppow(b[0], k), _ppow(h, k - 1)), sign)
 
 
 def resultant(P: BivariatePolynomial, Q: BivariatePolynomial, eliminate: str):
@@ -443,7 +458,7 @@ def resultant(P: BivariatePolynomial, Q: BivariatePolynomial, eliminate: str):
     eliminated variable or either is zero.
     """
     p, q = _rows_in(P, eliminate), _rows_in(Q, eliminate)
-    res = _sylvester_resultant(p, q)
+    res = _resultant(p, q)
     scale = P.den ** (len(q) - 1) * Q.den ** (len(p) - 1)
     return [Fraction(c, scale) for c in res]
 
@@ -458,7 +473,7 @@ def discriminant(F: BivariatePolynomial, var: str = "y"):
     n = len(rows) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1 in the variable")
-    out = _pdivexact(_sylvester_resultant(rows, _bp_dy(rows)), rows[-1])
+    out = _pdivexact(_resultant(rows, _bp_dy(rows)), rows[-1])
     scale = F.den ** (2 * n - 2) * (-1) ** (n * (n - 1) // 2)
     return [Fraction(c, scale) for c in out]
 
@@ -634,27 +649,11 @@ def _curve_residual(F, lams, S):
 # squarefree decomposition in Z[x][y]
 # ---------------------------------------------------------------------------
 
-def _prem(a, b):
-    """Pseudo-remainder of a by b, both as y-rows over Z[x] (b nonzero)."""
-    while len(a) >= len(b):
-        lead, d = a[-1], len(a) - len(b)
-        a = [_pmul(r, b[-1]) for r in a]
-        for i, r in enumerate(b):
-            a[i + d] = _psub(a[i + d], _pmul(lead, r))
-        a = _pnorm(a)
-    return a
-
-
 def _bp_gcd(p, q):
-    """Primitive gcd of two y-row lists in Z[x][y], up to its sign.
-
-    Brown's primitive pseudo-remainder sequence: by Gauss's lemma every
-    step stays in Z[x][y] and no quotient field is needed.
-    """
-    a, b = _primitive(p), _primitive(q)
-    while len(b) > 1:
-        a, b = b, _primitive(_prem(a, b))
-    return b or a
+    """Primitive gcd of two y-row lists in Z[x][y] (p nonzero), up to its
+    sign: the primitive part of the last nonzero subresultant member."""
+    a, b, _, _ = _subresultants(p, q)
+    return _primitive(b or a)
 
 
 def _squarefree_factors(f):

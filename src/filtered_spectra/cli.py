@@ -5,8 +5,9 @@
 Commands: moments, density, solve, simulate, eliminate, verify,
 crosscheck.  Kernel/filter inputs are JSON documents (inline
 or a path); every run writes its outputs plus a manifest.json recording
-the command, a config hash, the seed, library versions (scipy's where
-the run eigensolved), wall time, the BLAS thread variables,
+the command, a config hash, the seed (null for the commands that draw
+nothing), library versions (scipy's where the run eigensolved), wall
+time, the BLAS thread variables,
 and a sha256 per output file — identical config
 and seed reproduce identical hashes for the deterministic commands.
 
@@ -77,10 +78,12 @@ class RunManifest:
 class _Run:
     """Output directory plus the bookkeeping every command shares."""
 
-    def __init__(self, command: str, cfg: dict, outdir: str):
+    def __init__(self, command: str, cfg: dict, outdir: str,
+                 seed: int | None = None):
         self.command = command
         self.cfg = cfg
         self.outdir = outdir
+        self.seed = seed            # the _seed a drawing command used
         self.t0 = time.time()
         self.paths: list[str] = []
         self.versions = {"filtered-spectra": __version__,
@@ -132,8 +135,11 @@ class _Run:
         return p
 
     def finish(self) -> None:
-        # the inputs alone: the same run into another --out hashes alike
-        inputs = {k: v for k, v in self.cfg.items() if k != "out"}
+        # the inputs alone: the same run into another --out hashes alike,
+        # and a seed counts only where the command drew with it
+        inputs = {k: v for k, v in self.cfg.items() if k not in ("out", "seed")}
+        if self.seed is not None:
+            inputs["seed"] = self.seed
         digest = hashlib.sha256(
             json.dumps(inputs, sort_keys=True, default=str).encode()
         ).hexdigest()
@@ -143,7 +149,7 @@ class _Run:
                 outputs.append({"path": os.path.basename(p),
                                 "sha256": hashlib.sha256(fh.read()).hexdigest()})
         man = RunManifest(command=self.command, config_hash=digest,
-                          seed=self.cfg.get("seed"), versions=self.versions,
+                          seed=self.seed, versions=self.versions,
                           wall_time_s=time.time() - self.t0,
                           blas_threads={v: os.environ.get(v)
                                         for v in BLAS_THREAD_VARS},
@@ -166,7 +172,6 @@ def _load_cfg(ns: argparse.Namespace) -> dict:
         if key in ("config", "func") or val is None:
             continue
         cfg[key] = val
-    cfg.setdefault("seed", 42)
     cfg.setdefault("out", "fs-out")
     return cfg
 
@@ -196,14 +201,14 @@ def _count(cfg: dict, key: str, default: int, cap: int | None = None) -> int:
 
 
 def _seed(cfg: dict) -> int:
-    """cfg["seed"] as an _integer Philox key in 0..2^64 - 1, raising like
-    _count; it replaces cfg["seed"], so the manifest records the seed used."""
-    value = cfg["seed"]
+    """cfg["seed"] (default 42) as an _integer Philox key in 0..2^64 - 1,
+    raising like _count.  Only the commands that draw read it, and they
+    pass it to _Run; the others record seed null and hash no seed."""
+    value = cfg.get("seed", 42)
     seed = _integer(value)
     if seed is None or not 0 <= seed < 2 ** 64:
         raise ValueError(f"--seed must be an integer in 0..2**64 - 1, "
                          f"got {value!r}")
-    cfg["seed"] = seed
     return seed
 
 
@@ -393,7 +398,7 @@ def cmd_simulate(cfg: dict) -> int:
         sample = partial(sample_colored_gaussian, _get_kernel(cfg), N, seed)
     else:
         raise ValueError(f"--model {model!r} is not 'filtered' or 'colored'")
-    run = _Run("simulate", cfg, cfg["out"])
+    run = _Run("simulate", cfg, cfg["out"], seed)
     hashes = []
 
     def hashed(trial):
@@ -471,7 +476,7 @@ def cmd_crosscheck(cfg: dict) -> int:
     h = _get_filter(cfg) if "filter" in cfg else None
     N = (_count(cfg, "N", 24, COLORED_N_MAX) if h is None
          else _count(cfg, "N", 400))
-    run = _Run("crosscheck", cfg, cfg["out"])
+    run = _Run("crosscheck", cfg, cfg["out"], seed)
 
     report = validate_kernel(kern)
     if not report.ok:

@@ -50,8 +50,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .kernel import (Filter, IntervalPartition, Kernel, kernel_from_filter,
-                     kernel_grid_matrix)
+from .kernel import Filter, IntervalPartition, Kernel, kernel_grid_matrix
 from .rng import gaussian_entries, rademacher_entries
 
 ESD_KMAX = 10          # highest empirical moment esd_statistics reports
@@ -59,11 +58,9 @@ COLORED_N_MAX = 64     # colored model size guard: N^2 <= 4096 sites
 
 __all__ = [
     "SampleConfig",
-    "CovarianceReport",
     "ESD",
     "EsdSummary",
     "sample_filtered_wigner",
-    "covariance_check",
     "sample_colored_gaussian",
     "eigenvalues_symmetric",
     "esd_statistics",
@@ -102,19 +99,6 @@ def _draw(cfg: SampleConfig, trial: int, lo, hi):
     draw = rademacher_entries if cfg.entry_law == "rademacher" \
         else gaussian_entries
     return draw(cfg.seed, trial, lo, hi, _Y_STREAM)
-
-
-def _entry_field(cfg: SampleConfig, trial: int, rows, cols) -> np.ndarray:
-    """Symmetric mean-0 variance-1 field at integer sites, zero diagonal.
-
-    Keyed by the sorted index pair so Y[a,b] == Y[b,a] identically, in
-    any slicing order.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    return np.where(rows == cols, 0.0, _draw(cfg, trial, lo, hi))
 
 
 def _fill_upper(M: np.ndarray, draw, k: int) -> None:
@@ -186,61 +170,6 @@ def sample_filtered_wigner(cfg: SampleConfig, h: Filter,
                 X[r0:r1, c0:c1] += term
     _mirror_upper(X)
     return X
-
-
-@dataclass
-class CovarianceReport:
-    empirical: float
-    theoretical: float
-    z_score: float
-    stderr: float
-    trials: int
-
-
-def covariance_check(h: Filter, cfg: SampleConfig,
-                     index_quad) -> CovarianceReport:
-    """Monte Carlo check of E[X_ij X_kl] = s_{i-k, l-j}.
-
-    The identity holds only for indices in general position: all four
-    further than K from 0 and N, and min(j-i, l-k) > K.  Anything else
-    is refused — near the boundary the model simply does not pin the
-    covariance down.
-    """
-    i, j, k, l = (int(v) for v in index_quad)
-    N, K = cfg.N, h.K
-    for v in (i, j, k, l):
-        if not (1 <= v <= N) or min(abs(v - 0), abs(v - N)) <= K:
-            raise ValueError(
-                f"indices not in general position: {v} is within {K} "
-                f"of a boundary multiple of N={N}")
-    if min(j - i, l - k) <= K:
-        raise ValueError(
-            f"indices not in general position: min(j-i, l-k) = "
-            f"{min(j - i, l - k)} <= K = {K}")
-
-    kern = kernel_from_filter(h)
-    re, im = kern.coeffs.get((i - k, l - j, 0, 0), (0, 0))
-    assert im == 0, "a filter's kernel has real coefficients"
-    theoretical = re / kern.den
-
-    taps = sorted(h.taps.items())
-    trials = np.arange(cfg.trials)
-
-    def entry_samples(row, col):
-        acc = np.zeros(cfg.trials)
-        for (a, b), weight in taps:
-            r, c = row - a, col + b
-            if 1 <= r <= N and 1 <= c <= N:
-                acc += float(weight) * _entry_field(cfg, trials, r, c)
-        return acc
-
-    prods = entry_samples(i, j) * entry_samples(k, l)
-    empirical = float(prods.mean())
-    stderr = float(prods.std(ddof=1) / math.sqrt(cfg.trials))
-    z = (empirical - theoretical) / stderr if stderr > 0 else 0.0
-    return CovarianceReport(empirical=empirical, theoretical=theoretical,
-                            z_score=float(z), stderr=stderr,
-                            trials=cfg.trials)
 
 
 def _site_cells(part: IntervalPartition, ps: np.ndarray,
@@ -341,7 +270,8 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
     copy of m, never with overwrite_a: the check reads m @ z after it, so
     overwriting the sample would destroy what the check is made against.
     A non-finite entry raises ValueError and an asymmetric pair
-    AssertionError, each naming the entry.
+    AssertionError, each naming the entry; finite entries whose ||m||_F
+    overflows raise ValueError naming the norm.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -357,6 +287,9 @@ def eigenvalues_symmetric(m: np.ndarray, certificate=None) -> np.ndarray:
             i, j = bad[0]
             raise ValueError(f"input entry ({i}, {j}) is {m[i, j]}, "
                              "not finite")
+        raise ValueError("input's Frobenius norm ||m||_F overflows float64 "
+                         f"(largest entry {float(np.max(np.abs(m)))!r}): "
+                         "scale the matrix down")
     if not np.array_equal(m, m.T):
         i, j = np.argwhere(m != m.T)[0]
         raise AssertionError(

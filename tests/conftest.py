@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from filtered_spectra.kernel import (Filter, IntervalPartition, Kernel,
                                      compass_filter, constant_kernel,
                                      kernel_from_filter, kernel_grid_matrix,
                                      unit_partition)
-from filtered_spectra.matrixlab import _draw, _site_cells
+from filtered_spectra import matrixlab
+from filtered_spectra.matrixlab import (SampleConfig, _draw, _site_cells,
+                                        sample_filtered_wigner)
 from filtered_spectra.rng import gaussian_entries
 
 
@@ -188,3 +191,29 @@ def reference_colored_gaussian(kern, N, seed, trial=0):
     M[r, c] = amp[r, c] * gaussian_entries(seed, trial, r, c, 1)
     M[np.diag_indices(n2)] *= math.sqrt(2.0)
     return M + np.triu(M, 1).T
+
+
+def tap_derivatives(h, N, sites):
+    """{(p, q): dX/dY_pq} over the 1-based pairs p < q that reach a
+    1-based site (i, j) of the filtered model X_ij = sum Y_kl h(i-k, l-j):
+    sample_filtered_wigner run with the indicator of (p, q) as its draw.
+    X is linear in Y, so each matrix is exact."""
+    pairs = {tuple(sorted((i - a, j + b))) for i, j in sites
+             for a, b in h.taps
+             if 1 <= i - a <= N and 1 <= j + b <= N and i - a != j + b}
+    out = {}
+    for p, q in sorted(pairs):
+        def indicator(cfg, trial, lo, hi, p=p, q=q):
+            return ((lo == p) & (hi == q)).astype(float)
+        with mock.patch.object(matrixlab, "_draw", indicator):
+            out[p, q] = sample_filtered_wigner(SampleConfig(N=N, seed=0), h)
+    return out
+
+
+def filtered_covariance(h, N, quad):
+    """E[X_ij X_kl] of the filtered model at the 1-based quad (i, j, k, l),
+    exactly: the sum over pairs p < q of dX_ij/dY_pq * dX_kl/dY_pq, for
+    independent draws of variance 1."""
+    i, j, k, l = quad
+    return sum(Fraction(d[i - 1, j - 1]) * Fraction(d[k - 1, l - 1])
+               for d in tap_derivatives(h, N, [(i, j), (k, l)]).values())

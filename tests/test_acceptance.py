@@ -12,22 +12,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import seeded_two_interval_kernel, two_point_kernel
+from conftest import (filtered_covariance, seeded_two_interval_kernel,
+                      two_point_kernel)
 from filtered_spectra.algebra import (BivariatePolynomial,
                                       rank_one_eliminate, discriminant,
                                       real_roots, verify_curve, resultant)
 from filtered_spectra.colorsolve import density_profile, stieltjes_path
 from filtered_spectra.combinat import (enumerate_wigner_partitions,
                                        moments_by_enumeration)
-from filtered_spectra.kernel import validate_kernel, read_color_document
+from filtered_spectra.kernel import (kernel_from_filter, validate_kernel,
+                                     read_color_document)
 from filtered_spectra.matrixlab import (SampleConfig, sample_filtered_wigner,
                                         sample_colored_gaussian,
-                                        esd_statistics, covariance_check)
+                                        esd_statistics)
 from filtered_spectra.moments import theoretical_moments
 
 SEED_FILTERED = 2026
 SEED_COLORED = 1         # fixed seeds; margins were checked against the
-SEED_QUADS = 2026        # oracle targets before freezing
+                         # oracle targets before freezing
 
 QUARTIC = BivariatePolynomial({(2, 4): Fraction(4), (3, 3): Fraction(-1),
                                (2, 2): Fraction(-1), (1, 1): Fraction(1),
@@ -209,19 +211,33 @@ def test_criterion_5_monte_carlo_consistency(capsys, compass, compass_kernel):
 
 
 def test_criterion_6_covariance_identity(capsys, compass):
+    """E[X_ij X_kl] = s_{i-k, l-j} in general position, exactly, from the
+    sampler's own derivatives in the draws (conftest.filtered_covariance).
+    Near the boundary it fails: X_{1,20} loses the taps that reach row 0,
+    so its variance is 1/2, not s_00 = 1."""
     t0 = time.monotonic()
     quads = [(10, 20, 12, 22), (10, 20, 10, 22), (10, 20, 12, 20),
              (10, 20, 10, 20), (10, 20, 12, 24), (8, 30, 10, 32),
              (5, 15, 5, 17), (20, 30, 22, 28), (10, 20, 13, 23),
-             (15, 25, 15, 24)]
-    cfg = SampleConfig(N=48, seed=SEED_QUADS, trials=100_000)
-    reports = [covariance_check(compass, cfg, q) for q in quads]
+             (15, 25, 15, 24), (10, 20, 12, 30)]
+    kern = kernel_from_filter(compass)
+
+    def s(i, j, k, l):
+        re, im = kern.coeffs.get((i - k, l - j, 0, 0), (0, 0))
+        assert im == 0, "a filter's kernel has real coefficients"
+        return Fraction(re, kern.den)
+
+    got = {q: filtered_covariance(compass, 48, q) for q in quads}
+    wrong = {q: str(v) for q, v in got.items() if v != s(*q)}
+    edge = filtered_covariance(compass, 48, (1, 20, 1, 20))
     elapsed = time.monotonic() - t0
-    worst = max(abs(r.z_score) for r in reports)
-    ok = worst < 4.0 and elapsed < 120.0
-    _verdict(capsys, "6 covariance identity (10 quads)", ok,
-             f"worst |z|={worst:.2f}, {elapsed:.1f}s")
-    assert worst < 4.0
+    ok = not wrong and edge == Fraction(1, 2) != s(1, 20, 1, 20) \
+        and elapsed < 120.0
+    _verdict(capsys, f"6 covariance identity ({len(quads)} quads, exact)", ok,
+             f"mismatches={wrong}, boundary {edge} vs {s(1, 20, 1, 20)}, "
+             f"{elapsed:.2f}s")
+    assert not wrong
+    assert edge == Fraction(1, 2) and s(1, 20, 1, 20) == 1
     assert elapsed < 120.0
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from filtered_spectra import algebra
 from filtered_spectra.algebra import (BivariatePolynomial, RootInterval,
@@ -344,6 +344,10 @@ def _to_bp(sp, expr, x, y):
 
 @settings(max_examples=30, deadline=None)
 @given(y_polys(), y_polys(), y_polys())
+# f = G F^2 with F of bidegree (3, 4): a long subresultant chain for Yun
+@example(BP({(0, 2): 1, (1, 1): 1, (0, 0): -1}),
+         BP({(3, 4): 1, (1, 3): 2, (2, 2): -1, (0, 2): -1, (3, 1): 1,
+             (1, 0): -1, (0, 0): 3}), BP({(0, 0): 1}))
 def test_squarefree_factors_match_sympy(a, b, c):
     sp = pytest.importorskip("sympy")
     x, y = sp.symbols("x y")
@@ -380,6 +384,23 @@ def _sympy_coeffs(sp, expr, var):
 
 @settings(max_examples=40, deadline=None)
 @given(bivariates(), bivariates(), st.sampled_from("xy"))
+# a degree gap of 3 at the first step: y^5 + xy + 1 against 2y^2 + x
+@example(BP({(0, 5): 1, (1, 1): 1, (0, 0): 1}), BP({(0, 2): 2, (1, 0): 1}),
+         "y")
+# the remainder drops from degree 3 to 1, so the next step has a gap of 2
+# and divides by g h^2: x y^4 + x against (x + 1) y^3 + 2
+@example(BP({(1, 4): 1, (1, 0): 1}), BP({(1, 3): 1, (0, 3): 1, (0, 0): 2}),
+         "y")
+# a degree-0 operand in each slot
+@example(BP({(2, 0): 1, (0, 0): 1}), BP({(0, 3): 1, (1, 1): 1, (0, 0): 1}),
+         "y")
+@example(BP({(0, 2): 1, (1, 0): -1}), BP({(1, 0): 3, (0, 0): 2}), "y")
+# a shared factor y - x, so the chain ends in zero
+@example(BP({(0, 2): 1, (0, 1): 1, (1, 1): -1, (1, 0): -1}),
+         BP({(0, 3): 1, (1, 1): 1, (1, 2): -1, (2, 0): -1}), "y")
+# elimination in x: x^2 y + x + 1 against x^3 - y + 2
+@example(BP({(2, 1): 1, (1, 0): 1, (0, 0): 1}),
+         BP({(3, 0): 1, (0, 1): -1, (0, 0): 2}), "x")
 def test_resultant_matches_sympy(p, q, var):
     sp = pytest.importorskip("sympy")
     assume(not p.is_zero and not q.is_zero)
@@ -397,6 +418,9 @@ def test_resultant_matches_sympy(p, q, var):
 
 @settings(max_examples=40, deadline=None)
 @given(bivariates(), st.sampled_from("xy"))
+# y-degrees 4 and 5, beyond what bivariates() draws
+@example(COMPASS_QUARTIC, "y")
+@example(BP({(0, 5): 1, (1, 3): -1, (2, 1): 1, (0, 1): 1, (0, 0): 2}), "y")
 def test_discriminant_matches_sympy(f, var):
     sp = pytest.importorskip("sympy")
     assume(f.degree(var) >= 1)

@@ -223,6 +223,25 @@ def test_config_hash_ignores_the_output_directory(tmp_path):
     assert a == b != c
 
 
+def test_only_the_drawing_commands_record_and_hash_a_seed(tmp_path):
+    # density draws nothing: --seed 9 changes no output, so it records
+    # seed null and hashes alike; simulate records its default seed 42
+    args = ["density", "--kernel", UNIT_KERNEL, "--n", "5"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--seed", "9", "--out", str(tmp_path / "b")]) == 0
+    a, b = _manifest(tmp_path / "a"), _manifest(tmp_path / "b")
+    assert a["seed"] is None and b["seed"] is None
+    assert a["config_hash"] == b["config_hash"]
+    assert a["outputs"] == b["outputs"]
+    sim = ["simulate", "--model", "colored", "--filter", COMPASS, "--N", "4",
+           "--trials", "1", "--kmax", "2"]
+    assert main(sim + ["--out", str(tmp_path / "c")]) == 0
+    assert main(sim + ["--seed", "42", "--out", str(tmp_path / "d")]) == 0
+    c, d = _manifest(tmp_path / "c"), _manifest(tmp_path / "d")
+    assert c["seed"] == d["seed"] == 42
+    assert c["config_hash"] == d["config_hash"]
+
+
 def test_write_csv_writes_what_csv_writer_wrote(tmp_path):
     # one % template per sequence of types, against csv.writer fed the
     # floats as FMT and everything else as is

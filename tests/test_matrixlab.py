@@ -18,14 +18,15 @@ import filtered_spectra
 from filtered_spectra import rng
 from filtered_spectra.kernel import Filter, IntervalPartition, Kernel, \
     compass_filter, constant_kernel, kernel_from_filter
-from filtered_spectra.matrixlab import (ESD, SampleConfig, _lapack_modules,
-                                        _site_cells, covariance_check,
+from filtered_spectra.matrixlab import (ESD, SampleConfig, _draw,
+                                        _lapack_modules, _site_cells,
                                         eigenvalues_symmetric, esd_statistics,
                                         sample_colored_gaussian,
                                         sample_filtered_wigner)
 from filtered_spectra.rng import (gaussian_entries, philox4x32_10,
                                   rademacher_entries, uniform_pair)
-from conftest import reference_colored_gaussian, reference_filtered_wigner
+from conftest import (reference_colored_gaussian, reference_filtered_wigner,
+                      tap_derivatives)
 
 
 # Known-answer vectors for Philox4x32-10 (Random123's kat_vectors).
@@ -208,24 +209,16 @@ def test_sample_config_validation():
         SampleConfig(N=10, seed=1, entry_law="uniform")
 
 
-def test_covariance_check_matches_theory(compass):
-    cfg = SampleConfig(N=48, seed=21, trials=20000)
-    rep = covariance_check(compass, cfg, (10, 20, 12, 22))
-    assert rep.theoretical == 0.25           # s_{-2,2} for the compass
-    assert abs(rep.z_score) < 4.0
-    rep0 = covariance_check(compass, cfg, (10, 20, 12, 30))
-    assert rep0.theoretical == 0.0           # outside the band
-    assert abs(rep0.z_score) < 4.0
-
-
-def test_covariance_check_refuses_boundary_indices(compass):
-    cfg = SampleConfig(N=48, seed=21, trials=10)
-    with pytest.raises(ValueError, match="general position"):
-        covariance_check(compass, cfg, (2, 20, 12, 30))     # near 0
-    with pytest.raises(ValueError, match="general position"):
-        covariance_check(compass, cfg, (10, 20, 47, 30))    # near N
-    with pytest.raises(ValueError, match="general position"):
-        covariance_check(compass, cfg, (10, 12, 20, 30))    # j - i <= K
+def test_filtered_sample_is_linear_in_its_draws(compass):
+    # X = sum over p < q of Y_pq dX/dY_pq, the fact criterion 6's exact
+    # covariance rests on; Rademacher draws and dyadic taps sum exactly
+    cfg = SampleConfig(N=9, seed=21, entry_law="rademacher")
+    parts = tap_derivatives(compass, 9, [(i, j) for i in range(1, 10)
+                                         for j in range(1, 10)])
+    lo, hi = (np.array(v) for v in zip(*parts))
+    draws = _draw(cfg, 0, lo, hi)
+    want = sum(y * d for y, d in zip(draws, parts.values()))
+    assert np.array_equal(sample_filtered_wigner(cfg, compass), want)
 
 
 def test_colored_sample_shape_and_symmetry():
@@ -534,6 +527,16 @@ def test_a_non_finite_entry_is_refused_by_name(monkeypatch, bad):
     m[4, 2] = bad
     with pytest.raises(ValueError,
                        match=rf"entry \(4, 2\) is {bad}, not finite"):
+        eigenvalues_symmetric(m)
+
+
+def test_an_overflowing_norm_is_refused_by_name(monkeypatch):
+    # every entry finite, ||m||_F past 1.8e308: refused before dsytrd runs
+    lapack, _ = _lapack_modules()
+    monkeypatch.setattr(lapack, "dsytrd", None)
+    m = np.array([[1e308, 1e308, 0], [1e308, -1e308, 1], [0, 1, 1e308]])
+    with pytest.raises(ValueError, match=r"Frobenius norm \|\|m\|\|_F "
+                       r"overflows float64 \(largest entry 1e\+308\)"):
         eigenvalues_symmetric(m)
 
 
