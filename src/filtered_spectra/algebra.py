@@ -24,7 +24,7 @@ eliminating x instead of y transposes the rows once.  The module provides
 * real-root isolation by Sturm sequences + bisection, on a chain of
   sign-preserving pseudo-remainders: positive multiples of the chain over Q;
 * numerical certification of a candidate curve F(lambda, S(lambda)) = 0
-  against the fixed-point solver;
+  against the fixed-point solver, on one circle for eliminate and verify;
 * the rank-one elimination pipeline: from a polynomial relation
   R(m, S_f(m)) = 0 for the transform of the profile distribution to the
   algebraic curve satisfied by the limit Stieltjes transform, via the
@@ -56,9 +56,10 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64  # in term lists: 8x the largest curves yet, bidegree (7, 8)
-# a curve is certified when its normalized residual on the circle of
-# certificate_radius stays below CERTIFICATE_TOL (eliminate and verify)
+# a curve is certified when its normalized residual at CERTIFICATE_POINTS
+# points on the circle of certificate_radius stays below CERTIFICATE_TOL
 CERTIFICATE_TOL = 1e-8
+CERTIFICATE_POINTS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +736,10 @@ def rank_one_eliminate(sf, kern: Kernel,
     empty survivor set raises with the offending factorization in the
     message.
 
-    S is solved once, at 12 points on |lambda| = certificate_radius(kern),
-    and every factor is scored there; a dict passed as certificate
-    receives the returned curve's residual and the circle ("residual",
-    "samples", "radius").
+    S is solved once, at the CERTIFICATE_POINTS points on the circle of
+    certificate_radius(kern) that verify scores on too, and every factor
+    is scored there; a dict passed as certificate receives the returned
+    curve's residual and the circle ("residual", "samples", "radius").
     """
     checked_relation(sf)
 
@@ -779,7 +780,7 @@ def rank_one_eliminate(sf, kern: Kernel,
     from .colorsolve import circle_points, stieltjes_path
 
     radius = certificate_radius(kern)
-    lams = [complex(z) for z in circle_points(radius, 12)]
+    lams = [complex(z) for z in circle_points(radius, CERTIFICATE_POINTS)]
     S = [sol.stieltjes for sol in stieltjes_path(kern, lams)]
     survivors = []
     rejected = []

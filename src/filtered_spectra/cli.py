@@ -14,8 +14,9 @@ and seed reproduce identical hashes for the deterministic commands.
 crosscheck holds the exact moments to the solver's contour moments
 (within their bound tol_k) and to Monte Carlo (within 3 standard errors).
 
-Flag precedence: command line > config file > defaults.  Floats are
-written with 17 significant digits so CSV round-trips are lossless.
+Flag precedence: command line > config file > defaults; a config key
+must name a flag of its command.  Floats are written with 17 significant
+digits so CSV round-trips are lossless.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .combinat import KMAX_GUARD, moments_by_enumeration
 from .colorsolve import (stieltjes_path, density_profile, solver_moments,
                          circle_points, angular_fold, CONTOUR_RADIUS,
                          CONTOUR_POINTS)
-from .algebra import (BivariatePolynomial, CERTIFICATE_TOL,
-                      certificate_radius, checked_relation,
+from .algebra import (BivariatePolynomial, CERTIFICATE_POINTS,
+                      CERTIFICATE_TOL, certificate_radius, checked_relation,
                       rank_one_eliminate, scored_curve, verify_curve)
 from .matrixlab import (COLORED_N_MAX, ESD_KMAX, SampleConfig,
                         sample_filtered_wigner, sample_colored_gaussian,
@@ -164,10 +165,15 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 def _load_cfg(ns: argparse.Namespace) -> dict:
-    cfg = {}
-    if ns.config:
-        with open(ns.config) as fh:
-            cfg = json.load(fh)
+    """The --config document overlaid by the flags given; a config that
+    is not a JSON object, or a key that is no dest of the command (nor
+    "lambda" for --lambda), raises ValueError naming --config."""
+    cfg = _document("config", ns.config) if ns.config else {}
+    flags = vars(ns).keys() - {"command", "config", "func"}
+    for key in cfg:
+        if key not in flags and not (key == "lambda" and "lam" in flags):
+            raise ValueError(f"--config {ns.config!r} has the key {key!r}, "
+                             f"which is not a flag of {ns.command}")
     for key, val in vars(ns).items():
         if key in ("config", "func") or val is None:
             continue
@@ -286,18 +292,26 @@ def _get_curve(cfg: dict, flag: str,
 # commands
 # ---------------------------------------------------------------------------
 
+def _floats(moments) -> list:
+    """The exact moments as floats; ValueError names one past float64."""
+    for k, m in enumerate(moments, 1):
+        if abs(m) > sys.float_info.max:
+            raise ValueError(f"moment m_{k} of this kernel does not fit a "
+                             f"float64: --kmax must be below {k}")
+    return [float(m) for m in moments]
+
+
 def cmd_moments(cfg: dict) -> int:
     kern = _get_kernel(cfg)
     kmax = _count(cfg, "kmax", 8)
-    run = _Run("moments", cfg, cfg["out"])
     exact = theoretical_moments(kern, kmax)
-    ms = [float(v) for v in exact]
+    ms = _floats(exact)
+    run = _Run("moments", cfg, cfg["out"])
     rows = [[k + 1, ms[k]] for k in range(kmax)]
     header = ["k", "moment"]
-    status = 0
-    worst = 0.0
-    cap = min(kmax, KMAX_GUARD)
+    status, cap, worst = 0, None, None
     if cfg.get("oracle"):
+        cap = min(kmax, KMAX_GUARD)
         oracle = moments_by_enumeration(kern, cap)
         for k in range(kmax):
             rows[k].append(float(oracle[k]) if k < cap else "")
@@ -306,16 +320,13 @@ def cmd_moments(cfg: dict) -> int:
         if oracle != exact[:cap]:   # both routes are exact Fractions
             status = 2
     run.write_csv("moments.csv", header, rows)
-    run.write_json("report.json", {"kmax": kmax,
-                                   "moments": ms,
-                                   "oracle_kmax": cap
-                                   if cfg.get("oracle") else None,
-                                   "oracle_max_abs_diff": worst
-                                   if cfg.get("oracle") else None,
+    run.write_json("report.json", {"kmax": kmax, "moments": ms,
+                                   "oracle_kmax": cap,
+                                   "oracle_max_abs_diff": worst,
                                    "pass": status == 0})
     run.finish()
     print(f"moments 1..{kmax} written"
-          + (f"; oracle max diff {worst:.3e}" if cfg.get("oracle") else ""))
+          + (f"; oracle max diff {worst:.3e}" if cap else ""))
     return status
 
 
@@ -340,20 +351,15 @@ def cmd_density(cfg: dict) -> int:
     xmin = _real(cfg, "xmin", -3.0)
     xmax = _real(cfg, "xmax", 3.0)
     n = _count(cfg, "n", 241)
-    eps1 = _real(cfg, "eps1", 1e-2)
-    eps2 = _real(cfg, "eps2", 5e-3)
-    if not 0 < eps2 < eps1:
-        raise ValueError(f"--eps1 {eps1!r} and --eps2 {eps2!r} must satisfy "
-                         "0 < eps2 < eps1")
     run = _Run("density", cfg, cfg["out"])
-    grid = density_profile(kern, _grid(xmin, xmax, n), eps_pair=(eps1, eps2))
+    grid = density_profile(kern, _grid(xmin, xmax, n))
     rows = [[x, d, 0 if f else 1]
             for x, d, f in zip(grid.xs, grid.density, grid.flags)]
     run.write_csv("density.csv", ["x", "density", "residual_flag"], rows)
     lo, hi = grid.support_estimate
     q, _, nodes, reflected = angular_fold(kern)
     run.write_json("report.json", {
-        "support_estimate": [lo, hi], "eps_pair": [eps1, eps2],
+        "support_estimate": [lo, hi], "eps_pair": list(grid.eps_pair),
         "failed_points": int(sum(not f for f in grid.flags)),
         "fold": q, "angular_nodes": nodes, "reflected": reflected})
     run.finish()
@@ -449,22 +455,17 @@ def cmd_eliminate(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     curve = _get_curve(cfg, "curve", scored_curve)
     kern = _get_kernel(cfg)
-    count = _count(cfg, "samples", 20)
-    radius = _real(cfg, "radius", certificate_radius(kern))
-    if radius <= 0:
-        raise ValueError(f"--radius must be > 0, got {radius!r}")
-    tol = _real(cfg, "tol", CERTIFICATE_TOL)
-    if tol <= 0:
-        raise ValueError(f"--tol must be > 0, got {tol!r}")
+    radius = certificate_radius(kern)
     run = _Run("verify", cfg, cfg["out"])
-    resid = verify_curve(curve, kern, circle_points(radius, count))
-    ok = resid < tol
-    run.write_json("report.json", {"residual": resid, "tolerance": tol,
-                                   "samples": count, "radius": radius,
-                                   "pass": ok})
+    resid = verify_curve(curve, kern, circle_points(radius,
+                                                     CERTIFICATE_POINTS))
+    ok = resid < CERTIFICATE_TOL
+    run.write_json("report.json", {
+        "residual": resid, "tolerance": CERTIFICATE_TOL,
+        "samples": CERTIFICATE_POINTS, "radius": radius, "pass": ok})
     run.finish()
-    print(f"max residual {resid:.3e} at {count} points |lambda|={radius:g}: "
-          + ("PASS" if ok else "FAIL"))
+    print(f"max residual {resid:.3e} at {CERTIFICATE_POINTS} points "
+          f"|lambda|={radius:g}: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
 
@@ -476,6 +477,7 @@ def cmd_crosscheck(cfg: dict) -> int:
     h = _get_filter(cfg) if "filter" in cfg else None
     N = (_count(cfg, "N", 24, COLORED_N_MAX) if h is None
          else _count(cfg, "N", 400))
+    exact = _floats(theoretical_moments(kern, kmax))
     run = _Run("crosscheck", cfg, cfg["out"], seed)
 
     report = validate_kernel(kern)
@@ -486,7 +488,6 @@ def cmd_crosscheck(cfg: dict) -> int:
         print("kernel failed validation:", "; ".join(report.messages))
         return 1
 
-    exact = [float(v) for v in theoretical_moments(kern, kmax)]
     solver, solver_tol = solver_moments(kern, kmax)
 
     if h is not None:
@@ -557,8 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", parents=[common],
                        help="spectral density on a grid")
-    for flag, typ in (("--xmin", float), ("--xmax", float), ("--n", int),
-                      ("--eps1", float), ("--eps2", float)):
+    for flag, typ in (("--xmin", float), ("--xmax", float), ("--n", int)):
         p.add_argument(flag, type=typ)
     p.set_defaults(func=cmd_density)
 
@@ -585,9 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="check a curve against the solver")
     p.add_argument("--curve", help="curve JSON (path or inline)")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--tol")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("crosscheck", parents=[common],
@@ -602,9 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    cfg = _load_cfg(ns)
     try:
-        return ns.func(cfg)
+        return ns.func(_load_cfg(ns))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

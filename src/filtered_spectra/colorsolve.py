@@ -317,7 +317,7 @@ def angular_fold(kern: Kernel) -> tuple:
     phi -> -phi: modes 0..K and the floor(T/2) + 1 distinct nodes."""
     index = [m for key in kern.coeffs for m in key[:2]]
     q = math.gcd(*index) or 1
-    K = max(map(abs, index)) // q
+    K = kern.band // q
     reflected = not any(im for _, im in kern.coeffs.values())
     return q, K, (-(-T // q) if K else 1), reflected  # g is constant at band 0
 

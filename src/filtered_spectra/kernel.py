@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,16 +60,29 @@ def rat(x) -> Fraction:
 
     Accepts int, Fraction, finite float (converted exactly, bit for bit),
     and strings in either 'p/q' or decimal form ('0.25', '-3', '1/3').
-    Anything else, bool and None included, raises ValueError naming it.
+    Anything else, bool, None and 'p/0' included, raises ValueError
+    naming it.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x.strip())
-    if isinstance(x, (int, float)) and not isinstance(x, bool) \
-            and math.isfinite(x):
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
+    if isinstance(x, int) and not isinstance(x, bool) \
+            or isinstance(x, float) and math.isfinite(x):
         return Fraction(x)
     raise ValueError(f"{x!r} is not a rational value")
+
+
+def _float64_value(key, v) -> Fraction:
+    """rat(v), if it fits a float64, else ValueError naming key and v."""
+    x = rat(v)
+    if abs(x) > sys.float_info.max:
+        raise ValueError(f"entry {key!r} has value {v!r}, which does not "
+                         "fit a float64")
+    return x
 
 
 def _checked_key(key, size, intervals=None) -> tuple:
@@ -149,10 +163,8 @@ def unit_partition() -> IntervalPartition:
 class Filter:
     """Finitely supported real function h on Z^2 with h(-i,-j) = h(j,i).
 
-    taps maps integer indices (i, j) -> Fraction; zero taps are dropped.
-    The support bound K is the even integer 2 * max(|i|, |j|), so taps
-    live in the square |i|, |j| <= K/2 and the kernel |H|^2 has Fourier
-    support in [-K, K]^2.
+    taps maps integer indices (i, j) -> Fraction; zero taps are dropped,
+    and a tap past float64 range is refused, naming it.
     """
 
     taps: dict = field(compare=False)
@@ -161,7 +173,7 @@ class Filter:
         clean = {}
         for key, v in self.taps.items():
             key = _checked_key(key, 2)
-            v = rat(v)
+            v = _float64_value(key, v)
             if v != 0:
                 clean[key] = v
         if not clean:
@@ -172,10 +184,6 @@ class Filter:
                 raise ValueError(
                     f"filter symmetry h(-i,-j) = h(j,i) fails at ({-j},{-i})")
         object.__setattr__(self, "taps", clean)
-
-    @property
-    def K(self) -> int:
-        return 2 * max(max(abs(i), abs(j)) for i, j in self.taps)
 
     def l2_norm_sq(self) -> Fraction:
         return sum((v * v for v in self.taps.values()), Fraction(0))
@@ -204,39 +212,33 @@ class Kernel:
     """Covariance kernel on color space.
 
     partition: the interval partition of [0,1];
-    band:      Fourier support bound K >= 0;
-    coeffs:    dict (i, j, a, b) -> (re, im) ints with |i|,|j| <= band
-               and a, b interval indices: s_ij on I_a x I_b is
-               (re + i im) / den, den > 0 in lowest terms, zero entries
-               dropped, so equal kernels have equal tables.
+    coeffs:    dict (i, j, a, b) -> (re, im) ints, a and b interval
+               indices: s_ij on I_a x I_b is (re + i im) / den, den > 0
+               in lowest terms, zero entries dropped, so equal kernels
+               have equal tables;
+    band:      K, the largest |i|, |j| of an entry in the table.
 
     Each given value is a rational or an (re, im) pair of rationals.  A
-    bad key or value, an index outside the band, an entry that breaks
+    bad key or value, a value past float64 range, an entry that breaks
     either symmetry (named with it), or a zero table raises ValueError:
     s is real, symmetric and nonzero by construction.  Treated as
     immutable.
     """
 
     partition: IntervalPartition
-    band: int
     coeffs: dict
+    band: int = field(init=False)
     den: int = field(init=False)
 
     def __post_init__(self):
-        self.band = int(self.band)
-        if self.band < 0:
-            raise ValueError("band must be >= 0")
-        n, K = self.partition.n, self.band
         pairs = {}
         for key, v in self.coeffs.items():
-            i, j, a, b = _checked_key(key, 4, n)
+            key = _checked_key(key, 4, self.partition.n)
             if isinstance(v, tuple) and len(v) != 2:
                 raise ValueError(f"entry {key!r} has value {v!r}, not a "
                                  "rational or an (re, im) pair")
             re, im = v if isinstance(v, tuple) else (v, 0)
-            if abs(i) > K or abs(j) > K:
-                raise ValueError(f"entry {key!r} lies outside the band {K}")
-            pairs[i, j, a, b] = (rat(re), rat(im))
+            pairs[key] = (_float64_value(key, re), _float64_value(key, im))
         # the lcm of reduced denominators is already in lowest terms
         den = math.lcm(*(x.denominator for v in pairs.values() for x in v))
         self.coeffs = {key: (re.numerator * (den // re.denominator),
@@ -245,6 +247,7 @@ class Kernel:
         self.den = den
         if not self.coeffs:
             raise ValueError("kernel is identically zero")
+        self.band = max(max(abs(i), abs(j)) for i, j, _, _ in self.coeffs)
         for (i, j, a, b), (re, im) in self.coeffs.items():
             if self.coeffs.get((-i, -j, a, b)) != (re, -im):
                 raise ValueError(
@@ -288,7 +291,7 @@ class Kernel:
 
 def constant_kernel() -> Kernel:
     """s = 1: the plain Wigner/semicircle case."""
-    return Kernel(unit_partition(), 0, {(0, 0, 0, 0): 1})
+    return Kernel(unit_partition(), {(0, 0, 0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,7 @@ def kernel_from_filter(h: Filter) -> Kernel:
         for e, f_, w in taps:
             key = (e - c, f_ - d, 0, 0)
             table[key] = table.get(key, 0) + w * v
-    kern = Kernel(unit_partition(), h.K,
+    kern = Kernel(unit_partition(),
                   {key: Fraction(s, q * q) for key, s in table.items()})
     assert kern.l1_norm() == h.l2_norm_sq()
     return kern
@@ -330,7 +333,7 @@ class KernelReport:
 def validate_kernel(kern: Kernel) -> KernelReport:
     """Sample s >= 0, the one invariant Kernel cannot settle cheaply.
 
-    Kernel owns the band, both symmetries and nonzeroness.  s is sampled
+    Kernel owns its band, both symmetries and nonzeroness.  s is sampled
     on T = max(4K + 1, 8) angles per circle, which integrate its degree
     exactly but can miss its minimum between the nodes: a kernel that
     dips below 0 only there passes.  Nonnegativity is sampled, not
@@ -435,12 +438,10 @@ def read_color_document(doc):
         return Filter({_checked_key((i, j), 2): v
                        for i, j, v in _field(obj, "entries", 3)})
     if kind == "kernel":
-        part = IntervalPartition(
-            tuple(rat(b) for b in _field(obj, "breakpoints")))
-        coeffs = {_checked_key((i, j, a, b), 4, part.n): (re, im)
-                  for i, j, a, b, re, im in _field(obj, "coeffs", 6)}
-        band = max((max(abs(i), abs(j)) for i, j, _, _ in coeffs), default=0)
-        return Kernel(part, band, coeffs)
+        part = IntervalPartition(tuple(_field(obj, "breakpoints")))
+        return Kernel(part, {
+            _checked_key((i, j, a, b), 4, part.n): (re, im)
+            for i, j, a, b, re, im in _field(obj, "coeffs", 6)})
     raise ValueError(f"unknown color document type {kind!r}")
 
 

@@ -57,7 +57,7 @@ def rank_two_kernel() -> Kernel:
                 for j, cj in cos.items():
                     coeffs[(i, j, ia, ib)] = a[ia] * a[ib] * ci * cj
             coeffs[(0, 0, ia, ib)] += b[ia] * b[ib]
-    return Kernel(part, 1, {key: (v, 0) for key, v in coeffs.items()})
+    return Kernel(part, {key: (v, 0) for key, v in coeffs.items()})
 
 
 def two_point_kernel() -> Kernel:
@@ -73,7 +73,7 @@ def two_point_kernel() -> Kernel:
             v = f[ia] * f[ib]
             if v:
                 coeffs[(0, 0, ia, ib)] = (v, 0)
-    return Kernel(part, 0, coeffs)
+    return Kernel(part, coeffs)
 
 
 def seeded_two_interval_kernel(seed: int = 20260819) -> Kernel:
@@ -103,7 +103,7 @@ def seeded_two_interval_kernel(seed: int = 20260819) -> Kernel:
                     key = (i, j, ia, ib)
                     coeffs[key] = coeffs.get(key, 0) + a[ia] * a[ib] * ci * cj
             coeffs[(0, 0, ia, ib)] += b[ia] * b[ib]
-    return Kernel(part, 1, {key: (v, 0) for key, v in coeffs.items()})
+    return Kernel(part, {key: (v, 0) for key, v in coeffs.items()})
 
 
 def tilted_circle_kernel() -> Kernel:
@@ -114,13 +114,13 @@ def tilted_circle_kernel() -> Kernel:
     """
     f = {0: (1, 0), 1: (Fraction(1, 8), Fraction(1, 8)),
          -1: (Fraction(1, 8), Fraction(-1, 8))}
-    return Kernel(unit_partition(), 1, {(i, j, 0, 0): pair_product(f[i], f[j])
-                                        for i in f for j in f})
+    return Kernel(unit_partition(), {(i, j, 0, 0): pair_product(f[i], f[j])
+                                     for i in f for j in f})
 
 
 def coprime_kernel() -> Kernel:
     """s = 1/3 + (2/7) cos(t1 - t2): coefficient denominators 3 and 7."""
-    return Kernel(unit_partition(), 1, {
+    return Kernel(unit_partition(), {
         (0, 0, 0, 0): (Fraction(1, 3), 0),
         (1, -1, 0, 0): (Fraction(1, 7), 0),
         (-1, 1, 0, 0): (Fraction(1, 7), 0)})

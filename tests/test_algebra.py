@@ -176,11 +176,11 @@ def test_eliminate_solves_once_and_returns_its_certificate(monkeypatch):
     monkeypatch.setattr(colorsolve, "stieltjes_path", spy)
     cert = {}
     curve = rank_one_eliminate(COMPASS_RELATION, kern, certificate=cert)
-    assert sizes == [12]
-    assert cert["samples"] == 12 and cert["radius"] == 10.0
+    assert sizes == [20]
+    assert cert["samples"] == 20 and cert["radius"] == 10.0
     assert cert["residual"] < 1e-10
     monkeypatch.undo()
-    samples = colorsolve.circle_points(10.0, 12)
+    samples = colorsolve.circle_points(10.0, 20)
     assert cert["residual"] == verify_curve(curve, kern, samples)
 
 
@@ -214,8 +214,8 @@ def piecewise_rank_one_kernel(profile) -> Kernel:
     """s = f(x) f(y), f piecewise constant on equal intervals, band 0."""
     n = len(profile)
     part = IntervalPartition(tuple(Fraction(a, n) for a in range(n + 1)))
-    return Kernel(part, 0, {(0, 0, a, b): profile[a] * profile[b]
-                            for a in range(n) for b in range(n)})
+    return Kernel(part, {(0, 0, a, b): profile[a] * profile[b]
+                         for a in range(n) for b in range(n)})
 
 
 def profile_relation(profile) -> BivariatePolynomial:

@@ -261,20 +261,6 @@ def test_write_csv_writes_what_csv_writer_wrote(tmp_path):
     assert got == want.read_bytes()
 
 
-def test_density_below_the_hop_flags_no_point(tmp_path):
-    # eps2 = 1e-30 is below the hop height 1e-8, where Im g can round to
-    # either sign: the second height runs no sign test there, as the hop
-    # does, so x = +-3 outside the support converge and are not flagged
-    out = tmp_path / "d"
-    rc = main(["density", "--kernel", UNIT_KERNEL, "--xmin", "-3",
-               "--xmax", "3", "--n", "13", "--eps1", "1e-2",
-               "--eps2", "1e-30", "--out", str(out)])
-    assert rc == 0
-    rows = _rows(out / "density.csv")
-    assert all(r["residual_flag"] == "0" for r in rows)
-    assert _report(out)["failed_points"] == 0
-
-
 @pytest.mark.parametrize("n", [1, 2, 9, 181])
 @pytest.mark.parametrize("a", ["2.7", "3", "0.1", "-2.7"])
 def test_symmetric_density_grid_is_a_bitwise_mirror(tmp_path, monkeypatch,
@@ -309,7 +295,7 @@ def test_asymmetric_density_grid_is_linspace(tmp_path, monkeypatch, lo, hi):
     assert xs == np.linspace(float(lo), float(hi), 181).tolist()
 
 
-def _flat_density(kern, xs, eps_pair):
+def _flat_density(kern, xs, eps_pair=(1e-2, 5e-3)):
     """A density_profile stand-in that skips the solve: these tests read x."""
     xs = [float(x) for x in xs]
     return SpectralGrid(xs=xs, density=[0.0] * len(xs),
@@ -343,7 +329,7 @@ def test_eliminate_then_verify(tmp_path):
     curve_path = elim / "curve.json"
     assert curve_path.exists()
     assert _report(elim)["verify_residual"] < 1e-10
-    assert _report(elim)["samples"] == 12
+    assert _report(elim)["samples"] == 20
     assert _report(elim)["radius"] == 10.0
 
     ver = tmp_path / "v"
@@ -351,6 +337,10 @@ def test_eliminate_then_verify(tmp_path):
                "--out", str(ver)])
     assert rc == 0
     assert _report(ver)["pass"] is True
+    # both score the curve on one circle: the same residual, bit for bit
+    assert _report(ver)["residual"] == _report(elim)["verify_residual"]
+    assert {k: _report(ver)[k] for k in ("samples", "radius")} == \
+        {k: _report(elim)[k] for k in ("samples", "radius")}
 
 
 def test_verify_rejects_wrong_curve(tmp_path):
@@ -595,18 +585,7 @@ BAD_INPUTS = [  # arguments, the flag named, its value as the message shows it
     (["simulate", "--model", "colored", "--filter", COMPASS, "--N", "65"],
      "--N", "65"),
     (["crosscheck", "--kernel", UNIT_KERNEL, "--N", "65"], "--N", "65"),
-    (VERIFY + ["--samples", "0"], "--samples", "0"),
-    (VERIFY + ["--samples", "-3"], "--samples", "-3"),
-    (VERIFY + ["--radius", "0"], "--radius", "0.0"),
-    (VERIFY + ["--tol", "nan"], "--tol", "'nan'"),
-    (VERIFY + ["--tol", "0"], "--tol", "0.0"),
-    (VERIFY + ["--tol", "-1"], "--tol", "-1.0"),
-    (VERIFY + ["--tol", "abc"], "--tol", "'abc'"),
     (["density", "--kernel", UNIT_KERNEL, "--xmin", "nan"], "--xmin", "nan"),
-    (["density", "--kernel", UNIT_KERNEL, "--eps1", "0.001", "--eps2",
-      "0.01"], "--eps1", "0.001"),
-    (["density", "--kernel", UNIT_KERNEL, "--eps1", "0.001", "--eps2",
-      "0.01"], "--eps2", "0.01"),
     (["solve", "--kernel", UNIT_KERNEL, "--lambda", "nan,0"], "--lambda",
      "'nan,0'"),
     (["solve", "--kernel", UNIT_KERNEL, "--lambda", "abc"], "--lambda",
@@ -645,6 +624,46 @@ BAD_INPUTS += [(command + ["--kernel", doc], "--kernel", named)
      '{"coeffs": [[2, 2, "1"], [1, 2, "-2"], [0, 0, "-1"]]}'],
     ["verify", "--curve", SEMICIRCLE_CURVE], ["crosscheck"])]
 
+# a p/0 value exited 1 with a ZeroDivisionError traceback, wherever it
+# stood: a kernel value, a breakpoint, a filter tap, a curve or a
+# relation coefficient
+BAD_INPUTS += [(args, flag, "'1/0' has a zero denominator") for args, flag in (
+    (["moments", "--kernel", json.dumps({
+        "type": "kernel", "breakpoints": [0, 1],
+        "coeffs": [[0, 0, 0, 0, "1/0", "0"]]})], "--kernel"),
+    (["moments", "--kernel", json.dumps({
+        "type": "kernel", "breakpoints": [0, "1/0", 1],
+        "coeffs": [[0, 0, 0, 0, "1", "0"]]})], "--kernel"),
+    (["moments", "--filter", '{"type": "filter", "entries": [[0, 0, "1/0"]]}'],
+     "--filter"),
+    (VERIFY[:3] + ["--curve", '{"coeffs": [[0, 2, "1/0"]]}'], "--curve"),
+    (["eliminate", "--filter", COMPASS, "--relation",
+      '{"coeffs": [[2, 2, "1"], [1, 2, "1/0"]]}'], "--relation"))]
+# a value past float64 exited 1 with an OverflowError traceback, after
+# making --out
+HUGE = {  # the flag, its document, and the entry as the message names it
+    "--kernel": (json.dumps({"type": "kernel", "breakpoints": [0, 1],
+                             "coeffs": [[0, 0, 0, 0, "1e999", "0"]]}),
+                 "entry (0, 0, 0, 0)"),
+    "--filter": ('{"type": "filter", "entries": [[0, 0, "1e999"]]}',
+                 "entry (0, 0)")}
+BAD_INPUTS += [(command + [flag, HUGE[flag][0]], flag,
+                f"{HUGE[flag][1]} has value '1e999', which does not fit "
+                "a float64") for flag, command in (
+    ("--kernel", ["moments"]), ("--kernel", ["density"]),
+    ("--kernel", ["solve"]), ("--kernel", ["simulate", "--model", "colored"]),
+    ("--kernel", ["crosscheck"]),
+    ("--kernel", ["verify", "--curve", SEMICIRCLE_CURVE]),
+    ("--kernel", ["eliminate", "--relation",
+                  '{"coeffs": [[2, 2, "1"], [1, 2, "-2"], [0, 0, "-1"]]}']),
+    ("--filter", ["moments"]), ("--filter", ["simulate"]))]
+# m_4 = 2e600 of a kernel s = 1e300 exited 1 after making --out
+BIG_KERNEL = json.dumps({"type": "kernel", "breakpoints": [0, 1],
+                         "coeffs": [[0, 0, 0, 0, "1e300", "0"]]})
+BAD_INPUTS += [([command, "--kernel", BIG_KERNEL, "--kmax", "4"], "--kmax",
+                "moment m_4 of this kernel does not fit a float64")
+               for command in ("moments", "crosscheck")]
+
 
 @pytest.mark.parametrize("args, flag, value", BAD_INPUTS,
                          ids=[f"{a[0]}{f}={v}" for a, f, v in BAD_INPUTS])
@@ -657,6 +676,74 @@ def test_bad_values_exit_with_usage_error(tmp_path, capsys, args, flag,
     err = capsys.readouterr().err
     assert flag in err and value in err
     assert not out.exists()
+
+
+# a flag no command has any more, a value for it, and that value as the
+# flag's own range check printed it (the test id)
+REMOVED_FLAGS = [(["density", "--kernel", UNIT_KERNEL], flag, value, shown)
+                 for flag, value, shown in (("--eps1", "0.001", "0.001"),
+                                            ("--eps2", "0.01", "0.01"))]
+REMOVED_FLAGS += [(VERIFY, flag, value, shown) for flag, value, shown in (
+    ("--samples", "0", "0"), ("--samples", "-3", "-3"),
+    ("--radius", "0", "0.0"), ("--tol", "nan", "'nan'"),
+    ("--tol", "0", "0.0"), ("--tol", "-1", "-1.0"),
+    ("--tol", "abc", "'abc'"))]
+
+
+@pytest.mark.parametrize("args, flag, value",
+                         [r[:3] for r in REMOVED_FLAGS], ids=[
+                             f"{a[0]}{f}={s}" for a, f, _, s in REMOVED_FLAGS])
+def test_removed_flags_are_unrecognized(tmp_path, capsys, args, flag, value):
+    # density runs its one eps pair and verify certifies on eliminate's
+    # circle, so these flags are gone: argparse exits 2 naming them
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_CONFIGS = [  # the command, its config text (None: no file), what is named
+    (["moments", "--filter", COMPASS], None, "No such file"),
+    (["moments", "--filter", COMPASS], '{"kmax": ', "is not a valid document"),
+    (["moments", "--filter", COMPASS], "[1, 2]", "not a JSON object"),
+    (["density", "--kernel", UNIT_KERNEL], '{"eps1": 0.5, "bogus": 3}',
+     "has the key 'eps1', which is not a flag of density"),
+    (["verify", "--kernel", UNIT_KERNEL, "--curve", SEMICIRCLE_CURVE],
+     '{"samples": 20}',
+     "has the key 'samples', which is not a flag of verify"),
+    (["moments", "--filter", COMPASS], '{"bogus": 3}',
+     "has the key 'bogus', which is not a flag of moments"),
+    (["moments", "--filter", COMPASS], '{"lambda": "3,0"}',
+     "has the key 'lambda', which is not a flag of moments")]
+
+
+@pytest.mark.parametrize("args, text, named", BAD_CONFIGS,
+                         ids=[n.split(",")[0] for _, _, n in BAD_CONFIGS])
+def test_bad_configs_exit_with_usage_error(tmp_path, capsys, args, text,
+                                           named):
+    # a missing, malformed or non-object file raised a traceback (exit 1),
+    # and an unknown key was ignored yet hashed into config_hash
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(args + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--config {str(cfg)!r}" in err and named in err
+    assert not out.exists()
+
+
+def test_config_lambda_is_the_lambda_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lambda": "3,0"}')
+    for name, args in (("a", ["--config", str(cfg)]),
+                       ("b", ["--lambda", "3,0"])):
+        assert main(["solve", "--kernel", UNIT_KERNEL, *args, "--out",
+                     str(tmp_path / name)]) == 0
+    assert _report(tmp_path / "a")["S"] == _report(tmp_path / "b")["S"]
 
 
 @pytest.mark.parametrize("command", [
@@ -740,6 +827,20 @@ def test_readme_command_lines_match_the_parser():
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in listed} == set(sub.choices)
+
+
+def test_readme_names_every_flag():
+    # every option of the parser and its subcommands appears in README.md
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in sub.choices.values() for a in p._actions
+             for opt in a.option_strings if opt.startswith("--")}
+    flags.discard("--help")
+    missing = sorted(f for f in flags
+                     if not re.search(rf"(?<![\w-]){f}(?![\w-])", text))
+    assert not missing
 
 
 def _fresh_python(script, *args):

@@ -52,9 +52,9 @@ def _tilted_kernel() -> Kernel:
     """
     part = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(1)))
     f = _tilted_factor()
-    return Kernel(part, 1, {(i, j, x, y): pair_product(f[(i, x)], f[(j, y)])
-                            for i in (-1, 0, 1) for j in (-1, 0, 1)
-                            for x in range(2) for y in range(2)})
+    return Kernel(part, {(i, j, x, y): pair_product(f[(i, x)], f[(j, y)])
+                         for i in (-1, 0, 1) for j in (-1, 0, 1)
+                         for x in range(2) for y in range(2)})
 
 
 def _three_interval_kernel() -> Kernel:
@@ -65,9 +65,9 @@ def _three_interval_kernel() -> Kernel:
     a = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
     f = {0: Fraction(1), 1: Fraction(1, 4), -1: Fraction(1, 4),
          3: Fraction(1, 8), -3: Fraction(1, 8)}
-    return Kernel(part, 3, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
-                            for i in f for j in f
-                            for x in range(3) for y in range(3)})
+    return Kernel(part, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
+                         for i in f for j in f
+                         for x in range(3) for y in range(3)})
 
 
 def test_semicircle_value_at_three(semicircle):
@@ -299,9 +299,9 @@ def _folded_kernel() -> Kernel:
     a = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
     f = {0: Fraction(1), 3: Fraction(1, 5), -3: Fraction(1, 5),
          6: Fraction(1, 10), -6: Fraction(1, 10)}
-    return Kernel(part, 6, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
-                            for i in f for j in f
-                            for x in range(3) for y in range(3)})
+    return Kernel(part, {(i, j, x, y): a[x] * a[y] * f[i] * f[j]
+                         for i in f for j in f
+                         for x in range(3) for y in range(3)})
 
 
 def test_the_folded_jacobian_matches_finite_differences():
@@ -439,7 +439,7 @@ BAND_ZERO_TABLE = ((Fraction(2), Fraction(1, 2), Fraction(1, 4)),
 
 def _band_zero_kernel() -> Kernel:
     """Band 0, three unequal cells, s_ab not a product f_a f_b."""
-    return Kernel(IntervalPartition(BAND_ZERO_CUTS), 0,
+    return Kernel(IntervalPartition(BAND_ZERO_CUTS),
                   {(0, 0, a, b): BAND_ZERO_TABLE[a][b]
                    for a in range(3) for b in range(3)})
 
@@ -475,7 +475,7 @@ def test_grid_nodes_follow_the_band(semicircle, compass_kernel):
 
 def _dilated(kern: Kernel, q: int) -> Kernel:
     """kern with each mode index i taken to q i: s(., q theta; ., q theta')."""
-    return Kernel(kern.partition, q * kern.band,
+    return Kernel(kern.partition,
                   {(q * i, q * j, a, b): (Fraction(re, kern.den),
                                           Fraction(im, kern.den))
                    for (i, j, a, b), (re, im) in kern.coeffs.items()})
@@ -532,14 +532,19 @@ def test_a_dilated_kernel_folds_onto_the_undilated_one(make, q):
 
 
 def test_a_table_with_mode_zero_alone_runs_on_one_node(semicircle):
-    flat = Kernel(semicircle.partition, 2, {(0, 0, 0, 0): 1})
+    # zero entries at modes +-2 are dropped, so the band read off the
+    # table is 0: one node, and Psi has the one column of mode 0
+    flat = Kernel(semicircle.partition, {(0, 0, 0, 0): 1, (2, 2, 0, 0): 0,
+                                         (-2, -2, 0, 0): "0/3"})
+    assert flat.band == 0
     ops = _GridOps(flat)
     assert (ops.K, ops.T, ops.phase.shape) == (0, 1, (1, 1))
     lams = [3.0, 0.5 + 1e-2j, -1.9 + 1e-5j, 1.2]
     for sol, ref in zip(stieltjes_path(flat, lams),
                         stieltjes_path(semicircle, lams)):
         assert sol.stieltjes == ref.stieltjes
-        assert np.array_equal(sol.psi, [[0, 0, ref.psi[0, 0], 0, 0]])
+        assert sol.psi.shape == (1, 1)
+        assert np.array_equal(sol.psi, ref.psi)
 
 
 def test_semicircle_closed_form_near_the_axis(semicircle):
@@ -809,6 +814,14 @@ def test_density_far_out_is_solved_in_place_without_the_sign(semicircle):
     # Im g underflows to -0.0 at 1e300, which a sign test would refuse
     grid = density_profile(semicircle, [1e300, -1e300])
     assert grid.flags == [True, True] and grid.density == [0.0, 0.0]
+
+
+def test_density_below_the_hop_flags_no_point(semicircle):
+    # eps2 = 1e-30 is below the hop height 1e-8, where Im g can round to
+    # either sign: the second height runs no sign test there, as the hop
+    # does, so x = +-3 outside the support converge and are not flagged
+    grid = density_profile(semicircle, [-3.0, 3.0], eps_pair=(1e-2, 1e-30))
+    assert grid.flags == [True, True]
 
 
 def test_empty_input_gives_empty_output(semicircle, compass_kernel):

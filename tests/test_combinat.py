@@ -180,10 +180,9 @@ def _labelled_sum(kern, w):
 def _rank_one(breakpoints, f) -> Kernel:
     """s(c, c') = f(c) f(c'), f[a] the Fourier coefficients on interval a."""
     part = IntervalPartition(tuple(Fraction(x) for x in breakpoints))
-    band = max(abs(i) for fa in f for i in fa)
-    return Kernel(part, band, {(i, j, a, b): (fa[i] * fb[j], 0)
-                               for a, fa in enumerate(f) for i in fa
-                               for b, fb in enumerate(f) for j in fb})
+    return Kernel(part, {(i, j, a, b): (fa[i] * fb[j], 0)
+                         for a, fa in enumerate(f) for i in fa
+                         for b, fb in enumerate(f) for j in fb})
 
 
 def cosine_step_kernel() -> Kernel:

@@ -38,7 +38,7 @@ def test_interval_partition_validation():
 
 def test_compass_filter_taps():
     h = compass_filter()
-    assert h.K == 2
+    assert kernel_from_filter(h).band == 2
     assert h.l2_norm_sq() == 1
     assert h(1, 1) == Fraction(1, 2)
     assert h(1, -1) == Fraction(1, 2)
@@ -53,7 +53,9 @@ def test_filter_symmetry_enforced():
         Filter({(1, 1): 0})
     # h(-i,-j) = h(j,i) pairs the tap at (1,0) with the one at (0,-1)
     h = Filter({(1, 0): Fraction(1, 3), (0, -1): Fraction(1, 3)})
-    assert h.K == 2
+    # taps one step out, but s_ij = sum h(i+c, j+d) h(c, d) has only the
+    # modes (0, 0) and +-(1, 1): its band is 1
+    assert kernel_from_filter(h).band == 1
 
 
 def test_compass_kernel_coefficients():
@@ -90,7 +92,7 @@ def test_validate_accepts_the_house_kernels():
 
 
 def test_validate_rejects_negative_kernel():
-    bad = Kernel(unit_partition(), 0, {(0, 0, 0, 0): -1})
+    bad = Kernel(unit_partition(), {(0, 0, 0, 0): -1})
     report = validate_kernel(bad)
     assert not report.ok
     assert not report.checks["nonnegative"]
@@ -99,7 +101,7 @@ def test_validate_rejects_negative_kernel():
 def test_validate_rejects_a_kernel_a_hair_below_zero():
     # s = -1e-13 has ||s||_1 < 0; with the nondegeneracy check gone, the
     # slack scales with the kernel, so this still fails as negative
-    bad = Kernel(unit_partition(), 0, {(0, 0, 0, 0): "-1/10000000000000"})
+    bad = Kernel(unit_partition(), {(0, 0, 0, 0): "-1/10000000000000"})
     report = validate_kernel(bad)
     assert not report.ok
     assert report.messages == ["s < 0 (= -1.000e-13) at interval cell "
@@ -113,7 +115,7 @@ def test_validate_rejects_a_kernel_negative_between_the_grid_angles():
     # for e^(i pi/8)/2: its minimum is 1.9 - 4|c| = -0.100, but on the
     # 8-angle grid it is +0.052, so validate_kernel passes it today
     c, conj_c = ("0.462", "0.191"), ("0.462", "-0.191")
-    k = Kernel(unit_partition(), 1, {
+    k = Kernel(unit_partition(), {
         (0, 0, 0, 0): "19/10",
         (1, 0, 0, 0): c, (-1, 0, 0, 0): conj_c,
         (0, 1, 0, 0): c, (0, -1, 0, 0): conj_c})
@@ -127,7 +129,7 @@ def test_validate_rejects_asymmetric_kernel():
     with pytest.raises(ValueError, match=re.escape(
             "entry (1, 0, 0, 0) breaks conj(s_ij) = s_(-i,-j): "
             "entry (-1, 0, 0, 0) is not its conjugate")):
-        Kernel(unit_partition(), 1, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2})
+        Kernel(unit_partition(), {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2})
 
 
 def test_validate_rejects_exchange_violation():
@@ -136,20 +138,20 @@ def test_validate_rejects_exchange_violation():
     with pytest.raises(ValueError, match=re.escape(
             "entry (0, 0, 0, 1) breaks s_ji(b, a) = s_ij(a, b): "
             "entry (0, 0, 1, 0) is not equal to it")):
-        Kernel(part, 0, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 2,
-                         (0, 0, 0, 0): 3, (0, 0, 1, 1): 3})
+        Kernel(part, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 2,
+                      (0, 0, 0, 0): 3, (0, 0, 1, 1): 3})
 
 
 @pytest.mark.parametrize("coeffs", [{}, {(0, 0, 0, 0): 0},
                                     {(1, -1, 0, 0): ("0", "0")}])
 def test_kernel_refuses_a_zero_table(coeffs):
     with pytest.raises(ValueError, match="kernel is identically zero"):
-        Kernel(unit_partition(), 1, coeffs)
+        Kernel(unit_partition(), coeffs)
 
 
 @pytest.mark.parametrize("make, key, size", [
-    (lambda key: Kernel(unit_partition(), 0, {key: 1}), (0, 0, 0), 4),
-    (lambda key: Kernel(unit_partition(), 0, {key: 1}), (0, 0, 0, 0, 0), 4),
+    (lambda key: Kernel(unit_partition(), {key: 1}), (0, 0, 0), 4),
+    (lambda key: Kernel(unit_partition(), {key: 1}), (0, 0, 0, 0, 0), 4),
     (lambda key: Filter({key: 1}), (1,), 2),
     (lambda key: Filter({key: 1}), (0, 0, 0), 2),
     (lambda key: Filter({key: 1}), 0, 2)])
@@ -166,17 +168,24 @@ def test_kernel_values_of_the_wrong_length_name_the_entry(value):
     with pytest.raises(ValueError, match=re.escape(
             f"entry (0, 0, 0, 0) has value {value!r}, not a rational or "
             "an (re, im) pair")):
-        Kernel(unit_partition(), 0, {(0, 0, 0, 0): value})
+        Kernel(unit_partition(), {(0, 0, 0, 0): value})
 
 
-@pytest.mark.parametrize("band, entry", [(0, (-1, 0, 0, 0)), (0, (1, 0, 0, 0)),
-                                         (1, (0, -2, 0, 0)), (1, (2, 1, 0, 0))])
-def test_kernel_refuses_entries_outside_its_band(band, entry):
-    # an out-of-band index would overwrite s_00 through numpy's negative
-    # index in coeff_array, or fall off the table
-    with pytest.raises(ValueError, match=re.escape(
-            f"entry {entry!r} lies outside the band {band}")):
-        Kernel(unit_partition(), band, {(0, 0, 0, 0): 2, entry: 1})
+@pytest.mark.parametrize("entry", [(-1, 0), (1, 0), (0, -2), (2, 1)])
+def test_every_entry_gets_its_own_column(entry):
+    # a band declared beside the table let an entry at (-1, 0) overwrite
+    # s_00 through numpy's negative index in coeff_array; the band read
+    # off the table has a column for every entry
+    i, j = entry
+    orbit = {(i, j), (-i, -j), (j, i), (-j, -i)}
+    k = Kernel(unit_partition(), {(0, 0, 0, 0): 2}
+               | {(a, b, 0, 0): 1 for a, b in orbit})
+    K, arr = k.band, k.coeff_array()
+    assert K == max(abs(i), abs(j))
+    assert arr[K, K, 0, 0] == 2
+    for a, b in orbit:
+        assert arr[a + K, b + K, 0, 0] == 1
+    assert np.count_nonzero(arr) == 1 + len(orbit)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -282,6 +291,35 @@ def test_rat_names_what_it_refuses():
         rat("1/x")
 
 
+def test_rat_refuses_a_zero_denominator():
+    # Fraction("1/0") raised a bare ZeroDivisionError
+    for bad in ("1/0", " -0/0 "):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad!r} has a zero denominator")):
+            rat(bad)
+
+
+def _kernel_with(v):
+    return Kernel(unit_partition(), {(0, 0, 0, 0): 1, (1, -1, 0, 0): v,
+                                     (-1, 1, 0, 0): v})
+
+
+@pytest.mark.parametrize("make, entry, value", [
+    (_kernel_with, (1, -1, 0, 0), "1e999"),
+    (lambda v: Kernel(unit_partition(), {
+        (0, 0, 0, 0): 1, (1, 1, 0, 0): (0, v), (-1, -1, 0, 0): (0, "-" + v)}),
+     (1, 1, 0, 0), "1e309"),
+    (_kernel_with, (1, -1, 0, 0), 10 ** 400),
+    (lambda v: Filter({(1, -1): v}), (1, -1), "2e308")])
+def test_values_past_float64_are_refused_by_entry(make, entry, value):
+    # float(value) overflowed later, in coeff_array or the sampler
+    with pytest.raises(ValueError, match=re.escape(
+            f"entry {entry!r} has value {value!r}, which does not fit "
+            "a float64")):
+        make(value)
+    make("1e308")  # the largest decade that fits is accepted
+
+
 def _canonical(kern):
     """Zero entries dropped, den > 0 in lowest terms."""
     parts = [x for v in kern.coeffs.values() for x in v]
@@ -303,12 +341,12 @@ def test_kernel_table_is_canonical():
                    [0.75, 0.125, 0.125, 2.0, 0.0],
                    [(Fraction(3, 4), 0), ("1/8", "0"), (0.125, 0),
                     (2, 0.0), (0, 0)]):
-        k = Kernel(part, 1, dict(zip(keys, values)))
+        k = Kernel(part, dict(zip(keys, values)))
         assert (k.coeffs, k.den) == (want, 8) and _canonical(k)
-    k = Kernel(part, 0, {keys[0]: 3, keys[3]: 0})
+    k = Kernel(part, {keys[0]: 3, keys[3]: 0})
     assert (k.coeffs, k.den) == ({keys[0]: (3, 0)}, 1)
     with pytest.raises(ValueError, match="not its conjugate"):
-        Kernel(part, 0, {keys[0]: ("2/3", "-4/3")})
+        Kernel(part, {keys[0]: ("2/3", "-4/3")})
 
 
 @pytest.mark.parametrize("name", list(BRANCH_KERNELS))
@@ -346,7 +384,8 @@ def filters(draw):
 @given(filters())
 def test_filter_kernels_always_validate(h):
     k = kernel_from_filter(h)
-    assert k.band == h.K
+    assert k.band == max(max(abs(i), abs(j)) for i, j, _, _ in k.coeffs)
+    assert k.band <= 2 * max(max(abs(i), abs(j)) for i, j in h.taps)
     assert _canonical(k)
     report = validate_kernel(k)
     assert report.ok, report.messages

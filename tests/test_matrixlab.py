@@ -298,8 +298,8 @@ def _piecewise_kernel(profile) -> Kernel:
     """Rank-one band-0 kernel s = f(x) f(y), f constant on equal intervals."""
     n = len(profile)
     part = IntervalPartition(tuple(Fraction(a, n) for a in range(n + 1)))
-    return Kernel(part, 0, {(0, 0, a, b): (profile[a] * profile[b], 0)
-                            for a in range(n) for b in range(n)})
+    return Kernel(part, {(0, 0, a, b): (profile[a] * profile[b], 0)
+                         for a in range(n) for b in range(n)})
 
 
 @pytest.mark.parametrize("breakpoints", [

@@ -143,7 +143,7 @@ def test_nonreal_moment_refused():
     # s = 1 + i is not a real kernel (it would give m_2 = s_00 = 1 + i):
     # Kernel refuses it, so no moment is ever non-real
     with pytest.raises(ValueError, match="not its conjugate"):
-        Kernel(unit_partition(), 0, {(0, 0, 0, 0): (1, 1)})
+        Kernel(unit_partition(), {(0, 0, 0, 0): (1, 1)})
 
 
 def test_mean_guard_fires_on_an_imaginary_part():
@@ -228,7 +228,7 @@ def unlike_tables(draw):
         table |= dict.fromkeys(same, (re, im)) | dict.fromkeys(conj, (re, -im))
     if not any(re or im for re, im in table.values()):
         table[0, 0, 0, 0] = (1, 0)
-    return Kernel(part, 2, table)
+    return Kernel(part, table)
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,7 +247,7 @@ def test_each_tree_must_be_real_not_only_its_level():
     # per-tree check honest
     part = IntervalPartition((Fraction(0), Fraction(1, 2), Fraction(1)))
     with pytest.raises(ValueError, match=r"entry \(0, 0, 0, 1\) breaks"):
-        Kernel(part, 0, {(0, 0, 0, 1): (1, 1), (0, 0, 1, 0): (2, -1)})
+        Kernel(part, {(0, 0, 0, 1): (1, 1), (0, 0, 1, 0): (2, -1)})
 
 
 def test_recursion_matches_enumeration_nonreal_coefficients():
